@@ -24,14 +24,13 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--grid", type=int, default=2000)
     ap.add_argument("--samples", type=int, default=100_000)
-    ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--out", default="out/headline")
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
-    result = optimize_window(grid=args.grid, processes=args.jobs)
+    result = optimize_window(grid=args.grid)
     result.to_json(out / "optimum.json")
     print(f"[{time.time()-t0:6.1f}s] tau0* = {result.tau0_star!r}")
     print(f"         cost*  = {result.cost_star!r}")

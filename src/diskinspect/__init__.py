@@ -18,11 +18,20 @@ from .bounds import (
     nlp_lower_bound,
     theta_window,
 )
-from .continuum import OdeSolution, SeriesInit, curve_point, integrate, self_check_init
+from .continuum import (
+    BatchSolution,
+    OdeSolution,
+    SeriesInit,
+    curve_point,
+    integrate,
+    integrate_many,
+    self_check_init,
+)
 from .cost import CostBreakdown, full_cost_from_partial, inspection_integral, partial_cost, total_cost
 from .errors import (
     AngleDomain,
     DiskInspectError,
+    EmptySweep,
     MaxIterations,
     NoBracket,
     NoCrossing,

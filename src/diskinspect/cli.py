@@ -31,7 +31,7 @@ from . import feasibility as feas_mod
 from . import optimizer as opt_mod
 from . import oracle as oracle_mod
 from .continuum import ODE_RTOL, X0_REF, integrate, self_check_init
-from .errors import DiskInspectError
+from .errors import DiskInspectError, EmptySweep
 from .refraction import discrete_cost, forward_recursion, shoot_theta
 from .svgplot import line_chart
 
@@ -69,10 +69,16 @@ def build_parser() -> _Parser:
     p.add_argument("--tol-ode", type=float, default=ODE_RTOL)
     p.add_argument("--tol-bisect", type=float, default=feas_mod.BISECT_TOL)
     p.add_argument("--tol-brent", type=float, default=feas_mod.BRENT_XATOL)
-    p.add_argument("--tol-quad-rel", type=float, default=cost_mod.QUAD_RTOL)
-    p.add_argument("--tol-quad-abs", type=float, default=cost_mod.QUAD_ATOL)
+    quad_help = ("quadrature tolerance; a cost sweep given a non-default "
+                 "value evaluates every row by quadrature, one start at a time")
+    p.add_argument("--tol-quad-rel", type=float, default=cost_mod.QUAD_RTOL,
+                   help=quad_help)
+    p.add_argument("--tol-quad-abs", type=float, default=cost_mod.QUAD_ATOL,
+                   help=quad_help)
     p.add_argument("--x0", type=float, default=X0_REF)
-    p.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="no effect: sweeps run as in-process lockstep batches; "
+                   "accepted so existing command lines still parse")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("optimize", help="reproduce the optimal trajectory")
@@ -120,7 +126,6 @@ def cmd_optimize(args, out: Path, formats) -> int:
         args.tau0_lo,
         args.tau0_hi,
         grid=args.grid,
-        processes=args.jobs,
         x0=args.x0,
         rtol=args.tol_ode,
         atol=args.tol_ode,
@@ -167,7 +172,6 @@ def cmd_sweep_feasibility(args, out: Path, formats) -> int:
         x0=args.x0,
         rtol=args.tol_ode,
         atol=args.tol_ode,
-        processes=args.jobs,
     )
     if "csv" in formats:
         feas_mod.sweep_to_csv(reports, out / "feasibility_sweep.csv")
@@ -192,7 +196,6 @@ def cmd_sweep_cost(args, out: Path, formats) -> int:
         args.tau0_lo,
         args.tau0_hi,
         args.grid,
-        processes=args.jobs,
         x0=args.x0,
         rtol=args.tol_ode,
         atol=args.tol_ode,
@@ -202,13 +205,15 @@ def cmd_sweep_cost(args, out: Path, formats) -> int:
     if "csv" in formats:
         opt_mod.sweep_to_csv(rows, out / "cost_sweep.csv")
         print(f"wrote {out / 'cost_sweep.csv'}")
+    good = [(t, c) for t, c, e in rows if e is None]
+    if not good:
+        kinds = ", ".join(sorted({e for _, _, e in rows}))
+        raise EmptySweep(f"all {len(rows)} sweep rows are error rows ({kinds})")
     if "svg" in formats:
-        good = [(t, c) for t, c, e in rows if e is None]
         line_chart([t for t, _ in good], {"cost": [c for _, c in good]},
                    out / "sweep_cost.svg", title="average cost vs tau0")
         print(f"wrote {out / 'sweep_cost.svg'}")
-    costs = [c for _, c, e in rows if e is None]
-    print(f"min cost over sweep: {min(costs)!r}")
+    print(f"min cost over sweep: {min(c for _, c in good)!r}")
     return 0
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _DOP853
 
 from .errors import OutOfRange, StepFailure
 
@@ -98,6 +99,13 @@ class SeriesInit:
         return cls(x0=x0, psi0=psi_series(x0), tau_start=tau_start)
 
 
+def _check_range(x, x0: float, x_end: float) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < x0 - 1e-15) or np.any(x > x_end + 1e-15):
+        raise OutOfRange(f"abscissa outside stored range [{x0}, {x_end}]")
+    return x
+
+
 @dataclass
 class OdeSolution:
     """Dense-output solution of the pair on [x0, x_end] for one tau0 label."""
@@ -109,8 +117,6 @@ class OdeSolution:
     grid: np.ndarray
     psi: np.ndarray
     tau: np.ndarray
-    dpsi: np.ndarray
-    dtau: np.ndarray
     _dense: object
 
     @property
@@ -121,18 +127,9 @@ class OdeSolution:
     def x_end(self) -> float:
         return float(self.grid[-1])
 
-    def _check_range(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.x0 - 1e-15) or np.any(x > self.x_end + 1e-15):
-            raise OutOfRange(
-                f"abscissa outside stored range [{self.x0}, {self.x_end}]"
-            )
-        return x
-
     def values(self, x):
         """(psi, tau) from dense output; scalar or vectorized."""
-        x = self._check_range(x)
-        return self._dense(x)
+        return self._dense(_check_range(x, self.x0, self.x_end))
 
     def psi_at(self, x) -> float:
         return float(self.values(float(x))[0])
@@ -220,20 +217,211 @@ def integrate(
     )
     if sol.status == -1:
         raise StepFailure(sol.message)
-    grid = sol.t
     psi, tau = sol.y
-    deriv = np.array([rhs(x, (p, t)) for x, p, t in zip(grid, psi, tau)])
     return OdeSolution(
         tau0=tau0,
         x0=x0,
         rtol=rtol,
         atol=atol,
-        grid=grid,
+        grid=sol.t,
         psi=psi,
         tau=tau,
-        dpsi=deriv[:, 0],
-        dtau=deriv[:, 1],
         _dense=sol.sol,
+    )
+
+
+#: Step-size control of the lockstep DOP853, as in scipy's: safety factor,
+#: bounds on the per-step change of h, and the exponent 1/(error order + 1).
+STEP_SAFETY = 0.9
+STEP_MIN_FACTOR = 0.2
+STEP_MAX_FACTOR = 10.0
+STEP_EXPONENT = -1.0 / 8.0
+
+
+def _rhs_many(x, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the augmented field (psi, tau, I), one column per trajectory."""
+    sin = np.sin(y[0])
+    cot = np.cos(y[0]) / sin
+    out = np.empty_like(y)
+    out[0] = -TWO_PI + cot / x
+    out[1] = TWO_PI * (y[1] * cot - 1.0)
+    out[2] = TWO_PI * x * y[1] / sin
+    return out
+
+
+def _error_norm(err5: np.ndarray, err3: np.ndarray, h: float) -> np.ndarray:
+    """DOP853 error norm over the leading axis, per column (scipy's formula).
+
+    The inputs are scaled error estimates of shape (n_components, N).
+    """
+    e5 = np.sum(err5 * err5, axis=0)
+    e3 = np.sum(err3 * err3, axis=0)
+    denom = np.sqrt((e5 + 0.01 * e3) * err5.shape[0])
+    with np.errstate(invalid="ignore"):
+        return np.where(denom > 0.0, h * e5 / denom, 0.0)
+
+
+def _initial_step(x0: float, y: np.ndarray, f: np.ndarray, rtol: float, atol: float) -> float:
+    """scipy's initial step choice on each column's (psi, tau); the smallest is shared."""
+    scale = atol + np.abs(y[:2]) * rtol
+    d0 = np.sqrt(np.mean((y[:2] / scale) ** 2, axis=0))
+    d1 = np.sqrt(np.mean((f[:2] / scale) ** 2, axis=0))
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-300))
+    h0 = np.minimum(h0, 1.0 - x0)
+    f1 = _rhs_many(x0 + h0, y + h0 * f)
+    d2 = np.sqrt(np.mean(((f1[:2] - f[:2]) / scale) ** 2, axis=0)) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** -STEP_EXPONENT,
+    )
+    return float(np.min(np.minimum(np.minimum(100.0 * h0, h1), 1.0 - x0)))
+
+
+def _fill_stages(k: np.ndarray, x: float, y: np.ndarray, h: float, stages: range) -> None:
+    """Evaluate the given DOP853 stages into k, shape (16, 3, N), from the earlier ones."""
+    flat = k.reshape(len(k), -1)
+    for s in stages:
+        dy = (_DOP853.A[s, :s] @ flat[:s]).reshape(y.shape) * h
+        k[s] = _rhs_many(x + _DOP853.C[s] * h, y + dy)
+
+
+@dataclass
+class BatchSolution:
+    """Dense-output solutions of (psi, tau, I) on [x0, 1] for many tau0 labels.
+
+    Column k is the trajectory labeled tau0s[k]; I is the inspection
+    integral int_x0^x 2*pi*s*tau(s)/sin(psi(s)) ds carried as a third state
+    component.  All columns share one step grid.  The per-step interpolant
+    coefficients are stored component-major, shape (3, P, n_steps, N).
+    """
+
+    tau0s: np.ndarray
+    x0: float
+    rtol: float
+    atol: float
+    grid: np.ndarray
+    nodes: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.grid) - 1
+
+    @property
+    def x_end(self) -> float:
+        return float(self.grid[-1])
+
+    def values(self, x, component: int, cols=None) -> np.ndarray:
+        """One state component at abscissae x, per column.
+
+        ``cols`` selects columns (default: all); the last axis of x
+        broadcasts against it, so x of shape (M, 1) evaluates every selected
+        column on a shared grid and x of shape (len(cols),) one abscissa per
+        column.  Same interpolant and segment choice as scipy's DOP853.
+        """
+        x = _check_range(x, self.x0, self.x_end)
+        n = self.coeffs.shape[-1]
+        cols = np.arange(n) if cols is None else np.asarray(cols)
+        seg = np.clip(np.searchsorted(self.grid, x, side="left") - 1, 0, self.n_steps - 1)
+        flat = seg * n + cols
+        t = (x - self.grid[seg]) / (self.grid[seg + 1] - self.grid[seg])
+        coeffs = self.coeffs[component]
+        y = np.zeros(flat.shape)
+        for i, f in enumerate(reversed(coeffs)):
+            y += f.ravel()[flat]
+            y *= t if i % 2 == 0 else 1.0 - t
+        return y + self.nodes[component, :-1].ravel()[flat]
+
+
+def integrate_many(
+    tau0s,
+    x0: float = X0_REF,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
+) -> BatchSolution:
+    """Integrate every labeled trajectory on [x0, 1] in lockstep.
+
+    Fixed-tableau DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.5-II.6)
+    over the augmented state (psi, tau, I) with I' = 2*pi*x*tau/sin(psi),
+    I(x0) = 0.  All columns take the same step.  Each column's error norm
+    is scipy's DOP853 norm over its own (psi, tau), and I is held to the
+    same tolerance on its own; a step is accepted only when every column
+    passes, so each trajectory is controlled at least as strictly as its
+    scalar solve.  Raises StepFailure when the step size underflows or any
+    column is outside the psi guard band at an accepted step node; callers
+    then fall back to ``integrate`` per label.  The guard is checked at step
+    nodes only, as solve_ivp detects the scalar path's terminal events by a
+    sign change between nodes: on either path a dip past the guard that
+    returns within one step goes unseen, and since the two step grids
+    differ, such a dip could stop one path but not the other.
+    """
+    tau0s = np.asarray(tau0s, dtype=float)
+    if np.any(tau0s <= 0.0):
+        raise ValueError("tau0 must be positive")
+    inits = [SeriesInit.for_label(float(t), x0) for t in tau0s]
+    rel = max(rtol, 100.0 * np.finfo(float).eps)
+    n_stages = _DOP853.N_STAGES
+    y = np.zeros((3, len(tau0s)))
+    y[0] = [i.psi0 for i in inits]
+    y[1] = [i.tau_start for i in inits]
+    x = x0
+    f = _rhs_many(x, y)
+    h_abs = _initial_step(x0, y, f, rel, atol)
+
+    k = np.empty((_DOP853.N_STAGES_EXTENDED,) + y.shape)
+    k_flat = k.reshape(len(k), -1)
+    grid, nodes, coeffs = [x], [y], []
+    while x < 1.0:
+        min_step = 10.0 * abs(np.nextafter(x, np.inf) - x)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure(f"lockstep step size underflow at x={x!r}")
+            x_new = min(x + h_abs, 1.0)
+            h = x_new - x
+            k[0] = f
+            _fill_stages(k, x, y, h, range(1, n_stages))
+            y_new = y + h * (_DOP853.B @ k_flat[:n_stages]).reshape(y.shape)
+            f_new = _rhs_many(x_new, y_new)
+            k[n_stages] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rel
+            err5 = (_DOP853.E5 @ k_flat[: n_stages + 1]).reshape(y.shape) / scale
+            err3 = (_DOP853.E3 @ k_flat[: n_stages + 1]).reshape(y.shape) / scale
+            err = float(np.max(np.maximum(
+                _error_norm(err5[:2], err3[:2], h), _error_norm(err5[2:], err3[2:], h)
+            )))
+            if err < 1.0:
+                factor = STEP_MAX_FACTOR
+                if err > 0.0:
+                    factor = min(factor, STEP_SAFETY * err**STEP_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            factor = STEP_SAFETY * err**STEP_EXPONENT if np.isfinite(err) else 0.0
+            h_abs *= max(STEP_MIN_FACTOR, factor)
+            rejected = True
+        if np.any(y_new[0] <= PSI_GUARD) or np.any(y_new[0] >= PI - PSI_GUARD):
+            raise StepFailure(f"a column left the psi guard band at x={x_new!r}")
+        _fill_stages(k, x, y, h, range(n_stages + 1, len(k)))
+        delta = y_new - y
+        step = np.empty((3, _DOP853.INTERPOLATOR_POWER, y.shape[1]))
+        step[:, 0] = delta
+        step[:, 1] = h * f - delta
+        step[:, 2] = 2.0 * delta - h * (f_new + f)
+        step[:, 3:] = h * (_DOP853.D @ k_flat).reshape((-1,) + y.shape).transpose(1, 0, 2)
+        coeffs.append(step)
+        x, y, f = x_new, y_new, f_new
+        grid.append(x)
+        nodes.append(y)
+    return BatchSolution(
+        tau0s=tau0s,
+        x0=x0,
+        rtol=rtol,
+        atol=atol,
+        grid=np.array(grid),
+        nodes=np.stack(nodes, axis=1),
+        coeffs=np.stack(coeffs, axis=2),
     )
 
 

@@ -107,9 +107,18 @@ def total_cost(
     atol: float = QUAD_ATOL,
 ) -> CostBreakdown:
     """Assemble the three-term average cost at deployment parameter xi."""
+    _check_xi(xi)
+    return cost_breakdown(xi, inspection_integral(sol, xi, rtol=rtol, atol=atol))
+
+
+def _check_xi(xi: float) -> None:
     if not 0.5 < xi <= 1.0:
         raise ValueError("deployment parameter must lie in (1/2, 1]")
-    integral = inspection_integral(sol, xi, rtol=rtol, atol=atol)
+
+
+def cost_breakdown(xi: float, integral: float) -> CostBreakdown:
+    """The three terms at deployment parameter xi, given the inspection integral."""
+    _check_xi(xi)
     lt = log_term(xi)
     dt = deployment_term(xi)
     return CostBreakdown(

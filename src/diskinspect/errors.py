@@ -85,6 +85,12 @@ class NotUnimodal(DiskInspectError):
     kind = "NotUnimodal"
 
 
+class EmptySweep(DiskInspectError):
+    """Every row of a sweep is an error row: there is no value to report."""
+
+    kind = "EmptySweep"
+
+
 class WindowViolated(DiskInspectError):
     """Angle-window margin came out non-positive; indicates an implementation bug."""
 

@@ -6,19 +6,30 @@ of T1(x) = 1 is the deployment parameter, and theta = (1 - xi)*pi the
 deployment angle of the straight segment that completes the trajectory.
 Clearance is sqrt(1 + tau_min^2) - 1 with tau_min the minimum of tau on
 [x0, xi], since ||T(x)|| = sqrt(1 + tau(x)^2).
+
+Window sweeps run the same pipeline on lockstep batches of start values
+(``integrate_many``); the scalar functions stay the reference they are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, OdeSolution, integrate
-from .errors import DiskInspectError, NoCrossing
+from .continuum import (
+    ODE_ATOL,
+    ODE_RTOL,
+    X0_REF,
+    BatchSolution,
+    OdeSolution,
+    integrate,
+    integrate_many,
+)
+from .errors import DiskInspectError, NoCrossing, OutOfRange, StepFailure
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -36,6 +47,15 @@ BRENT_XATOL = 1e-10
 #: Certified feasible window for the start value.
 WINDOW_LO = 1.64697
 WINDOW_HI = 1.6525
+
+#: Sweep points integrated together as one lockstep batch; bounds the
+#: memory of a sweep at any grid size.
+BATCH_BLOCK = 256
+#: Scan abscissae per column evaluated at once by the batched scans; keeps
+#: their temporaries small next to the solution itself.
+SCAN_CHUNK = 250
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _first_coord_minus_one(sol: OdeSolution, x: float) -> float:
@@ -122,6 +142,131 @@ def clearance_from_tau(tau_min: float) -> float:
     return math.sqrt(1.0 + tau_min * tau_min) - 1.0
 
 
+def golden_min(f, a, b, xatol: float):
+    """Golden-section search for the minimum of f on [a, b].
+
+    Returns the midpoint of the final bracket and the smallest value of f
+    seen at its two interior points.  a and b may be floats or arrays of
+    independent brackets (f is then evaluated elementwise); every bracket
+    keeps shrinking until the widest is below xatol.
+    """
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while np.any(b - a > xatol):
+        left = fc < fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fp = f(probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    return 0.5 * (a + b), np.minimum(fc, fd)
+
+
+def _g_many(bsol: BatchSolution, x: np.ndarray, cols=None) -> np.ndarray:
+    """T1 - 1 of the selected columns at abscissae x (see BatchSolution.values)."""
+    tau = bsol.values(x, 1, cols)
+    return np.cos(TWO_PI * x) - tau * np.sin(TWO_PI * x) - 1.0
+
+
+def _first_crossings(bsol: BatchSolution, xs: np.ndarray) -> np.ndarray:
+    """Per column, the first scan index i with g[i] < -1e-9 and g[i+1] >= 0.
+
+    -1 marks a column without such a crossing.
+    """
+    first = np.full(bsol.tau0s.shape, -1)
+    for lo in range(0, len(xs) - 1, SCAN_CHUNK):
+        g = _g_many(bsol, xs[lo : lo + SCAN_CHUNK + 1, None])
+        hit = (g[:-1] < -1e-9) & (g[1:] >= 0.0)
+        new = (first < 0) & hit.any(axis=0)
+        first[new] = lo + np.argmax(hit[:, new], axis=0)
+        if np.all(first >= 0):
+            break
+    return first
+
+
+def _bisect_many(bsol: BatchSolution, cols, a, b, tol: float) -> np.ndarray:
+    """_bisect_root on every selected column, each with its own stopping test."""
+    fa = _g_many(bsol, a, cols)
+    while True:
+        active = b - a > tol
+        if not np.any(active):
+            return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        fm = _g_many(bsol, mid, cols)
+        flip = (fa < 0.0) != (fm < 0.0)
+        b = np.where(active & flip, mid, b)
+        move = active & ~flip
+        a = np.where(move, mid, a)
+        fa = np.where(move, fm, fa)
+
+
+def deployment_parameters(bsol: BatchSolution) -> tuple[np.ndarray, np.ndarray]:
+    """deployment_parameter for every column: (xi, self-check gap) arrays.
+
+    The same scan, bisections and three Newton steps, vectorized across
+    columns.  Where the scan finds no crossing (the scalar version raises
+    NoCrossing) both entries are NaN.
+    """
+    xs = np.linspace(bsol.x0, bsol.x_end, SCAN_GRID)
+    first = _first_crossings(bsol, xs)
+    cols = np.flatnonzero(first >= 0)
+    a, b = xs[first[cols]], xs[first[cols] + 1]
+    xi_coarse = _bisect_many(bsol, cols, a, b, BISECT_TOL)
+    xi = _bisect_many(bsol, cols, a, b, BISECT_TOL_CHECK)
+    gap = np.abs(xi_coarse - xi)
+    for _ in range(3):
+        psi, tau = bsol.values(xi, 0, cols), bsol.values(xi, 1, cols)
+        dtau = TWO_PI * (tau * np.cos(psi) / np.sin(psi) - 1.0)
+        s, c = np.sin(TWO_PI * xi), np.cos(TWO_PI * xi)
+        xi = xi - (c - tau * s - 1.0) / (-TWO_PI * s - dtau * s - TWO_PI * tau * c)
+    out_xi = np.full(bsol.tau0s.shape, math.nan)
+    out_gap = np.full(bsol.tau0s.shape, math.nan)
+    out_xi[cols], out_gap[cols] = xi, gap
+    return out_xi, out_gap
+
+
+def clearance_minima(bsol: BatchSolution, xi: np.ndarray, cols) -> np.ndarray:
+    """tau_min of clearance_certificate for the selected columns.
+
+    The same 2001-point pre-scan of [x0, xi] brackets each minimum, then a
+    golden-section search shrinks every bracket below BRENT_XATOL.
+    """
+    cols = np.asarray(cols)
+    xs = np.linspace(bsol.x0, xi, 2001)
+    k = np.arange(len(cols))
+    j = np.zeros(len(cols), dtype=int)
+    best = np.full(len(cols), np.inf)
+    for lo in range(0, len(xs), SCAN_CHUNK):
+        tau = bsol.values(xs[lo : lo + SCAN_CHUNK], 1, cols)
+        i = np.argmin(tau, axis=0)
+        better = tau[i, k] < best
+        j[better] = lo + i[better]
+        best = np.minimum(best, tau[i, k])
+    lo = xs[np.maximum(j - 1, 0), k]
+    hi = xs[np.minimum(j + 1, len(xs) - 1), k]
+    return golden_min(lambda x: bsol.values(x, 1, cols), lo, hi, BRENT_XATOL)[1]
+
+
+def sweep_blocks(taus: np.ndarray, block_rows, scalar_row) -> list:
+    """Rows for every tau0, batched BATCH_BLOCK start values at a time.
+
+    ``block_rows(block)`` runs the lockstep pipeline on one block.  When the
+    batch cannot proceed (step control fails, a column leaves the psi guard
+    band or an abscissa leaves the solved range) the whole block is redone
+    with ``scalar_row(tau0)`` per point, so its rows are the scalar rows.
+    """
+    rows = []
+    for lo in range(0, len(taus), BATCH_BLOCK):
+        block = taus[lo : lo + BATCH_BLOCK]
+        try:
+            rows.extend(block_rows(block))
+        except (StepFailure, OutOfRange):
+            rows.extend(scalar_row(float(t)) for t in block)
+    return rows
+
+
 @dataclass
 class FeasibilityReport:
     """Per-start certificate: deployment parameter, angle, and clearance."""
@@ -173,21 +318,48 @@ def assess(
     )
 
 
-def _assess_worker(args) -> FeasibilityReport:
-    tau0, x0, rtol, atol = args
+def _error_report(tau0: float, kind: str) -> FeasibilityReport:
+    return FeasibilityReport(
+        tau0=tau0,
+        xi=math.nan,
+        theta=math.nan,
+        tau_min=math.nan,
+        clearance=math.nan,
+        feasible=False,
+        xi_selfcheck_gap=math.nan,
+        error=kind,
+    )
+
+
+def _assess_row(tau0: float, x0: float, rtol: float, atol: float) -> FeasibilityReport:
     try:
         return assess(tau0, x0=x0, rtol=rtol, atol=atol)
     except DiskInspectError as exc:
-        return FeasibilityReport(
-            tau0=tau0,
-            xi=math.nan,
-            theta=math.nan,
-            tau_min=math.nan,
-            clearance=math.nan,
-            feasible=False,
-            xi_selfcheck_gap=math.nan,
-            error=exc.kind,
-        )
+        return _error_report(tau0, exc.kind)
+
+
+def _assess_block(taus, x0: float, rtol: float, atol: float) -> list[FeasibilityReport]:
+    bsol = integrate_many(taus, x0=x0, rtol=rtol, atol=atol)
+    xi, gap = deployment_parameters(bsol)
+    cols = np.flatnonzero(~np.isnan(xi))
+    tau_min = np.full(xi.shape, math.nan)
+    tau_min[cols] = clearance_minima(bsol, xi[cols], cols)
+    reports = []
+    for k, tau0 in enumerate(taus):
+        if math.isnan(xi[k]):
+            reports.append(_error_report(float(tau0), NoCrossing.kind))
+            continue
+        t = float(tau_min[k])
+        reports.append(FeasibilityReport(
+            tau0=float(tau0),
+            xi=float(xi[k]),
+            theta=(1.0 - float(xi[k])) * PI,
+            tau_min=t,
+            clearance=clearance_from_tau(t),
+            feasible=t > FEASIBLE_TAU_MIN,
+            xi_selfcheck_gap=float(gap[k]),
+        ))
+    return reports
 
 
 def feasibility_sweep(
@@ -197,17 +369,15 @@ def feasibility_sweep(
     x0: float = X0_REF,
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
-    processes: int = 1,
 ) -> list[FeasibilityReport]:
     """Reports over a uniform tau0 grid; per-point errors recorded inline."""
     if not (tau0_lo < tau0_hi and grid >= 2):
         raise ValueError("need tau0_lo < tau0_hi and grid >= 2")
-    taus = np.linspace(tau0_lo, tau0_hi, grid)
-    args = [(float(t), x0, rtol, atol) for t in taus]
-    if processes > 1:
-        with Pool(processes) as pool:
-            return pool.map(_assess_worker, args, chunksize=32)
-    return [_assess_worker(a) for a in args]
+    return sweep_blocks(
+        np.linspace(tau0_lo, tau0_hi, grid),
+        lambda block: _assess_block(block, x0, rtol, atol),
+        lambda tau0: _assess_row(tau0, x0, rtol, atol),
+    )
 
 
 def sweep_to_csv(reports: list[FeasibilityReport], path) -> None:

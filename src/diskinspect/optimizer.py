@@ -5,7 +5,10 @@ The cost is evaluated per start value through the full pipeline
 the certified feasible window.  The landscape near the optimum is a steep
 parabola (curvature ~ 2e8 in tau0) riding on a feasibility cliff just left
 of the window, so the grid sweep only brackets the minimum; golden-section
-refinement inside the bracketing cell does the real work.
+refinement inside the bracketing cell does the real work.  The sweep runs
+the pipeline on lockstep batches of start values, with the inspection
+integral carried as a third ODE component; the refinement evaluates one
+start value at a time.
 """
 
 from __future__ import annotations
@@ -13,19 +16,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
 from . import cost as cost_mod
-from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, integrate
-from .errors import DiskInspectError, NotUnimodal
+from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, integrate, integrate_many
+from .errors import DiskInspectError, NoCrossing, NotUnimodal
 from .feasibility import (
     WINDOW_HI,
     WINDOW_LO,
     FeasibilityReport,
     assess,
     deployment_parameter,
+    deployment_parameters,
+    golden_min,
+    sweep_blocks,
 )
 
 #: Abscissa tolerance of the golden-section refinement.  Far below the
@@ -34,8 +39,6 @@ from .feasibility import (
 REFINE_XATOL = 2e-11
 #: Cost differences below this are treated as noise by the unimodality scan.
 SWEEP_NOISE_TOL = 1e-8
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -86,30 +89,60 @@ def cost_at(
     return breakdown.total, xi
 
 
-def _cost_worker(args):
-    tau0, kwargs = args
+def _cost_row(tau0: float, **kwargs):
     try:
         return tau0, cost_at(tau0, **kwargs)[0], None
     except DiskInspectError as exc:
         return tau0, math.nan, exc.kind
 
 
+def _cost_block(taus, x0: float, rtol: float, atol: float):
+    """Cost rows of one lockstep batch; I(xi) comes from the dense output."""
+    bsol = integrate_many(taus, x0=x0, rtol=rtol, atol=atol)
+    xi, _ = deployment_parameters(bsol)
+    cols = np.flatnonzero(~np.isnan(xi))
+    integral = np.full(xi.shape, math.nan)
+    integral[cols] = bsol.values(xi[cols], 2, cols)
+    rows = []
+    for tau0, x, i in zip(taus, xi, integral):
+        if math.isnan(x):
+            rows.append((float(tau0), math.nan, NoCrossing.kind))
+        else:
+            total = cost_mod.cost_breakdown(float(x), float(i)).total
+            rows.append((float(tau0), total, None))
+    return rows
+
+
 def sweep_cost(
     lo: float,
     hi: float,
     grid: int,
-    processes: int = 1,
-    **kwargs,
+    x0: float = X0_REF,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
+    quad_rtol: float = cost_mod.QUAD_RTOL,
+    quad_atol: float = cost_mod.QUAD_ATOL,
 ) -> list[tuple[float, float, str | None]]:
-    """(tau0, cost, error) rows over a uniform grid, sorted by tau0."""
+    """(tau0, cost, error) rows over a uniform grid, sorted by tau0.
+
+    The batch integrates the inspection integral with the ODE and makes no
+    quadrature call.  When quadrature tolerances other than the defaults
+    are asked for, every row is computed by cost_at instead, so that one
+    sweep never mixes rows of the two kinds.
+    """
     if not (lo < hi and grid >= 2):
         raise ValueError("need lo < hi and grid >= 2")
     taus = np.linspace(lo, hi, grid)
-    args = [(float(t), kwargs) for t in taus]
-    if processes > 1:
-        with Pool(processes) as pool:
-            return pool.map(_cost_worker, args, chunksize=32)
-    return [_cost_worker(a) for a in args]
+
+    def scalar_row(tau0):
+        return _cost_row(tau0, x0=x0, rtol=rtol, atol=atol,
+                         quad_rtol=quad_rtol, quad_atol=quad_atol)
+
+    if (quad_rtol, quad_atol) != (cost_mod.QUAD_RTOL, cost_mod.QUAD_ATOL):
+        return [scalar_row(float(t)) for t in taus]
+    return sweep_blocks(
+        taus, lambda block: _cost_block(block, x0, rtol, atol), scalar_row
+    )
 
 
 def sweep_to_csv(rows, path) -> None:
@@ -125,32 +158,25 @@ def _check_unimodal(costs: np.ndarray, noise_tol: float) -> int:
     Differences smaller than noise_tol in magnitude are ignored: adjacent
     grid costs near the flat bottom differ by less than the evaluation
     noise, and literal sign counting would see spurious minima there.
+    Error rows (NaN) may only form runs at either end of the sweep, such as
+    the NoCrossing cliff; one between two valid rows could hide an ascent.
     """
-    j = int(np.nanargmin(costs))
-    diffs = np.diff(costs)
-    before = diffs[:j]
-    after = diffs[j:]
-    if np.any(before > noise_tol) or np.any(after < -noise_tol):
+    valid = np.flatnonzero(~np.isnan(costs))
+    if len(valid) == 0:
+        raise NotUnimodal("every sweep row is an error row; nothing to refine")
+    first = int(valid[0])
+    run = costs[first : valid[-1] + 1]
+    if np.any(np.isnan(run)):
+        raise NotUnimodal(
+            "error rows lie between valid sweep rows; refusing to refine"
+        )
+    j = int(np.argmin(run))
+    diffs = np.diff(run)
+    if np.any(diffs[:j] > noise_tol) or np.any(diffs[j:] < -noise_tol):
         raise NotUnimodal(
             "sweep is not unimodal beyond noise level; refusing to refine"
         )
-    return j
-
-
-def _golden_min(f, a: float, b: float, xatol: float) -> float:
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xatol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    return first + j
 
 
 def refine_minimum(
@@ -158,7 +184,6 @@ def refine_minimum(
     hi: float,
     grid: int = 2000,
     sweep: list | None = None,
-    processes: int = 1,
     xatol: float = REFINE_XATOL,
     **kwargs,
 ) -> OptimalSolution:
@@ -168,7 +193,7 @@ def refine_minimum(
     noise; the minimum's grid cell provides the refinement bracket.
     """
     if sweep is None:
-        sweep = sweep_cost(lo, hi, grid, processes=processes, **kwargs)
+        sweep = sweep_cost(lo, hi, grid, **kwargs)
     taus = np.array([r[0] for r in sweep])
     costs = np.array([r[1] for r in sweep])
     j = _check_unimodal(costs, SWEEP_NOISE_TOL)
@@ -176,9 +201,9 @@ def refine_minimum(
     b = taus[min(j + 1, len(taus) - 1)]
 
     def f(tau0):
-        return cost_at(tau0, **kwargs)[0]
+        return cost_at(float(tau0), **kwargs)[0]
 
-    tau_star = _golden_min(f, float(a), float(b), xatol)
+    tau_star = float(golden_min(f, float(a), float(b), xatol)[0])
     sol = integrate(
         tau_star,
         x0=kwargs.get("x0", X0_REF),
@@ -208,8 +233,7 @@ def refine_minimum(
 
 def optimize_window(
     grid: int = 2000,
-    processes: int = 1,
     **kwargs,
 ) -> OptimalSolution:
     """Sweep and refine over the certified window [1.64697, 1.6525]."""
-    return refine_minimum(WINDOW_LO, WINDOW_HI, grid=grid, processes=processes, **kwargs)
+    return refine_minimum(WINDOW_LO, WINDOW_HI, grid=grid, **kwargs)

@@ -1,10 +1,9 @@
 """Shared fixtures: the expensive sweeps run once per session."""
 
-import os
-
 import hypothesis
 import pytest
 
+from diskinspect.bounds import THETA_LO, nlp_sweep
 from diskinspect.continuum import integrate
 from diskinspect.feasibility import WINDOW_HI, WINDOW_LO, feasibility_sweep
 from diskinspect.optimizer import refine_minimum, sweep_cost
@@ -25,8 +24,6 @@ PUBLISHED_THETA = 0.5909025598581181
 CONVERGED_XI_AT_PUBLISHED_TAU0 = 0.8119095137383550
 CONVERGED_THETA_AT_PUBLISHED_TAU0 = 0.5909036898497157
 
-_JOBS = min(2, os.cpu_count() or 1)
-
 
 @pytest.fixture(scope="session")
 def sol_star():
@@ -37,16 +34,22 @@ def sol_star():
 @pytest.fixture(scope="session")
 def window_reports():
     """2000-point feasibility sweep over the certified window."""
-    return feasibility_sweep(WINDOW_LO, WINDOW_HI, 2000, processes=_JOBS)
+    return feasibility_sweep(WINDOW_LO, WINDOW_HI, 2000)
 
 
 @pytest.fixture(scope="session")
 def cost_rows():
     """2000-point cost sweep over the certified window."""
-    return sweep_cost(WINDOW_LO, WINDOW_HI, 2000, processes=_JOBS)
+    return sweep_cost(WINDOW_LO, WINDOW_HI, 2000)
 
 
 @pytest.fixture(scope="session")
 def optimum(cost_rows):
     """Refined window optimum, reusing the session cost sweep."""
     return refine_minimum(WINDOW_LO, WINDOW_HI, sweep=cost_rows)
+
+
+@pytest.fixture(scope="session")
+def bound_sweep():
+    """105-angle convex-bound sweep over [0, 0.52] at k=1000."""
+    return nlp_sweep(0.0, THETA_LO, 105, 1000)

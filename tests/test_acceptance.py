@@ -23,7 +23,6 @@ from diskinspect.bounds import (
     analytic_lower_bound,
     analytic_lower_bound_derivative,
     nlp_lower_bound,
-    nlp_sweep,
 )
 from diskinspect.continuum import curve_point, integrate, self_check_init
 from diskinspect.cost import full_cost_from_partial, inspection_integral, total_cost
@@ -142,9 +141,8 @@ class TestCriterion3AngleWindow:
                f"margin={margin:.2e}")
 
     @pytest.mark.slow
-    def test_sweep_decreasing_above_3p551(self):
-        sols = nlp_sweep(0.0, 0.52, 105, 1000)
-        vals = [s.composed_bound for s in sols]
+    def test_sweep_decreasing_above_3p551(self, bound_sweep):
+        vals = [s.composed_bound for s in bound_sweep]
         ok = all(a > b for a, b in zip(vals, vals[1:])) and all(v > 3.551 for v in vals)
         report("criterion-3 bound sweep strictly decreasing and > 3.551", ok,
                f"min={min(vals):.6f}")

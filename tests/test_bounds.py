@@ -9,7 +9,6 @@ from diskinspect.bounds import (
     analytic_lower_bound,
     analytic_lower_bound_derivative,
     nlp_lower_bound,
-    nlp_sweep,
     sweep_to_csv,
     theta_window,
 )
@@ -131,8 +130,8 @@ class TestNlpLowerBound:
             assert mid <= 0.5 * (_objective(ta, p, u, w) + _objective(tb, p, u, w)) + 1e-12
 
     @pytest.mark.slow
-    def test_sweep_decreasing_and_above_reference(self):
-        sols = nlp_sweep(0.0, THETA_LO, 105, 1000)
+    def test_sweep_decreasing_and_above_reference(self, bound_sweep):
+        sols = bound_sweep
         vals = [s.composed_bound for s in sols]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > 3.551 for v in vals)

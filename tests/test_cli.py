@@ -62,6 +62,21 @@ class TestSweeps:
         assert rc == 0
         assert len(read(out / "cost_sweep.csv").splitlines()) == 5
 
+    def test_jobs_flag_still_parses(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--jobs", "4", "sweep-cost", "--grid", "2"])
+        assert rc == 0
+        assert len(read(out / "cost_sweep.csv").splitlines()) == 3
+
+    def test_sweep_cost_all_error_rows_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "sweep-cost",
+                   "--tau0-lo", "1.640", "--tau0-hi", "1.6465", "--grid", "3"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert payload["error"]["kind"] == "EmptySweep"
+        assert len(read(out / "cost_sweep.csv").splitlines()) == 4
+
 
 class TestLowerBound:
     def test_single_instance(self, tmp_path):
@@ -120,6 +135,14 @@ class TestOptimize:
         assert data["tau0_star"] == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
         assert data["cost_star"] == pytest.approx(3.5492595860809693, abs=1e-6)
         assert data["certificate"]["feasible"] is True
+
+
+    def test_all_error_rows_exits_2(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path / "o"), "optimize", "--grid", "3",
+                   "--tau0-lo", "1.62", "--tau0-hi", "1.64"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["kind"] == "NotUnimodal"
 
 
 class TestConverge:

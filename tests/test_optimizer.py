@@ -64,6 +64,20 @@ class TestUnimodalCheck:
         with pytest.raises(NotUnimodal):
             _check_unimodal(costs, 1e-8)
 
+    def test_rejects_error_row_between_valid_rows(self):
+        # the error row hides the ascent 2.0 -> 2.5
+        costs = np.array([3.0, 2.0, math.nan, 2.5, 1.5, 3.0])
+        with pytest.raises(NotUnimodal):
+            _check_unimodal(costs, 1e-8)
+
+    def test_rejects_all_error_rows(self):
+        with pytest.raises(NotUnimodal):
+            _check_unimodal(np.full(3, math.nan), 1e-8)
+
+    def test_allows_error_runs_at_both_ends(self):
+        costs = np.array([math.nan, math.nan, 3.0, 2.0, 1.0, 2.0, math.nan])
+        assert _check_unimodal(costs, 1e-8) == 4
+
 
 class TestRefine:
     @pytest.mark.slow
