@@ -41,6 +41,7 @@ from .errors import (
     StepFailure,
     TriangleDegenerate,
     WindowViolated,
+    XiOutOfRange,
 )
 from .feasibility import (
     FeasibilityReport,

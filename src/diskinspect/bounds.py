@@ -48,6 +48,15 @@ PG_RESIDUAL_TOL = 1e-9
 #: optimality by convexity even when the line search has hit float limits.
 PG_CERTIFICATE_TOL = 1e-8
 STATIONARITY_TOL = 1e-9
+#: Smallest chain the convex program accepts.
+MIN_K = 5
+#: Chains longer than COARSE_FLOOR segments start from the solution at
+#: k // COARSE_RATIO; from a flat start the Newton direction is poor and the
+#: step length stays tiny for most of a long chain's solve.
+COARSE_FLOOR = 64
+COARSE_RATIO = 4
+#: Line-search slack relative to the objective: 8 ulps (see _newton).
+FLAT_RTOL = 8.0 * float(np.finfo(float).eps)
 
 
 def analytic_lower_bound(theta: float) -> float:
@@ -137,22 +146,55 @@ def nlp_lower_bound(
     k: int,
     tol_pg: float = PG_RESIDUAL_TOL,
     max_iter: int = 600,
+    start: np.ndarray | None = None,
 ) -> NlpSolution:
     """Solve the convex chain program by damped projected Newton.
 
     Free variables t_0..t_{k-1} >= 0 with t_k = tan(theta) pinned; t_0 has
     weight zero and never moves.  Convergence requires both the projected
     gradient below tol_pg and a restart objective change below 1e-9, which
-    by convexity certifies the global minimum.
+    by convexity certifies the global minimum from any starting point.
+
+    Without ``start`` the solve begins from the solution at k // COARSE_RATIO,
+    found the same way, interpolated onto this chain; chains of at most
+    COARSE_FLOOR segments begin flat.  ``start`` (k + 1 values, the last
+    replaced by tan(theta)) begins from a given point instead, such as the
+    optimum at a neighbouring angle.  ``iterations`` counts every level.
     """
     if not 0.0 <= theta < PI / 2.0:
         raise ValueError("theta must lie in [0, pi/2)")
-    if k < 5:
-        raise ValueError("k must be at least 5")
-    p, u, w = _chain_geometry(theta, k)
+    if k < MIN_K:
+        raise ValueError(f"k must be at least {MIN_K}")
+    if start is None:
+        return _coarse_to_fine(theta, k, tol_pg, max_iter)
+    t = np.array(start, dtype=float)
+    t[k] = math.tan(theta)
+    return _newton(theta, k, t, tol_pg, max_iter)
+
+
+def _flat_start(theta: float, k: int) -> np.ndarray:
     tk = math.tan(theta)
     t = np.full(k + 1, max(1.0, tk))
     t[k] = tk
+    return t
+
+
+def _coarse_to_fine(theta: float, k: int, tol_pg: float, max_iter: int) -> NlpSolution:
+    if k <= COARSE_FLOOR:
+        return _newton(theta, k, _flat_start(theta, k), tol_pg, max_iter)
+    coarse = _coarse_to_fine(theta, k // COARSE_RATIO, tol_pg, max_iter)
+    t = np.interp(np.arange(k + 1) / k, np.arange(coarse.k + 1) / coarse.k, coarse.t)
+    t[k] = math.tan(theta)
+    sol = _newton(theta, k, t, tol_pg, max_iter)
+    sol.iterations += coarse.iterations
+    return sol
+
+
+def _newton(
+    theta: float, k: int, t: np.ndarray, tol_pg: float, max_iter: int
+) -> NlpSolution:
+    """Damped projected Newton from t (t[k] = tan(theta) already pinned)."""
+    p, u, w = _chain_geometry(theta, k)
     prev_obj = math.inf
     stationarity = math.inf
     for it in range(max_iter):
@@ -191,6 +233,10 @@ def nlp_lower_bound(
         step = np.zeros(k)
         step[idx] = solve_banded((1, 1), ab, -gv[idx])
         step[active] = -gv[active]
+        # near the optimum the objective is flat in float64, so a trial
+        # within a few ulps of obj counts as no increase; otherwise a Newton
+        # step that would cut the projected gradient is lost to rounding
+        slack = FLAT_RTOL * abs(obj)
         alpha = 1.0
         accepted = False
         for _ in range(80):
@@ -198,7 +244,7 @@ def nlp_lower_bound(
             t_new[:k] = np.maximum(0.0, t[:k] + alpha * step)
             obj_new = _objective(t_new, p, u, w)
             decrease = float(np.dot(gv, t_new[:k] - t[:k]))
-            if obj_new <= obj + 1e-4 * decrease:
+            if obj_new <= obj + 1e-4 * decrease + slack:
                 accepted = True
                 break
             alpha *= 0.5
@@ -232,8 +278,18 @@ def nlp_sweep(
     grid: int,
     k: int,
 ) -> list[NlpSolution]:
-    """Certified bounds over a uniform theta grid (independent cold starts)."""
-    return [nlp_lower_bound(float(th), k) for th in np.linspace(theta_lo, theta_hi, grid)]
+    """Certified bounds over a uniform theta grid.
+
+    The first angle is solved coarse-to-fine; each later angle starts from
+    the previous angle's certified t.  Every row meets the same certificate
+    as an independent solve, since by convexity it does not depend on the
+    starting point.
+    """
+    sols: list[NlpSolution] = []
+    for th in np.linspace(theta_lo, theta_hi, grid):
+        start = sols[-1].t if sols else None
+        sols.append(nlp_lower_bound(float(th), k, start=start))
+    return sols
 
 
 def sweep_to_csv(solutions: list[NlpSolution], path) -> None:

@@ -45,6 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _ranged(convert, ok, domain: str):
+    """argparse type: convert the text, then reject values outside domain."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is outside {domain}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse names the type in messages
+    return check
+
+
 def _plain(obj):
     """numpy scalars -> Python scalars for json."""
     if isinstance(obj, np.generic):
@@ -102,9 +114,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--tau0-hi", type=float, default=feas_mod.WINDOW_HI)
 
     sp = sub.add_parser("lower-bound", help="convex-program lower bound")
-    sp.add_argument("--theta", type=float, default=bounds_mod.THETA_LO)
-    sp.add_argument("--k", type=int, default=1000)
-    sp.add_argument("--grid", type=int, default=None,
+    sp.add_argument("--theta", default=bounds_mod.THETA_LO,
+                    type=_ranged(float, lambda t: 0.0 <= t < math.pi / 2.0,
+                                 "[0, pi/2)"))
+    sp.add_argument("--k", default=1000,
+                    type=_ranged(int, lambda k: k >= bounds_mod.MIN_K,
+                                 f"[{bounds_mod.MIN_K}, inf)"))
+    sp.add_argument("--grid", default=None,
+                    type=_ranged(int, lambda n: n >= 1, "[1, inf)"),
                     help="sweep theta over [0, --theta] with this many points")
 
     sub.add_parser("angle-bounds", help="deployment-angle window report")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .continuum import OdeSolution
-from .errors import QuadratureNoConverge
+from .errors import QuadratureNoConverge, XiOutOfRange
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -113,7 +113,7 @@ def total_cost(
 
 def _check_xi(xi: float) -> None:
     if not 0.5 < xi <= 1.0:
-        raise ValueError("deployment parameter must lie in (1/2, 1]")
+        raise XiOutOfRange(f"deployment parameter xi={xi!r} must lie in (1/2, 1]")
 
 
 def cost_breakdown(xi: float, integral: float) -> CostBreakdown:

@@ -73,6 +73,12 @@ class NoCrossing(DiskInspectError):
     kind = "NoCrossing"
 
 
+class XiOutOfRange(DiskInspectError):
+    """Deployment parameter outside (1/2, 1]: the three-term cost is undefined."""
+
+    kind = "XiOutOfRange"
+
+
 class QuadratureNoConverge(DiskInspectError):
     """Adaptive quadrature error estimate exceeds the requested tolerance."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cost as cost_mod
 from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, integrate, integrate_many
-from .errors import DiskInspectError, NoCrossing, NotUnimodal
+from .errors import DiskInspectError, NoCrossing, NotUnimodal, XiOutOfRange
 from .feasibility import (
     WINDOW_HI,
     WINDOW_LO,
@@ -107,9 +107,12 @@ def _cost_block(taus, x0: float, rtol: float, atol: float):
     for tau0, x, i in zip(taus, xi, integral):
         if math.isnan(x):
             rows.append((float(tau0), math.nan, NoCrossing.kind))
-        else:
+            continue
+        try:
             total = cost_mod.cost_breakdown(float(x), float(i)).total
             rows.append((float(tau0), total, None))
+        except XiOutOfRange as exc:
+            rows.append((float(tau0), math.nan, exc.kind))
     return rows
 
 
@@ -210,18 +213,17 @@ def refine_minimum(
         rtol=kwargs.get("rtol", ODE_RTOL),
         atol=kwargs.get("atol", ODE_ATOL),
     )
-    xi, gap = deployment_parameter(sol)
+    certificate = assess(tau_star, sol=sol)
     breakdown = cost_mod.total_cost(
         sol,
-        xi,
+        certificate.xi,
         rtol=kwargs.get("quad_rtol", cost_mod.QUAD_RTOL),
         atol=kwargs.get("quad_atol", cost_mod.QUAD_ATOL),
     )
-    certificate = assess(tau_star, sol=sol)
     return OptimalSolution(
         tau0_star=tau_star,
-        xi_star=xi,
-        theta_star=(1.0 - xi) * math.pi,
+        xi_star=certificate.xi,
+        theta_star=certificate.theta,
         cost_star=breakdown.total,
         clearance_star=certificate.clearance,
         bracket=(float(a), float(b)),

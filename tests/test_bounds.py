@@ -3,18 +3,31 @@ import math
 import numpy as np
 import pytest
 
+from diskinspect import bounds as bounds_mod
 from diskinspect.bounds import (
+    PG_RESIDUAL_TOL,
     REFERENCE_UPPER_BOUND,
     THETA_LO,
+    _chain_geometry,
+    _flat_start,
+    _grad_hess,
+    _newton,
     analytic_lower_bound,
     analytic_lower_bound_derivative,
     nlp_lower_bound,
+    nlp_sweep,
     sweep_to_csv,
     theta_window,
 )
 from diskinspect.cost import full_cost_from_partial
 
 PI = math.pi
+
+
+@pytest.fixture(scope="module")
+def warm_sweep():
+    """11 angles over [0, 0.52] at k=1000, each started from the one before."""
+    return nlp_sweep(0.0, THETA_LO, 11, 1000)
 
 
 class TestAnalyticBound:
@@ -136,6 +149,50 @@ class TestNlpLowerBound:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > 3.551 for v in vals)
         assert max(s.kkt_residual for s in sols) <= 1e-8
+
+    def test_warm_sweep_matches_cold_solves(self, warm_sweep):
+        for sol in warm_sweep:
+            cold = _newton(sol.theta, 1000, _flat_start(sol.theta, 1000),
+                           PG_RESIDUAL_TOL, 600)
+            assert abs(sol.composed_bound - cold.composed_bound) <= 1e-12
+            assert sol.kkt_residual <= 1e-8
+            assert sol.stationarity_gap <= 1e-9
+            assert np.all(sol.t >= 0.0)
+            assert sol.t[-1] == math.tan(sol.theta)
+
+    def test_warm_started_angles_take_under_40_iterations(self, warm_sweep):
+        assert all(sol.iterations < 40 for sol in warm_sweep[1:])
+
+    @pytest.mark.parametrize("j", [None, *range(100, 1000, 100)])
+    def test_restart_from_certified_point(self, j):
+        # Nudging t_j by 5e-8/H_jj lifts the projected gradient to about
+        # 5e-8, above the 1e-8 certificate, while the objective moves by less
+        # than an ulp: the line search must still accept the Newton step
+        # that undoes the nudge instead of stalling on rounding noise.
+        theta, k = 0.16, 1000
+        sol = nlp_lower_bound(theta, k)
+        start = sol.t.copy()
+        if j is not None:
+            p, u, w = _chain_geometry(theta, k)
+            start[j] += 5e-8 / _grad_hess(sol.t, p, u, w)[2][j]
+        again = nlp_lower_bound(theta, k, start=start)
+        assert again.iterations <= 2
+        assert again.kkt_residual <= 1e-8
+        assert again.stationarity_gap <= 1e-9
+        assert abs(again.composed_bound - sol.composed_bound) <= 1e-12
+
+    def test_iterations_count_every_level(self, monkeypatch):
+        levels = []
+
+        def newton(theta, k, t, tol_pg, max_iter):
+            sol = _newton(theta, k, t, tol_pg, max_iter)
+            levels.append((k, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(bounds_mod, "_newton", newton)
+        sol = nlp_lower_bound(THETA_LO, 1000)
+        assert [k for k, _ in levels] == [62, 250, 1000]
+        assert sol.iterations == sum(n for _, n in levels)
 
     def test_csv_format(self, tmp_path):
         sols = [nlp_lower_bound(0.3, 60), nlp_lower_bound(0.5, 60)]

@@ -77,6 +77,20 @@ class TestSweeps:
         assert payload["error"]["kind"] == "EmptySweep"
         assert len(read(out / "cost_sweep.csv").splitlines()) == 4
 
+    @pytest.mark.parametrize("quad", [[], ["--tol-quad-rel", "1e-11"]],
+                             ids=["batched", "scalar"])
+    def test_sweep_cost_xi_out_of_range_rows_exit_2(self, tmp_path, capsys, quad):
+        # these curves recross x = 1 before xi = 1/2, where the cost is undefined
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), *quad, "sweep-cost",
+                   "--tau0-lo", "0.05", "--tau0-hi", "1.0", "--grid", "5"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        assert payload["error"]["kind"] == "EmptySweep"
+        rows = read(out / "cost_sweep.csv").splitlines()[1:]
+        assert len(rows) == 5
+        assert all(r.endswith(",nan,XiOutOfRange") for r in rows)
+
 
 class TestLowerBound:
     def test_single_instance(self, tmp_path):
@@ -178,6 +192,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "3"), ("--theta", "1.6"), ("--theta", "-0.1"), ("--grid", "0"),
+    ])
+    def test_lower_bound_bad_input_exits_1(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(tmp_path), "lower-bound", flag, value])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1].startswith(f"error: argument {flag}: {value}")
 
     def test_bad_format_exits_1(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--format", "yaml", "angle-bounds"])

@@ -12,6 +12,7 @@ from diskinspect.cost import (
     partial_cost,
     total_cost,
 )
+from diskinspect.errors import XiOutOfRange
 from diskinspect.feasibility import deployment_parameter
 
 from conftest import PUBLISHED_COST, PUBLISHED_TAU0
@@ -75,7 +76,7 @@ class TestTotalCost:
         )
 
     def test_xi_domain_guard(self, sol_star):
-        with pytest.raises(ValueError):
+        with pytest.raises(XiOutOfRange):
             total_cost(sol_star, 0.4)
 
     def test_json_dump(self, sol_star, tmp_path):
