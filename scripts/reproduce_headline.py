@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+from diskinspect.artifacts import write_csv, write_json
 from diskinspect.bounds import theta_window
 from diskinspect.continuum import integrate
 from diskinspect.feasibility import deployment_parameter
@@ -31,7 +32,7 @@ def main() -> int:
 
     t0 = time.time()
     result = optimize_window(grid=args.grid)
-    result.to_json(out / "optimum.json")
+    write_json(result, out / "optimum.json")
     print(f"[{time.time()-t0:6.1f}s] tau0* = {result.tau0_star!r}")
     print(f"         cost*  = {result.cost_star!r}")
     print(f"         xi*    = {result.xi_star!r}")
@@ -46,9 +47,9 @@ def main() -> int:
     sol = integrate(result.tau0_star)
     xi, _ = deployment_parameter(sol)
     traj = assemble_trajectory(sol, xi)
-    traj.to_csv(out / "optimal_trajectory.csv")
+    write_csv(out / "optimal_trajectory.csv", ("x", "y"), traj.vertices.tolist())
     res = average_cost_full(traj, args.samples)
-    res.to_json(out / "oracle.json")
+    write_json(res, out / "oracle.json")
     print(f"[{time.time()-t0:6.1f}s] oracle mean = {res.mean_cost!r} "
           f"(analytic {result.cost_star!r}, gap {abs(res.mean_cost-result.cost_star):.2e})")
     print(f"         never_count = {res.never_count}, artifacts in {out}/")

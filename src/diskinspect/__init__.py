@@ -70,7 +70,6 @@ from .oracle import (
 )
 from .refraction import (
     DiscreteTrajectory,
-    RecursionStep,
     RefractionInstance,
     discrete_cost,
     forward_recursion,

@@ -86,17 +86,6 @@ class NlpSolution:
     composed_bound: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "k": self.k,
-            "objective": self.objective,
-            "kkt_residual": self.kkt_residual,
-            "stationarity_gap": self.stationarity_gap,
-            "composed_bound": self.composed_bound,
-            "iterations": self.iterations,
-        }
-
 
 def _chain_geometry(theta: float, k: int):
     idx = np.arange(k + 1)
@@ -290,16 +279,6 @@ def nlp_sweep(
         start = sols[-1].t if sols else None
         sols.append(nlp_lower_bound(float(th), k, start=start))
     return sols
-
-
-def sweep_to_csv(solutions: list[NlpSolution], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,k,objective,composed_bound,kkt_residual\n")
-        for s in solutions:
-            fh.write(
-                f"{float(s.theta)!r},{s.k},{float(s.objective)!r},"
-                f"{float(s.composed_bound)!r},{float(s.kkt_residual)!r}\n"
-            )
 
 
 def theta_window(k: int = 1000) -> dict:

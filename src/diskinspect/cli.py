@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from . import cost as cost_mod
 from . import feasibility as feas_mod
 from . import optimizer as opt_mod
 from . import oracle as oracle_mod
+from .artifacts import write_csv, write_json
 from .continuum import ODE_RTOL, X0_REF, integrate, self_check_init
 from .errors import DiskInspectError, EmptySweep
 from .refraction import discrete_cost, forward_recursion, shoot_theta
@@ -57,18 +59,22 @@ def _ranged(convert, ok, domain: str):
     return check
 
 
-def _plain(obj):
-    """numpy scalars -> Python scalars for json."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_plain)
-        fh.write("\n")
+    write_json(obj, path)
     print(f"wrote {path}")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    write_csv(path, header, rows)
+    print(f"wrote {path}")
+
+
+def _add_window_args(sp) -> None:
+    """--grid/--tau0-lo/--tau0-hi of the window sweeps; main checks lo < hi."""
+    sp.add_argument("--grid", default=2000,
+                    type=_ranged(int, lambda n: n >= 2, "[2, inf)"))
+    sp.add_argument("--tau0-lo", type=float, default=feas_mod.WINDOW_LO)
+    sp.add_argument("--tau0-hi", type=float, default=feas_mod.WINDOW_HI)
 
 
 def build_parser() -> _Parser:
@@ -79,8 +85,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized verification draws")
     p.add_argument("--tol-ode", type=float, default=ODE_RTOL)
-    p.add_argument("--tol-bisect", type=float, default=feas_mod.BISECT_TOL)
-    p.add_argument("--tol-brent", type=float, default=feas_mod.BRENT_XATOL)
     quad_help = ("quadrature tolerance; a cost sweep given a non-default "
                  "value evaluates every row by quadrature, one start at a time")
     p.add_argument("--tol-quad-rel", type=float, default=cost_mod.QUAD_RTOL,
@@ -93,25 +97,16 @@ def build_parser() -> _Parser:
                    "accepted so existing command lines still parse")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("optimize", help="reproduce the optimal trajectory")
-    sp.add_argument("--grid", type=int, default=2000)
-    sp.add_argument("--tau0-lo", type=float, default=feas_mod.WINDOW_LO)
-    sp.add_argument("--tau0-hi", type=float, default=feas_mod.WINDOW_HI)
+    _add_window_args(sub.add_parser("optimize", help="reproduce the optimal trajectory"))
 
     sp = sub.add_parser("trace", help="solution + certificates at one tau0")
     sp.add_argument("--tau0", type=float, required=True)
-    sp.add_argument("--grid", type=int, default=1000,
+    sp.add_argument("--grid", default=1000,
+                    type=_ranged(int, lambda n: n >= 1, "[1, inf)"),
                     help="CSV resolution of the solution dump")
 
-    sp = sub.add_parser("sweep-feasibility", help="window feasibility sweep")
-    sp.add_argument("--grid", type=int, default=2000)
-    sp.add_argument("--tau0-lo", type=float, default=feas_mod.WINDOW_LO)
-    sp.add_argument("--tau0-hi", type=float, default=feas_mod.WINDOW_HI)
-
-    sp = sub.add_parser("sweep-cost", help="window cost sweep")
-    sp.add_argument("--grid", type=int, default=2000)
-    sp.add_argument("--tau0-lo", type=float, default=feas_mod.WINDOW_LO)
-    sp.add_argument("--tau0-hi", type=float, default=feas_mod.WINDOW_HI)
+    _add_window_args(sub.add_parser("sweep-feasibility", help="window feasibility sweep"))
+    _add_window_args(sub.add_parser("sweep-cost", help="window cost sweep"))
 
     sp = sub.add_parser("lower-bound", help="convex-program lower bound")
     sp.add_argument("--theta", default=bounds_mod.THETA_LO,
@@ -128,7 +123,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="oracle cross-checks")
     sp.add_argument("--tau0", type=float, default=HEADLINE_TAU0)
-    sp.add_argument("--samples", type=int, default=100_000)
+    sp.add_argument("--samples", default=100_000,
+                    type=_ranged(int, lambda n: n >= 100, "[100, inf)"))
     sp.add_argument("--segments", type=int, default=10_000)
 
     sp = sub.add_parser("converge", help="chain-vs-ODE convergence rates")
@@ -150,7 +146,7 @@ def cmd_optimize(args, out: Path, formats) -> int:
         quad_atol=args.tol_quad_abs,
     )
     if "json" in formats:
-        _write_json(result.to_dict(), out / "optimum.json")
+        _write_json(result, out / "optimum.json")
     print(
         f"tau0*={result.tau0_star!r} cost*={result.cost_star!r} "
         f"xi*={result.xi_star!r} theta*={result.theta_star!r}"
@@ -160,15 +156,15 @@ def cmd_optimize(args, out: Path, formats) -> int:
 
 def cmd_trace(args, out: Path, formats) -> int:
     sol = integrate(args.tau0, x0=args.x0, rtol=args.tol_ode, atol=args.tol_ode)
-    report = feas_mod.assess(
-        args.tau0, sol=sol, bisect_tol=args.tol_bisect, brent_xatol=args.tol_brent
-    )
+    report = feas_mod.assess(args.tau0, sol=sol)
     if "csv" in formats:
-        sol.dump_csv(out / "solution.csv", resolution=args.grid)
-        print(f"wrote {out / 'solution.csv'}")
+        xs = np.linspace(sol.x0, sol.x_end, args.grid)
+        psi, tau = sol.values(xs)
+        _write_csv(out / "solution.csv", ("x", "psi", "tau"),
+                   zip(xs.tolist(), psi.tolist(), tau.tolist()))
     if "json" in formats:
         _write_json(sol.metadata(), out / "solution_meta.json")
-        _write_json(report.to_dict(), out / "feasibility.json")
+        _write_json(report, out / "feasibility.json")
     if not report.feasible:
         print(f"tau0={args.tau0!r} infeasible: clearance={report.clearance!r}")
         return 2
@@ -176,7 +172,7 @@ def cmd_trace(args, out: Path, formats) -> int:
         sol, report.xi, rtol=args.tol_quad_rel, atol=args.tol_quad_abs
     )
     if "json" in formats:
-        _write_json(breakdown.to_dict(args.tau0), out / "cost.json")
+        _write_json({**asdict(breakdown), "tau0": args.tau0}, out / "cost.json")
     print(f"tau0={args.tau0!r} xi={report.xi!r} total={breakdown.total!r}")
     return 0
 
@@ -191,8 +187,11 @@ def cmd_sweep_feasibility(args, out: Path, formats) -> int:
         atol=args.tol_ode,
     )
     if "csv" in formats:
-        feas_mod.sweep_to_csv(reports, out / "feasibility_sweep.csv")
-        print(f"wrote {out / 'feasibility_sweep.csv'}")
+        _write_csv(out / "feasibility_sweep.csv",
+                   ("tau0", "xi", "theta", "tau_min", "clearance", "feasible",
+                    "selfcheck_gap"),
+                   ((r.tau0, r.xi, r.theta, r.tau_min, r.clearance, r.feasible,
+                     r.xi_selfcheck_gap) for r in reports))
     if "svg" in formats:
         taus = [r.tau0 for r in reports]
         line_chart(taus, {"xi": [r.xi for r in reports]},
@@ -220,8 +219,7 @@ def cmd_sweep_cost(args, out: Path, formats) -> int:
         quad_atol=args.tol_quad_abs,
     )
     if "csv" in formats:
-        opt_mod.sweep_to_csv(rows, out / "cost_sweep.csv")
-        print(f"wrote {out / 'cost_sweep.csv'}")
+        _write_csv(out / "cost_sweep.csv", ("tau0", "cost", "error"), rows)
     good = [(t, c) for t, c, e in rows if e is None]
     if not good:
         kinds = ", ".join(sorted({e for _, _, e in rows}))
@@ -238,14 +236,18 @@ def cmd_lower_bound(args, out: Path, formats) -> int:
     if args.grid is None:
         sol = bounds_mod.nlp_lower_bound(args.theta, args.k)
         if "json" in formats:
-            _write_json(sol.to_dict(), out / "lower_bound.json")
+            record = asdict(sol)
+            del record["t"]
+            _write_json(record, out / "lower_bound.json")
         print(f"theta={args.theta!r} k={args.k}: bound={sol.composed_bound!r} "
               f"pg={sol.kkt_residual:.2e}")
         return 0
     sols = bounds_mod.nlp_sweep(0.0, args.theta, args.grid, args.k)
     if "csv" in formats:
-        bounds_mod.sweep_to_csv(sols, out / "lower_bound_sweep.csv")
-        print(f"wrote {out / 'lower_bound_sweep.csv'}")
+        _write_csv(out / "lower_bound_sweep.csv",
+                   ("theta", "k", "objective", "composed_bound", "kkt_residual"),
+                   ((s.theta, s.k, s.objective, s.composed_bound, s.kkt_residual)
+                    for s in sols))
     if "svg" in formats:
         line_chart([s.theta for s in sols],
                    {"composed_bound": [s.composed_bound for s in sols]},
@@ -353,7 +355,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "tau0_lo") and not args.tau0_lo < args.tau0_hi:
+        parser.error(f"--tau0-lo {args.tau0_lo!r} must be below --tau0-hi {args.tau0_hi!r}")
     formats = {f.strip() for f in args.format.split(",") if f.strip()}
     if not formats <= {"json", "csv", "svg"}:
         print(f"error: unknown format in {sorted(formats)}", file=sys.stderr)

@@ -29,7 +29,6 @@ label through the series above, so x0 stays a pure accuracy knob.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -137,31 +136,21 @@ class OdeSolution:
     def tau_at(self, x) -> float:
         return float(self.values(float(x))[1])
 
-    def derivative_fd(self, x: float, h: float = 1e-6):
-        """Central-difference derivative of the dense output at x."""
+    def residual(self, x: float) -> tuple[float, float]:
+        """Relative defect of both equations at x.
+
+        The derivative is the central difference of the dense output with
+        step 1e-6, shrunk to fit inside the stored range.
+        """
         x = float(x)
-        hh = min(h, (x - self.x0) / 2.0, (self.x_end - x) / 2.0)
+        hh = min(1e-6, (x - self.x0) / 2.0, (self.x_end - x) / 2.0)
         if hh <= 0.0:
             raise OutOfRange("cannot form a central difference at the range edge")
-        up = self.values(x + hh)
-        dn = self.values(x - hh)
-        return (up - dn) / (2.0 * hh)
-
-    def residual(self, x: float) -> tuple[float, float]:
-        """Relative defect of both equations at x, using the FD derivative."""
-        dnum = self.derivative_fd(x)
+        dnum = (self.values(x + hh) - self.values(x - hh)) / (2.0 * hh)
         f = rhs(x, self.values(x))
         r1 = abs(dnum[0] - f[0]) / (1.0 + abs(dnum[0]))
         r2 = abs(dnum[1] - f[1]) / (1.0 + abs(dnum[1]))
         return r1, r2
-
-    def dump_csv(self, path, resolution: int = 1000) -> None:
-        xs = np.linspace(self.x0, self.x_end, resolution)
-        vals = self.values(xs)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,psi,tau\n")
-            for x, p, t in zip(xs, vals[0], vals[1]):
-                fh.write(f"{float(x)!r},{float(p)!r},{float(t)!r}\n")
 
     def metadata(self) -> dict:
         return {
@@ -171,11 +160,6 @@ class OdeSolution:
             "atol": self.atol,
             "n_steps": self.n_steps,
         }
-
-    def dump_metadata(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.metadata(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def integrate(

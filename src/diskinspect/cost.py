@@ -14,7 +14,6 @@ full_cost_from_partial(theta, s) with s the partial average cost
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,28 +35,10 @@ class CostBreakdown:
 
     log_term: float
     deployment_term: float
-    inspection_integral: float
+    integral: float
     total: float
     xi: float
     theta: float
-
-    def to_dict(self, tau0: float | None = None) -> dict:
-        out = {
-            "xi": self.xi,
-            "theta": self.theta,
-            "log_term": self.log_term,
-            "deployment_term": self.deployment_term,
-            "integral": self.inspection_integral,
-            "total": self.total,
-        }
-        if tau0 is not None:
-            out["tau0"] = tau0
-        return out
-
-    def to_json(self, path, tau0: float | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(tau0), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def inspection_integral(
@@ -124,7 +105,7 @@ def cost_breakdown(xi: float, integral: float) -> CostBreakdown:
     return CostBreakdown(
         log_term=lt,
         deployment_term=dt,
-        inspection_integral=integral,
+        integral=integral,
         total=lt + dt + integral,
         xi=xi,
         theta=(1.0 - xi) * PI,

@@ -280,18 +280,6 @@ class FeasibilityReport:
     xi_selfcheck_gap: float
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "tau0": self.tau0,
-            "xi": self.xi,
-            "theta": self.theta,
-            "tau_min": self.tau_min,
-            "clearance": self.clearance,
-            "feasible": self.feasible,
-            "xi_selfcheck_gap": self.xi_selfcheck_gap,
-            "error": self.error,
-        }
-
 
 def assess(
     tau0: float,
@@ -299,14 +287,12 @@ def assess(
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
     sol: OdeSolution | None = None,
-    bisect_tol: float = BISECT_TOL,
-    brent_xatol: float = BRENT_XATOL,
 ) -> FeasibilityReport:
     """Full feasibility report for one start value."""
     if sol is None:
         sol = integrate(tau0, x0=x0, rtol=rtol, atol=atol)
-    xi, gap = deployment_parameter(sol, tol=bisect_tol)
-    tau_min, clearance = clearance_certificate(sol, xi, xatol=brent_xatol)
+    xi, gap = deployment_parameter(sol)
+    tau_min, clearance = clearance_certificate(sol, xi)
     return FeasibilityReport(
         tau0=tau0,
         xi=xi,
@@ -379,13 +365,3 @@ def feasibility_sweep(
         lambda tau0: _assess_row(tau0, x0, rtol, atol),
     )
 
-
-def sweep_to_csv(reports: list[FeasibilityReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tau0,xi,theta,tau_min,clearance,feasible,selfcheck_gap\n")
-        for r in reports:
-            fh.write(
-                f"{float(r.tau0)!r},{float(r.xi)!r},{float(r.theta)!r},"
-                f"{float(r.tau_min)!r},{float(r.clearance)!r},"
-                f"{str(r.feasible).lower()},{float(r.xi_selfcheck_gap)!r}\n"
-            )

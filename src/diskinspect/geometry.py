@@ -81,18 +81,6 @@ class Polyline:
     def length(self) -> float:
         return float(self.cum_lengths[-1])
 
-    def to_csv(self, path) -> None:
-        """Write vertices as ``x,y`` rows with full float precision."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,y\n")
-            for x, y in self.vertices:
-                fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "Polyline":
-        verts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(verts)
-
 
 def first_inspection_arclength(traj: Polyline, phi: float) -> float:
     """Arclength along ``traj`` to the first point that sees P(phi).

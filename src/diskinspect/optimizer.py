@@ -13,7 +13,6 @@ start value at a time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,24 +53,6 @@ class OptimalSolution:
     grid_resolution: int
     certificate: FeasibilityReport
     breakdown: cost_mod.CostBreakdown
-
-    def to_dict(self) -> dict:
-        return {
-            "tau0_star": self.tau0_star,
-            "xi_star": self.xi_star,
-            "theta_star": self.theta_star,
-            "cost_star": self.cost_star,
-            "clearance_star": self.clearance_star,
-            "bracket": list(self.bracket),
-            "grid_resolution": self.grid_resolution,
-            "certificate": self.certificate.to_dict(),
-            "breakdown": self.breakdown.to_dict(),
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def cost_at(
@@ -146,13 +127,6 @@ def sweep_cost(
     return sweep_blocks(
         taus, lambda block: _cost_block(block, x0, rtol, atol), scalar_row
     )
-
-
-def sweep_to_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tau0,cost,error\n")
-        for tau0, cost, err in rows:
-            fh.write(f"{float(tau0)!r},{float(cost)!r},{err or ''}\n")
 
 
 def _check_unimodal(costs: np.ndarray, noise_tol: float) -> int:

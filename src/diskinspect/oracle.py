@@ -9,7 +9,6 @@ partial problem's arc boundary.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,20 +36,6 @@ class OracleResult:
     never_count: int
     max_cost: float
     trajectory_length: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_cost": self.mean_cost,
-            "samples": self.samples,
-            "never_count": self.never_count,
-            "max_cost": self.max_cost,
-            "trajectory_length": self.trajectory_length,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _collect(traj: Polyline, phis: np.ndarray) -> OracleResult:

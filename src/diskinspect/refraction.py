@@ -23,7 +23,6 @@ the property-test oracle for the law the recursions encode.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,22 +39,6 @@ TWO_PI = 2.0 * math.pi
 #: nominal target cannot always be met.  Bisection therefore stops at the
 #: target or when the bracket is exhausted, whichever comes first.
 SHOOT_RESIDUAL_TARGET = 1e-10
-
-
-@dataclass
-class RecursionStep:
-    """One junction of the chain: angles, tangent parameter, segment length."""
-
-    i: int
-    x: float
-    y: float
-    t: float
-    d: float
-
-    @property
-    def snell_residual(self) -> float:
-        """cos(x_i)/cos(y_i) - (i+1)/i; zero when the refraction law holds."""
-        return math.cos(self.x) / math.cos(self.y) - (self.i + 1) / self.i
 
 
 @dataclass
@@ -86,11 +69,6 @@ class DiscreteTrajectory:
     def m(self) -> int:
         return len(self.t) - 1
 
-    def step(self, i: int) -> RecursionStep:
-        if not 1 <= i <= self.m:
-            raise IndexError(i)
-        return RecursionStep(i, self.x[i], self.y[i], self.t[i], self.d[i])
-
     @property
     def points(self) -> np.ndarray:
         """Embedded vertices A_0..A_m, shape (m+1, 2)."""
@@ -103,25 +81,6 @@ class DiscreteTrajectory:
     def chain_polyline(self) -> Polyline:
         """Path traversed from the outer anchor A_m down to A_0."""
         return Polyline(self.points[::-1])
-
-    @property
-    def cost_weighted(self) -> float:
-        return discrete_cost(self, "UPPER")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "tau0": self.tau0,
-            "cost_upper": discrete_cost(self, "UPPER"),
-            "cost_lower": discrete_cost(self, "LOWER"),
-            "t": [float(v) for v in self.t],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _run_chain(tau0: float, alpha: float, m: int) -> tuple[np.ndarray, ...]:

@@ -289,7 +289,7 @@ class TestCriterion7Identities:
             xi, _ = deployment_parameter(sol)
             b = total_cost(sol, xi)
             composed = full_cost_from_partial(
-                (1.0 - xi) * PI, b.inspection_integral / xi
+                (1.0 - xi) * PI, b.integral / xi
             )
             worst = max(worst, abs(composed - b.total))
         report("criterion-7 three-term form = angle-composed form within 1e-10",

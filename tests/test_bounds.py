@@ -16,9 +16,9 @@ from diskinspect.bounds import (
     analytic_lower_bound_derivative,
     nlp_lower_bound,
     nlp_sweep,
-    sweep_to_csv,
     theta_window,
 )
+from diskinspect.cli import main
 from diskinspect.cost import full_cost_from_partial
 
 PI = math.pi
@@ -195,12 +195,16 @@ class TestNlpLowerBound:
         assert sol.iterations == sum(n for _, n in levels)
 
     def test_csv_format(self, tmp_path):
-        sols = [nlp_lower_bound(0.3, 60), nlp_lower_bound(0.5, 60)]
-        path = tmp_path / "bounds.csv"
-        sweep_to_csv(sols, path)
-        lines = path.read_text().splitlines()
+        rc = main(["--out", str(tmp_path), "--format", "csv",
+                   "lower-bound", "--theta", "0.5", "--k", "60", "--grid", "2"])
+        assert rc == 0
+        lines = (tmp_path / "lower_bound_sweep.csv").read_text().splitlines()
         assert lines[0] == "theta,k,objective,composed_bound,kkt_residual"
         assert len(lines) == 3
+        sol = nlp_sweep(0.0, 0.5, 2, 60)[1]
+        assert lines[2].split(",")[:4] == [
+            "0.5", "60", repr(sol.objective), repr(sol.composed_bound)
+        ]
 
 
 class TestThetaWindow:

@@ -204,6 +204,22 @@ class TestUsage:
         assert "Traceback" not in stderr
         assert stderr.splitlines()[-1].startswith(f"error: argument {flag}: {value}")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-cost", "--grid", "1"],
+        ["optimize", "--grid", "1"],
+        ["sweep-feasibility", "--tau0-lo", "1.65", "--tau0-hi", "1.649"],
+        ["trace", "--tau0", "1.647", "--grid", "0"],
+        ["verify", "--samples", "0"],
+    ], ids=["sweep-cost", "optimize", "sweep-feasibility", "trace", "verify"])
+    def test_bad_numeric_flag_exits_1(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(tmp_path), *argv])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert stderr.startswith("usage: diskinspect")
+        assert stderr.splitlines()[-1].startswith("error: ")
+
     def test_bad_format_exits_1(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--format", "yaml", "angle-bounds"])
         assert rc == 1

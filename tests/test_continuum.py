@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from diskinspect.artifacts import write_csv, write_json
 from diskinspect.continuum import (
     X0_REF,
     SeriesInit,
@@ -151,15 +153,18 @@ class TestContinuumLimit:
 
 class TestDumps:
     def test_csv_and_metadata(self, sol_star, tmp_path):
+        # the dense output written as trace's solution.csv reads back exactly
+        xs = np.linspace(sol_star.x0, sol_star.x_end, 50)
+        psi, tau = sol_star.values(xs)
         path = tmp_path / "sol.csv"
-        sol_star.dump_csv(path, resolution=50)
+        write_csv(path, ("x", "psi", "tau"), zip(xs.tolist(), psi.tolist(), tau.tolist()))
         lines = path.read_text().splitlines()
         assert lines[0] == "x,psi,tau"
         assert len(lines) == 51
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back, np.column_stack([xs, psi, tau]))
         meta = tmp_path / "meta.json"
-        sol_star.dump_metadata(meta)
-        import json
-
+        write_json(sol_star.metadata(), meta)
         data = json.loads(meta.read_text())
         assert data["tau0"] == PUBLISHED_TAU0
         assert data["rtol"] == 1e-12

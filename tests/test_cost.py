@@ -1,9 +1,12 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from diskinspect.artifacts import write_json
 from diskinspect.continuum import integrate
 from diskinspect.cost import (
     full_cost_from_partial,
@@ -58,9 +61,9 @@ class TestTotalCost:
     def test_terms_sum_exactly(self, sol_star):
         xi, _ = deployment_parameter(sol_star)
         b = total_cost(sol_star, xi)
-        assert b.total == b.log_term + b.deployment_term + b.inspection_integral
+        assert b.total == b.log_term + b.deployment_term + b.integral
         assert all(
-            v >= 0.0 for v in (b.log_term, b.deployment_term, b.inspection_integral)
+            v >= 0.0 for v in (b.log_term, b.deployment_term, b.integral)
         )
 
     def test_away_from_optimum_costs_more(self):
@@ -80,11 +83,9 @@ class TestTotalCost:
             total_cost(sol_star, 0.4)
 
     def test_json_dump(self, sol_star, tmp_path):
-        import json
-
         xi, _ = deployment_parameter(sol_star)
         b = total_cost(sol_star, xi)
-        b.to_json(tmp_path / "cost.json", tau0=PUBLISHED_TAU0)
+        write_json({**asdict(b), "tau0": PUBLISHED_TAU0}, tmp_path / "cost.json")
         data = json.loads((tmp_path / "cost.json").read_text())
         assert set(data) == {
             "tau0", "xi", "theta", "log_term", "deployment_term", "integral", "total",
@@ -124,6 +125,6 @@ class TestFullFromPartial:
             xi, _ = deployment_parameter(sol)
             b = total_cost(sol, xi)
             composed = full_cost_from_partial(
-                (1.0 - xi) * PI, b.inspection_integral / xi
+                (1.0 - xi) * PI, b.integral / xi
             )
             assert abs(composed - b.total) <= 1e-10

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from diskinspect.cli import main
 from diskinspect.continuum import integrate
 from diskinspect.errors import NoCrossing
 from diskinspect.feasibility import (
@@ -12,7 +13,6 @@ from diskinspect.feasibility import (
     clearance_from_tau,
     deployment_parameter,
     feasibility_sweep,
-    sweep_to_csv,
 )
 
 from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0
@@ -99,10 +99,10 @@ class TestSweep:
         assert thetas[0] < 0.52 and thetas[-1] > 1.148
 
     def test_csv_format(self, tmp_path):
-        reports = feasibility_sweep(WINDOW_LO, WINDOW_HI, 2)
-        path = tmp_path / "sweep.csv"
-        sweep_to_csv(reports, path)
-        lines = path.read_text().splitlines()
+        rc = main(["--out", str(tmp_path), "--format", "csv",
+                   "sweep-feasibility", "--grid", "2"])
+        assert rc == 0
+        lines = (tmp_path / "feasibility_sweep.csv").read_text().splitlines()
         assert lines[0] == "tau0,xi,theta,tau_min,clearance,feasible,selfcheck_gap"
         assert len(lines) == 3
         assert lines[1].endswith(",true,") is False  # gap column present

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from diskinspect.cli import main
 from diskinspect.errors import NotUnimodal
 from diskinspect.optimizer import (
     _check_unimodal,
     cost_at,
     refine_minimum,
     sweep_cost,
-    sweep_to_csv,
 )
 
 from conftest import PUBLISHED_COST, PUBLISHED_TAU0
@@ -47,11 +47,14 @@ class TestSweep:
         assert min(costs) > PUBLISHED_COST
 
     def test_csv(self, tmp_path):
-        rows = sweep_cost(1.6469768, 1.6469770, 2)
-        sweep_to_csv(rows, tmp_path / "cost.csv")
-        lines = (tmp_path / "cost.csv").read_text().splitlines()
+        rc = main(["--out", str(tmp_path), "--format", "csv", "sweep-cost",
+                   "--tau0-lo", "1.6469768", "--tau0-hi", "1.6469770", "--grid", "2"])
+        assert rc == 0
+        lines = (tmp_path / "cost_sweep.csv").read_text().splitlines()
         assert lines[0] == "tau0,cost,error"
         assert len(lines) == 3
+        rows = sweep_cost(1.6469768, 1.6469770, 2)
+        assert lines[1] == f"{rows[0][0]!r},{rows[0][1]!r},"
 
 
 class TestUnimodalCheck:

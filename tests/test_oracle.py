@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from diskinspect.artifacts import write_json
 from diskinspect.feasibility import deployment_parameter
 from diskinspect.geometry import Polyline
 from diskinspect.oracle import (
@@ -150,13 +152,15 @@ class TestAssembly:
         assert np.allclose(poly.vertices[-1], [1.0, -sol_star.tau0], atol=1e-4)
 
     def test_json_output(self, sol_star, tmp_path):
-        import json
-
         xi, _ = deployment_parameter(sol_star)
         poly = assemble_trajectory(sol_star, xi, segments=200)
         res = average_cost_full(poly, 1000)
-        res.to_json(tmp_path / "oracle.json")
+        write_json(res, tmp_path / "oracle.json")
         data = json.loads((tmp_path / "oracle.json").read_text())
-        assert set(data) == {
-            "mean_cost", "samples", "never_count", "max_cost", "trajectory_length",
+        assert data == {
+            "mean_cost": res.mean_cost,
+            "samples": 1000,
+            "never_count": res.never_count,
+            "max_cost": res.max_cost,
+            "trajectory_length": res.trajectory_length,
         }

@@ -202,17 +202,6 @@ class TestDiscreteCost:
             traj = shoot_theta(theta, k)
             assert discrete_cost(traj, "UPPER") >= discrete_cost(traj, "LOWER")
 
-    def test_json_export(self, tmp_path):
-        import json
-
-        traj = shoot_theta(0.7, 50)
-        path = tmp_path / "chain.json"
-        traj.to_json(path)
-        data = json.loads(path.read_text())
-        assert set(data) == {"n", "alpha", "tau0", "cost_upper", "cost_lower", "t"}
-        assert len(data["t"]) == 51
-        assert data["cost_upper"] == discrete_cost(traj, "UPPER")
-
 
 class TestRefractionOptimum:
     def test_equal_speeds_straight_line(self):
