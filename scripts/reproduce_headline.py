@@ -16,8 +16,8 @@ from pathlib import Path
 from diskinspect.artifacts import write_csv, write_json
 from diskinspect.bounds import theta_window
 from diskinspect.continuum import integrate
-from diskinspect.feasibility import deployment_parameter
-from diskinspect.optimizer import optimize_window
+from diskinspect.feasibility import WINDOW_HI, WINDOW_LO, deployment_parameter
+from diskinspect.optimizer import refine_minimum
 from diskinspect.oracle import assemble_trajectory, average_cost_full
 
 
@@ -31,7 +31,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
-    result = optimize_window(grid=args.grid)
+    result = refine_minimum(WINDOW_LO, WINDOW_HI, grid=args.grid)
     write_json(result, out / "optimum.json")
     print(f"[{time.time()-t0:6.1f}s] tau0* = {result.tau0_star!r}")
     print(f"         cost*  = {result.cost_star!r}")

@@ -59,7 +59,7 @@ from .geometry import (
     perimeter_point,
     tangent_point,
 )
-from .optimizer import OptimalSolution, cost_at, optimize_window, refine_minimum, sweep_cost
+from .optimizer import OptimalSolution, cost_at, refine_minimum, sweep_cost
 from .oracle import (
     OracleResult,
     assemble_trajectory,

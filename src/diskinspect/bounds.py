@@ -44,6 +44,8 @@ THETA_LO = 0.52
 THETA_HI = 1.148
 
 PG_RESIDUAL_TOL = 1e-9
+#: Newton iterations allowed per chain level before MaxIterations.
+MAX_ITER = 600
 #: Certificate threshold: a projected gradient below this certifies global
 #: optimality by convexity even when the line search has hit float limits.
 PG_CERTIFICATE_TOL = 1e-8
@@ -131,18 +133,15 @@ def _grad_hess(t, p, u, w):
 
 
 def nlp_lower_bound(
-    theta: float,
-    k: int,
-    tol_pg: float = PG_RESIDUAL_TOL,
-    max_iter: int = 600,
-    start: np.ndarray | None = None,
+    theta: float, k: int, start: np.ndarray | None = None
 ) -> NlpSolution:
     """Solve the convex chain program by damped projected Newton.
 
     Free variables t_0..t_{k-1} >= 0 with t_k = tan(theta) pinned; t_0 has
     weight zero and never moves.  Convergence requires both the projected
-    gradient below tol_pg and a restart objective change below 1e-9, which
-    by convexity certifies the global minimum from any starting point.
+    gradient below PG_RESIDUAL_TOL and a restart objective change below
+    1e-9, which by convexity certifies the global minimum from any starting
+    point.
 
     Without ``start`` the solve begins from the solution at k // COARSE_RATIO,
     found the same way, interpolated onto this chain; chains of at most
@@ -155,10 +154,10 @@ def nlp_lower_bound(
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
     if start is None:
-        return _coarse_to_fine(theta, k, tol_pg, max_iter)
+        return _coarse_to_fine(theta, k)
     t = np.array(start, dtype=float)
     t[k] = math.tan(theta)
-    return _newton(theta, k, t, tol_pg, max_iter)
+    return _newton(theta, k, t)
 
 
 def _flat_start(theta: float, k: int) -> np.ndarray:
@@ -168,25 +167,23 @@ def _flat_start(theta: float, k: int) -> np.ndarray:
     return t
 
 
-def _coarse_to_fine(theta: float, k: int, tol_pg: float, max_iter: int) -> NlpSolution:
+def _coarse_to_fine(theta: float, k: int) -> NlpSolution:
     if k <= COARSE_FLOOR:
-        return _newton(theta, k, _flat_start(theta, k), tol_pg, max_iter)
-    coarse = _coarse_to_fine(theta, k // COARSE_RATIO, tol_pg, max_iter)
+        return _newton(theta, k, _flat_start(theta, k))
+    coarse = _coarse_to_fine(theta, k // COARSE_RATIO)
     t = np.interp(np.arange(k + 1) / k, np.arange(coarse.k + 1) / coarse.k, coarse.t)
     t[k] = math.tan(theta)
-    sol = _newton(theta, k, t, tol_pg, max_iter)
+    sol = _newton(theta, k, t)
     sol.iterations += coarse.iterations
     return sol
 
 
-def _newton(
-    theta: float, k: int, t: np.ndarray, tol_pg: float, max_iter: int
-) -> NlpSolution:
+def _newton(theta: float, k: int, t: np.ndarray) -> NlpSolution:
     """Damped projected Newton from t (t[k] = tan(theta) already pinned)."""
     p, u, w = _chain_geometry(theta, k)
     prev_obj = math.inf
     stationarity = math.inf
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         obj, grad, hdiag, hoff = _grad_hess(t, p, u, w)
         gv = grad[:k].copy()
         gv[0] = 0.0
@@ -194,7 +191,7 @@ def _newton(
         pg[0] = 0.0
         pgn = float(np.max(pg))
         stationarity = abs(prev_obj - obj)
-        ideal = pgn <= tol_pg
+        ideal = pgn <= PG_RESIDUAL_TOL
         # stalled at float-limit flatness but already certified: the
         # convergence contract is stationarity <= 1e-9 with pg <= 1e-8
         certified = it >= 3 and pgn <= PG_CERTIFICATE_TOL

@@ -32,7 +32,7 @@ from . import feasibility as feas_mod
 from . import optimizer as opt_mod
 from . import oracle as oracle_mod
 from .artifacts import write_csv, write_json
-from .continuum import ODE_RTOL, X0_REF, integrate, self_check_init
+from .continuum import ODE_RTOL, X0_MAX, X0_REF, integrate, self_check_init
 from .errors import DiskInspectError, EmptySweep
 from .refraction import discrete_cost, forward_recursion, shoot_theta
 from .svgplot import line_chart
@@ -57,6 +57,9 @@ def _ranged(convert, ok, domain: str):
 
     check.__name__ = convert.__name__  # argparse names the type in messages
     return check
+
+
+_POSITIVE = _ranged(float, lambda x: 0.0 < x < math.inf, "(0, inf)")
 
 
 def _write_json(obj, path: Path) -> None:
@@ -84,14 +87,10 @@ def build_parser() -> _Parser:
                    help="comma subset of json,csv,svg")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized verification draws")
-    p.add_argument("--tol-ode", type=float, default=ODE_RTOL)
-    quad_help = ("quadrature tolerance; a cost sweep given a non-default "
-                 "value evaluates every row by quadrature, one start at a time")
-    p.add_argument("--tol-quad-rel", type=float, default=cost_mod.QUAD_RTOL,
-                   help=quad_help)
-    p.add_argument("--tol-quad-abs", type=float, default=cost_mod.QUAD_ATOL,
-                   help=quad_help)
-    p.add_argument("--x0", type=float, default=X0_REF)
+    p.add_argument("--tol-ode", type=_POSITIVE, default=ODE_RTOL)
+    p.add_argument("--x0", default=X0_REF,
+                   type=_ranged(float, lambda x: 0.0 < x <= X0_MAX,
+                                f"(0, {X0_MAX:g}]"))
     p.add_argument("--jobs", type=int, default=1,
                    help="no effect: sweeps run as in-process lockstep batches; "
                    "accepted so existing command lines still parse")
@@ -100,7 +99,7 @@ def build_parser() -> _Parser:
     _add_window_args(sub.add_parser("optimize", help="reproduce the optimal trajectory"))
 
     sp = sub.add_parser("trace", help="solution + certificates at one tau0")
-    sp.add_argument("--tau0", type=float, required=True)
+    sp.add_argument("--tau0", type=_POSITIVE, required=True)
     sp.add_argument("--grid", default=1000,
                     type=_ranged(int, lambda n: n >= 1, "[1, inf)"),
                     help="CSV resolution of the solution dump")
@@ -122,14 +121,17 @@ def build_parser() -> _Parser:
     sub.add_parser("angle-bounds", help="deployment-angle window report")
 
     sp = sub.add_parser("verify", help="oracle cross-checks")
-    sp.add_argument("--tau0", type=float, default=HEADLINE_TAU0)
+    sp.add_argument("--tau0", type=_POSITIVE, default=HEADLINE_TAU0)
     sp.add_argument("--samples", default=100_000,
                     type=_ranged(int, lambda n: n >= 100, "[100, inf)"))
-    sp.add_argument("--segments", type=int, default=10_000)
+    # one segment would leave the trajectory no curve sample past the anchor
+    sp.add_argument("--segments", default=10_000,
+                    type=_ranged(int, lambda n: n >= 2, "[2, inf)"))
 
     sp = sub.add_parser("converge", help="chain-vs-ODE convergence rates")
-    sp.add_argument("--tau0", type=float, default=HEADLINE_TAU0)
-    sp.add_argument("--grid", type=int, default=1000,
+    sp.add_argument("--tau0", type=_POSITIVE, default=HEADLINE_TAU0)
+    sp.add_argument("--grid", default=1000,
+                    type=_ranged(int, lambda n: n >= 5, "[5, inf)"),
                     help="base chain resolution; the table doubles it")
     return p
 
@@ -142,8 +144,6 @@ def cmd_optimize(args, out: Path, formats) -> int:
         x0=args.x0,
         rtol=args.tol_ode,
         atol=args.tol_ode,
-        quad_rtol=args.tol_quad_rel,
-        quad_atol=args.tol_quad_abs,
     )
     if "json" in formats:
         _write_json(result, out / "optimum.json")
@@ -168,9 +168,7 @@ def cmd_trace(args, out: Path, formats) -> int:
     if not report.feasible:
         print(f"tau0={args.tau0!r} infeasible: clearance={report.clearance!r}")
         return 2
-    breakdown = cost_mod.total_cost(
-        sol, report.xi, rtol=args.tol_quad_rel, atol=args.tol_quad_abs
-    )
+    breakdown = cost_mod.total_cost(sol, report.xi)
     if "json" in formats:
         _write_json({**asdict(breakdown), "tau0": args.tau0}, out / "cost.json")
     print(f"tau0={args.tau0!r} xi={report.xi!r} total={breakdown.total!r}")
@@ -215,8 +213,6 @@ def cmd_sweep_cost(args, out: Path, formats) -> int:
         x0=args.x0,
         rtol=args.tol_ode,
         atol=args.tol_ode,
-        quad_rtol=args.tol_quad_rel,
-        quad_atol=args.tol_quad_abs,
     )
     if "csv" in formats:
         _write_csv(out / "cost_sweep.csv", ("tau0", "cost", "error"), rows)

@@ -43,11 +43,16 @@ PI = math.pi
 
 #: Reference start abscissa anchoring the tau0 label.
 X0_REF = 1e-6
+#: Largest series start the truncated series is trusted at.
+X0_MAX = 1e-5
 #: Integration tolerances for reproduction runs.
 ODE_RTOL = 1e-12
 ODE_ATOL = 1e-12
 #: psi leaving (PSI_GUARD, pi - PSI_GUARD) terminates integration cleanly.
 PSI_GUARD = 1e-3
+#: Series starts and integration tolerance of the two-start self-check.
+SELF_CHECK_STARTS = (1e-6, 1e-7)
+SELF_CHECK_TOL = 1e-13
 
 
 def rhs(x: float, state) -> tuple[float, float]:
@@ -89,8 +94,8 @@ class SeriesInit:
 
     @classmethod
     def for_label(cls, tau0: float, x0: float = X0_REF) -> "SeriesInit":
-        if not 0.0 < x0 <= 1e-5:
-            raise ValueError("series start x0 must lie in (0, 1e-5]")
+        if not 0.0 < x0 <= X0_MAX:
+            raise ValueError(f"series start x0 must lie in (0, {X0_MAX:g}]")
         if x0 == X0_REF:
             tau_start = tau0
         else:
@@ -425,27 +430,19 @@ def curve_points(sol: OdeSolution, xs) -> np.ndarray:
     return np.stack([c - tau * s, -s - tau * c], axis=1)
 
 
-def self_check_init(
-    tau0: float,
-    x0a: float = 1e-6,
-    x0b: float = 1e-7,
-    rtol: float = 1e-13,
-    atol: float = 1e-13,
-) -> float:
+def self_check_init(tau0: float) -> float:
     """Two-start consistency gap: max over {0.1, 0.5, 0.8} of |dpsi| + |dtau|.
 
-    Both runs integrate the SAME labeled trajectory from different series
-    starts; the gap isolates start-truncation plus solver noise.  Run at
-    tolerances tighter than the production 1e-12: the tau equation amplifies
-    per-step noise by ~5e4 at x=0.8, and 1e-12-tolerance runs differ at the
-    1e-6 level for reasons unrelated to initialization.
+    Both runs integrate the SAME labeled trajectory from the series starts
+    SELF_CHECK_STARTS; the gap isolates start-truncation plus solver noise.
+    Run at SELF_CHECK_TOL, tighter than the production 1e-12: the tau
+    equation amplifies per-step noise by ~5e4 at x=0.8, and 1e-12-tolerance
+    runs differ at the 1e-6 level for reasons unrelated to initialization.
     """
-    if not (0.0 < x0a <= 1e-5 and 0.0 < x0b <= 1e-5):
-        raise ValueError("both starts must lie in (0, 1e-5]")
-    sol_a = integrate(tau0, x0=x0a, rtol=rtol, atol=atol)
-    if x0b == x0a:
-        return 0.0
-    sol_b = integrate(tau0, x0=x0b, rtol=rtol, atol=atol)
+    sol_a, sol_b = (
+        integrate(tau0, x0=x0, rtol=SELF_CHECK_TOL, atol=SELF_CHECK_TOL)
+        for x0 in SELF_CHECK_STARTS
+    )
     gap = 0.0
     for x in (0.1, 0.5, 0.8):
         va = sol_a.values(x)

@@ -81,15 +81,10 @@ def deployment_term(xi: float) -> float:
     return xi / math.cos((1.0 - xi) * PI)
 
 
-def total_cost(
-    sol: OdeSolution,
-    xi: float,
-    rtol: float = QUAD_RTOL,
-    atol: float = QUAD_ATOL,
-) -> CostBreakdown:
+def total_cost(sol: OdeSolution, xi: float) -> CostBreakdown:
     """Assemble the three-term average cost at deployment parameter xi."""
     _check_xi(xi)
-    return cost_breakdown(xi, inspection_integral(sol, xi, rtol=rtol, atol=atol))
+    return cost_breakdown(xi, inspection_integral(sol, xi))
 
 
 def _check_xi(xi: float) -> None:
@@ -112,14 +107,9 @@ def cost_breakdown(xi: float, integral: float) -> CostBreakdown:
     )
 
 
-def partial_cost(
-    sol: OdeSolution,
-    xi: float,
-    rtol: float = QUAD_RTOL,
-    atol: float = QUAD_ATOL,
-) -> float:
+def partial_cost(sol: OdeSolution, xi: float) -> float:
     """Average cost of the inspection phase alone: inspection_integral / xi."""
-    return inspection_integral(sol, xi, rtol=rtol, atol=atol) / xi
+    return inspection_integral(sol, xi) / xi
 
 
 def full_cost_from_partial(theta: float, s: float) -> float:

@@ -75,12 +75,7 @@ def _bisect_root(sol: OdeSolution, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def deployment_parameter(
-    sol: OdeSolution,
-    ngrid: int = SCAN_GRID,
-    tol: float = BISECT_TOL,
-    tol_check: float = BISECT_TOL_CHECK,
-) -> tuple[float, float]:
+def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     """Smallest root xi > x0 of T1(x) = 1, plus the bisection self-check gap.
 
     Scan a uniform grid for the first sign change of g = T1 - 1 from
@@ -91,7 +86,7 @@ def deployment_parameter(
     optimizer differentiates through it; a bisection staircase of height
     5e-10 would contaminate the minimum through dT1/dxi ~ O(1)).
     """
-    xs = np.linspace(sol.x0, sol.x_end, ngrid)
+    xs = np.linspace(sol.x0, sol.x_end, SCAN_GRID)
     vals = sol.values(xs)
     g = np.cos(TWO_PI * xs) - vals[1] * np.sin(TWO_PI * xs) - 1.0
     hits = np.where((g[:-1] < -1e-9) & (g[1:] >= 0.0))[0]
@@ -100,8 +95,8 @@ def deployment_parameter(
             f"curve with tau0={sol.tau0!r} never returns to the line x=1"
         )
     a, b = xs[hits[0]], xs[hits[0] + 1]
-    xi_coarse = _bisect_root(sol, a, b, tol)
-    xi_check = _bisect_root(sol, a, b, tol_check)
+    xi_coarse = _bisect_root(sol, a, b, BISECT_TOL)
+    xi_check = _bisect_root(sol, a, b, BISECT_TOL_CHECK)
     gap = abs(xi_coarse - xi_check)
     xi = xi_check
     for _ in range(3):
@@ -114,9 +109,7 @@ def deployment_parameter(
     return float(xi), float(gap)
 
 
-def clearance_certificate(
-    sol: OdeSolution, xi: float, xatol: float = BRENT_XATOL
-) -> tuple[float, float]:
+def clearance_certificate(sol: OdeSolution, xi: float) -> tuple[float, float]:
     """Minimum of tau on [x0, xi] (bounded Brent) and the radial clearance.
 
     A coarse grid pre-scan brackets the interior minimum before Brent runs,
@@ -131,7 +124,7 @@ def clearance_certificate(
         lambda x: sol.tau_at(x),
         bounds=(lo, hi),
         method="bounded",
-        options={"xatol": xatol},
+        options={"xatol": BRENT_XATOL},
     )
     tau_min = float(res.fun)
     return tau_min, clearance_from_tau(tau_min)

@@ -22,8 +22,6 @@ from . import cost as cost_mod
 from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, integrate, integrate_many
 from .errors import DiskInspectError, NoCrossing, NotUnimodal, XiOutOfRange
 from .feasibility import (
-    WINDOW_HI,
-    WINDOW_LO,
     FeasibilityReport,
     assess,
     deployment_parameter,
@@ -60,19 +58,16 @@ def cost_at(
     x0: float = X0_REF,
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
-    quad_rtol: float = cost_mod.QUAD_RTOL,
-    quad_atol: float = cost_mod.QUAD_ATOL,
-) -> tuple[float, float]:
-    """(total cost, xi) of the trajectory labeled tau0."""
+) -> float:
+    """Total cost of the trajectory labeled tau0."""
     sol = integrate(tau0, x0=x0, rtol=rtol, atol=atol)
     xi, _ = deployment_parameter(sol)
-    breakdown = cost_mod.total_cost(sol, xi, rtol=quad_rtol, atol=quad_atol)
-    return breakdown.total, xi
+    return cost_mod.total_cost(sol, xi).total
 
 
-def _cost_row(tau0: float, **kwargs):
+def _cost_row(tau0: float, x0: float, rtol: float, atol: float):
     try:
-        return tau0, cost_at(tau0, **kwargs)[0], None
+        return tau0, cost_at(tau0, x0=x0, rtol=rtol, atol=atol), None
     except DiskInspectError as exc:
         return tau0, math.nan, exc.kind
 
@@ -104,28 +99,18 @@ def sweep_cost(
     x0: float = X0_REF,
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
-    quad_rtol: float = cost_mod.QUAD_RTOL,
-    quad_atol: float = cost_mod.QUAD_ATOL,
 ) -> list[tuple[float, float, str | None]]:
     """(tau0, cost, error) rows over a uniform grid, sorted by tau0.
 
     The batch integrates the inspection integral with the ODE and makes no
-    quadrature call.  When quadrature tolerances other than the defaults
-    are asked for, every row is computed by cost_at instead, so that one
-    sweep never mixes rows of the two kinds.
+    quadrature call.
     """
     if not (lo < hi and grid >= 2):
         raise ValueError("need lo < hi and grid >= 2")
-    taus = np.linspace(lo, hi, grid)
-
-    def scalar_row(tau0):
-        return _cost_row(tau0, x0=x0, rtol=rtol, atol=atol,
-                         quad_rtol=quad_rtol, quad_atol=quad_atol)
-
-    if (quad_rtol, quad_atol) != (cost_mod.QUAD_RTOL, cost_mod.QUAD_ATOL):
-        return [scalar_row(float(t)) for t in taus]
     return sweep_blocks(
-        taus, lambda block: _cost_block(block, x0, rtol, atol), scalar_row
+        np.linspace(lo, hi, grid),
+        lambda block: _cost_block(block, x0, rtol, atol),
+        lambda tau0: _cost_row(tau0, x0, rtol, atol),
     )
 
 
@@ -161,8 +146,9 @@ def refine_minimum(
     hi: float,
     grid: int = 2000,
     sweep: list | None = None,
-    xatol: float = REFINE_XATOL,
-    **kwargs,
+    x0: float = X0_REF,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
 ) -> OptimalSolution:
     """Golden-section refinement of the sweep minimum over [lo, hi].
 
@@ -170,7 +156,7 @@ def refine_minimum(
     noise; the minimum's grid cell provides the refinement bracket.
     """
     if sweep is None:
-        sweep = sweep_cost(lo, hi, grid, **kwargs)
+        sweep = sweep_cost(lo, hi, grid, x0=x0, rtol=rtol, atol=atol)
     taus = np.array([r[0] for r in sweep])
     costs = np.array([r[1] for r in sweep])
     j = _check_unimodal(costs, SWEEP_NOISE_TOL)
@@ -178,22 +164,12 @@ def refine_minimum(
     b = taus[min(j + 1, len(taus) - 1)]
 
     def f(tau0):
-        return cost_at(float(tau0), **kwargs)[0]
+        return cost_at(float(tau0), x0=x0, rtol=rtol, atol=atol)
 
-    tau_star = float(golden_min(f, float(a), float(b), xatol)[0])
-    sol = integrate(
-        tau_star,
-        x0=kwargs.get("x0", X0_REF),
-        rtol=kwargs.get("rtol", ODE_RTOL),
-        atol=kwargs.get("atol", ODE_ATOL),
-    )
+    tau_star = float(golden_min(f, float(a), float(b), REFINE_XATOL)[0])
+    sol = integrate(tau_star, x0=x0, rtol=rtol, atol=atol)
     certificate = assess(tau_star, sol=sol)
-    breakdown = cost_mod.total_cost(
-        sol,
-        certificate.xi,
-        rtol=kwargs.get("quad_rtol", cost_mod.QUAD_RTOL),
-        atol=kwargs.get("quad_atol", cost_mod.QUAD_ATOL),
-    )
+    breakdown = cost_mod.total_cost(sol, certificate.xi)
     return OptimalSolution(
         tau0_star=tau_star,
         xi_star=certificate.xi,
@@ -205,11 +181,3 @@ def refine_minimum(
         certificate=certificate,
         breakdown=breakdown,
     )
-
-
-def optimize_window(
-    grid: int = 2000,
-    **kwargs,
-) -> OptimalSolution:
-    """Sweep and refine over the certified window [1.64697, 1.6525]."""
-    return refine_minimum(WINDOW_LO, WINDOW_HI, grid=grid, **kwargs)

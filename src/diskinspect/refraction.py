@@ -39,6 +39,8 @@ TWO_PI = 2.0 * math.pi
 #: nominal target cannot always be met.  Bisection therefore stops at the
 #: target or when the bracket is exhausted, whichever comes first.
 SHOOT_RESIDUAL_TARGET = 1e-10
+#: Upper end of the tau0 bisection bracket of shoot_theta.
+SHOOT_BRACKET_HI = 10.0
 
 
 @dataclass
@@ -137,11 +139,11 @@ def _endpoint_gap(tau0: float, alpha: float, k: int, target: float) -> float:
     return ts[k] - target
 
 
-def shoot_theta(theta: float, k: int, bracket_hi: float = 10.0) -> DiscreteTrajectory:
+def shoot_theta(theta: float, k: int) -> DiscreteTrajectory:
     """Chain anchored at t_k = tan(theta), found by bisection on tau0.
 
     Angular step alpha = 2*(pi - theta)/k.  The bracket
-    [tan(alpha/2) + 1e-6, bracket_hi] is validated by a sign change before
+    [tan(alpha/2) + 1e-6, SHOOT_BRACKET_HI] is validated by a sign change before
     refinement; absence raises NoBracket (in particular when the angle
     recursion cannot complete for this (theta, k) at any tau0).
     """
@@ -152,7 +154,7 @@ def shoot_theta(theta: float, k: int, bracket_hi: float = 10.0) -> DiscreteTraje
     alpha = 2.0 * (math.pi - theta) / k
     target = math.tan(theta)
     lo = math.tan(alpha / 2.0) + 1e-6
-    hi = bracket_hi
+    hi = SHOOT_BRACKET_HI
     f_lo = _endpoint_gap(lo, alpha, k, target)
     f_hi = _endpoint_gap(hi, alpha, k, target)
     if not (f_lo < 0.0 < f_hi):

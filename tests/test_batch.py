@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from diskinspect import continuum, feasibility, optimizer
+from diskinspect import continuum, feasibility
 from diskinspect.continuum import OdeSolution, integrate_many
 from diskinspect.cost import inspection_integral
 from diskinspect.errors import DiskInspectError, StepFailure
@@ -37,7 +37,7 @@ def _scalar_report(tau0, **kwargs):
 
 def _scalar_cost(tau0, **kwargs):
     try:
-        return cost_at(tau0, **kwargs)[0], None
+        return cost_at(tau0, **kwargs), None
     except DiskInspectError as exc:
         return math.nan, exc.kind
 
@@ -158,17 +158,6 @@ class TestFallback:
 
 
 class TestQuadratureTolerances:
-    def test_non_default_tolerances_give_scalar_rows(self, monkeypatch):
-        def no_batch(*args, **kwargs):
-            raise AssertionError("batch used for a non-default quadrature tolerance")
-
-        monkeypatch.setattr(optimizer, "integrate_many", no_batch)
-        quad = {"quad_rtol": 1e-9, "quad_atol": 1e-11}
-        rows = sweep_cost(WINDOW_LO, WINDOW_HI, 3, **quad)
-        for tau0, cost, err in rows:
-            assert err is None
-            assert cost == cost_at(tau0, **quad)[0]
-
     def test_unknown_keyword_is_rejected(self):
         with pytest.raises(TypeError):
             sweep_cost(WINDOW_LO, WINDOW_HI, 2, quad_rtl=1e-9)

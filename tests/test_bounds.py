@@ -5,7 +5,6 @@ import pytest
 
 from diskinspect import bounds as bounds_mod
 from diskinspect.bounds import (
-    PG_RESIDUAL_TOL,
     REFERENCE_UPPER_BOUND,
     THETA_LO,
     _chain_geometry,
@@ -152,8 +151,7 @@ class TestNlpLowerBound:
 
     def test_warm_sweep_matches_cold_solves(self, warm_sweep):
         for sol in warm_sweep:
-            cold = _newton(sol.theta, 1000, _flat_start(sol.theta, 1000),
-                           PG_RESIDUAL_TOL, 600)
+            cold = _newton(sol.theta, 1000, _flat_start(sol.theta, 1000))
             assert abs(sol.composed_bound - cold.composed_bound) <= 1e-12
             assert sol.kkt_residual <= 1e-8
             assert sol.stationarity_gap <= 1e-9
@@ -184,8 +182,8 @@ class TestNlpLowerBound:
     def test_iterations_count_every_level(self, monkeypatch):
         levels = []
 
-        def newton(theta, k, t, tol_pg, max_iter):
-            sol = _newton(theta, k, t, tol_pg, max_iter)
+        def newton(theta, k, t):
+            sol = _newton(theta, k, t)
             levels.append((k, sol.iterations))
             return sol
 

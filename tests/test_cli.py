@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from diskinspect import optimizer
 from diskinspect.cli import main
+from diskinspect.errors import StepFailure
 
 from conftest import PUBLISHED_TAU0
 
@@ -77,12 +79,17 @@ class TestSweeps:
         assert payload["error"]["kind"] == "EmptySweep"
         assert len(read(out / "cost_sweep.csv").splitlines()) == 4
 
-    @pytest.mark.parametrize("quad", [[], ["--tol-quad-rel", "1e-11"]],
-                             ids=["batched", "scalar"])
-    def test_sweep_cost_xi_out_of_range_rows_exit_2(self, tmp_path, capsys, quad):
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+    def test_sweep_cost_xi_out_of_range_rows_exit_2(self, tmp_path, capsys,
+                                                    monkeypatch, batched):
         # these curves recross x = 1 before xi = 1/2, where the cost is undefined
+        if not batched:
+            def step_failure(*args, **kwargs):
+                raise StepFailure("forced fallback to the scalar rows")
+
+            monkeypatch.setattr(optimizer, "integrate_many", step_failure)
         out = tmp_path / "o"
-        rc = main(["--out", str(out), *quad, "sweep-cost",
+        rc = main(["--out", str(out), "sweep-cost",
                    "--tau0-lo", "0.05", "--tau0-hi", "1.0", "--grid", "5"])
         assert rc == 2
         payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
@@ -210,7 +217,18 @@ class TestUsage:
         ["sweep-feasibility", "--tau0-lo", "1.65", "--tau0-hi", "1.649"],
         ["trace", "--tau0", "1.647", "--grid", "0"],
         ["verify", "--samples", "0"],
-    ], ids=["sweep-cost", "optimize", "sweep-feasibility", "trace", "verify"])
+        ["--x0", "1", "trace", "--tau0", "1.647"],
+        ["--x0", "0", "trace", "--tau0", "1.647"],
+        ["--tol-ode", "-1", "trace", "--tau0", "1.647"],
+        ["trace", "--tau0", "-1"],
+        ["trace", "--tau0", "inf"],
+        ["verify", "--tau0", "0"],
+        ["verify", "--samples", "200", "--segments", "1"],
+        ["converge", "--tau0", "-1"],
+        ["converge", "--grid", "4"],
+    ], ids=["sweep-cost", "optimize", "sweep-feasibility", "trace", "verify",
+            "x0-above", "x0-zero", "tol-ode", "trace-tau0", "trace-tau0-inf",
+            "verify-tau0", "verify-segments", "converge-tau0", "converge-grid"])
     def test_bad_numeric_flag_exits_1(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(["--out", str(tmp_path), *argv])

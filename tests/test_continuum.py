@@ -94,9 +94,6 @@ class TestSelfCheck:
         assert self_check_init(1.647) <= 1e-9
         assert self_check_init(1.6525) <= 1e-9
 
-    def test_identical_starts_zero(self):
-        assert self_check_init(1.647, x0a=1e-6, x0b=1e-6) == 0.0
-
 
 class TestCurve:
     def test_curve_starts_at_tangent_anchor(self, sol_star):

@@ -94,7 +94,7 @@ class TestRefine:
     @pytest.mark.slow
     def test_optimality_against_endpoints_and_sweep(self, optimum, cost_rows):
         for endpoint in optimum.bracket:
-            assert optimum.cost_star <= cost_at(endpoint)[0]
+            assert optimum.cost_star <= cost_at(endpoint)
         sweep_min = min(c for _, c, e in cost_rows if e is None)
         assert optimum.cost_star <= sweep_min
 
@@ -109,14 +109,14 @@ class TestRefine:
         # gradient; optimality is certified by the dominance checks above
         h = 1e-6
         fd = (
-            cost_at(optimum.tau0_star + h)[0] - cost_at(optimum.tau0_star - h)[0]
+            cost_at(optimum.tau0_star + h) - cost_at(optimum.tau0_star - h)
         ) / (2.0 * h)
         assert abs(fd) <= 10.0
         # at h=1e-8 the cubic term fades but per-evaluation noise (~1e-10 of
         # cost, amplified by 1/h) dominates; this is a sanity band only
         h = 1e-8
         fd_small = (
-            cost_at(optimum.tau0_star + h)[0] - cost_at(optimum.tau0_star - h)[0]
+            cost_at(optimum.tau0_star + h) - cost_at(optimum.tau0_star - h)
         ) / (2.0 * h)
         assert abs(fd_small) <= 5e-2
 
