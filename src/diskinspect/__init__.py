@@ -19,12 +19,12 @@ from .bounds import (
     theta_window,
 )
 from .continuum import (
-    BatchSolution,
     OdeSolution,
+    Pencil,
     SeriesInit,
     curve_point,
     integrate,
-    integrate_many,
+    integrate_pencil,
     self_check_init,
 )
 from .cost import CostBreakdown, full_cost_from_partial, inspection_integral, partial_cost, total_cost

@@ -76,8 +76,8 @@ def _add_window_args(sp) -> None:
     """--grid/--tau0-lo/--tau0-hi of the window sweeps; main checks lo < hi."""
     sp.add_argument("--grid", default=2000,
                     type=_ranged(int, lambda n: n >= 2, "[2, inf)"))
-    sp.add_argument("--tau0-lo", type=float, default=feas_mod.WINDOW_LO)
-    sp.add_argument("--tau0-hi", type=float, default=feas_mod.WINDOW_HI)
+    sp.add_argument("--tau0-lo", type=_POSITIVE, default=feas_mod.WINDOW_LO)
+    sp.add_argument("--tau0-hi", type=_POSITIVE, default=feas_mod.WINDOW_HI)
 
 
 def build_parser() -> _Parser:
@@ -87,12 +87,16 @@ def build_parser() -> _Parser:
                    help="comma subset of json,csv,svg")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized verification draws")
-    p.add_argument("--tol-ode", type=_POSITIVE, default=ODE_RTOL)
+    # solve_ivp raises rtol below 100 * eps to that floor: reject it instead
+    rtol_floor = 100.0 * np.finfo(float).eps
+    p.add_argument("--tol-ode", default=ODE_RTOL,
+                   type=_ranged(float, lambda x: rtol_floor <= x < math.inf,
+                                f"[{rtol_floor:.3g}, inf)"))
     p.add_argument("--x0", default=X0_REF,
                    type=_ranged(float, lambda x: 0.0 < x <= X0_MAX,
                                 f"(0, {X0_MAX:g}]"))
     p.add_argument("--jobs", type=int, default=1,
-                   help="no effect: sweeps run as in-process lockstep batches; "
+                   help="no effect: each sweep is one in-process pencil solve; "
                    "accepted so existing command lines still parse")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -302,6 +306,7 @@ def cmd_verify(args, out: Path, formats) -> int:
     checks["exact_angle_vs_formula"] = {"worst_difference": worst, "pass": worst <= 1e-9}
     two_start = self_check_init(args.tau0)
     checks["two_start_gap"] = {"gap": two_start, "pass": two_start <= 1e-9}
+    checks["feasible"] = {"tau_min": report.tau_min, "pass": report.feasible}
     ok = all(c["pass"] for c in checks.values())
     checks["all_pass"] = ok
     if "json" in formats:

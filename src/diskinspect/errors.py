@@ -98,7 +98,12 @@ class EmptySweep(DiskInspectError):
 
 
 class WindowViolated(DiskInspectError):
-    """Angle-window margin came out non-positive; indicates an implementation bug."""
+    """A result left its certified window.
+
+    Either an angle-window margin came out non-positive (an implementation
+    bug), or the refined optimum sits on the tau0 window's edge, outside the
+    deployment-angle window, or fails its clearance certificate.
+    """
 
     kind = "WindowViolated"
 

@@ -7,9 +7,13 @@ deployment angle of the straight segment that completes the trajectory.
 Clearance is sqrt(1 + tau_min^2) - 1 with tau_min the minimum of tau on
 [x0, xi], since ||T(x)|| = sqrt(1 + tau(x)^2).
 
-Window sweeps run the same pipeline on lockstep batches of start values
-(``integrate_many``); the scalar functions stay the reference they are
-tested against.
+Window sweeps run the same pipeline on every start value of one tau0
+pencil (``continuum.integrate_pencil``): the crossing scan reads tau off
+the pencil's columns sampled once at the scan abscissae, and the
+bisections, Newton steps and clearance minima evaluate its dense output
+for all labels at once.  psi is shared by every label, so a psi-guard hit
+ends every row's range at the same abscissa.  The scalar functions stay
+the reference the sweeps are tested against.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from .continuum import (
     ODE_ATOL,
     ODE_RTOL,
     X0_REF,
-    BatchSolution,
     OdeSolution,
+    Pencil,
     integrate,
-    integrate_many,
+    integrate_pencil,
 )
-from .errors import DiskInspectError, NoCrossing, OutOfRange, StepFailure
+from .errors import NoCrossing
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -48,11 +52,8 @@ BRENT_XATOL = 1e-10
 WINDOW_LO = 1.64697
 WINDOW_HI = 1.6525
 
-#: Sweep points integrated together as one lockstep batch; bounds the
-#: memory of a sweep at any grid size.
-BATCH_BLOCK = 256
-#: Scan abscissae per column evaluated at once by the batched scans; keeps
-#: their temporaries small next to the solution itself.
+#: Scan abscissae per label evaluated at once by the pencil scans; no scan
+#: builds a matrix over every abscissa and every label.
 SCAN_CHUNK = 250
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -157,37 +158,44 @@ def golden_min(f, a, b, xatol: float):
     return 0.5 * (a + b), np.minimum(fc, fd)
 
 
-def _g_many(bsol: BatchSolution, x: np.ndarray, cols=None) -> np.ndarray:
-    """T1 - 1 of the selected columns at abscissae x (see BatchSolution.values)."""
-    tau = bsol.values(x, 1, cols)
+def _g_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
+    """T1 - 1 of the labels tau0s at abscissae x (see Pencil.state)."""
+    tau = pencil.state(x, tau0s)[1]
     return np.cos(TWO_PI * x) - tau * np.sin(TWO_PI * x) - 1.0
 
 
-def _first_crossings(bsol: BatchSolution, xs: np.ndarray) -> np.ndarray:
-    """Per column, the first scan index i with g[i] < -1e-9 and g[i+1] >= 0.
+def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
+    """Per label, the first scan index i with g[i] < -1e-9 and g[i+1] >= 0.
 
-    -1 marks a column without such a crossing.
+    -1 marks a label without such a crossing.  Also returns the scan
+    abscissae, deployment_parameter's grid; tau there comes from the
+    pencil's columns, sampled once per pencil.
     """
-    first = np.full(bsol.tau0s.shape, -1)
+    xs, (_, t, b, _, _) = pencil.sample(SCAN_GRID)
+    d = tau0s - pencil.tau_bar
+    first = np.full(tau0s.shape, -1)
     for lo in range(0, len(xs) - 1, SCAN_CHUNK):
-        g = _g_many(bsol, xs[lo : lo + SCAN_CHUNK + 1, None])
+        rows = slice(lo, lo + SCAN_CHUNK + 1)
+        x = xs[rows, None]
+        tau = t[rows, None] + d * b[rows, None]
+        g = np.cos(TWO_PI * x) - tau * np.sin(TWO_PI * x) - 1.0
         hit = (g[:-1] < -1e-9) & (g[1:] >= 0.0)
         new = (first < 0) & hit.any(axis=0)
         first[new] = lo + np.argmax(hit[:, new], axis=0)
         if np.all(first >= 0):
             break
-    return first
+    return xs, first
 
 
-def _bisect_many(bsol: BatchSolution, cols, a, b, tol: float) -> np.ndarray:
-    """_bisect_root on every selected column, each with its own stopping test."""
-    fa = _g_many(bsol, a, cols)
+def _bisect_many(pencil: Pencil, tau0s, a, b, tol: float) -> np.ndarray:
+    """_bisect_root for every label, each with its own stopping test."""
+    fa = _g_many(pencil, a, tau0s)
     while True:
         active = b - a > tol
         if not np.any(active):
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
-        fm = _g_many(bsol, mid, cols)
+        fm = _g_many(pencil, mid, tau0s)
         flip = (fa < 0.0) != (fm < 0.0)
         b = np.where(active & flip, mid, b)
         move = active & ~flip
@@ -195,69 +203,52 @@ def _bisect_many(bsol: BatchSolution, cols, a, b, tol: float) -> np.ndarray:
         fa = np.where(move, fm, fa)
 
 
-def deployment_parameters(bsol: BatchSolution) -> tuple[np.ndarray, np.ndarray]:
-    """deployment_parameter for every column: (xi, self-check gap) arrays.
+def deployment_parameters(pencil: Pencil, tau0s) -> tuple[np.ndarray, np.ndarray]:
+    """deployment_parameter for every label: (xi, self-check gap) arrays.
 
     The same scan, bisections and three Newton steps, vectorized across
-    columns.  Where the scan finds no crossing (the scalar version raises
-    NoCrossing) both entries are NaN.
+    labels.  Where the scan finds no crossing (the scalar version raises
+    NoCrossing) both entries are NaN.  A Newton step that leaves the solved
+    range raises OutOfRange for the whole call.
     """
-    xs = np.linspace(bsol.x0, bsol.x_end, SCAN_GRID)
-    first = _first_crossings(bsol, xs)
-    cols = np.flatnonzero(first >= 0)
-    a, b = xs[first[cols]], xs[first[cols] + 1]
-    xi_coarse = _bisect_many(bsol, cols, a, b, BISECT_TOL)
-    xi = _bisect_many(bsol, cols, a, b, BISECT_TOL_CHECK)
+    tau0s = np.asarray(tau0s, dtype=float)
+    xs, first = _first_crossings(pencil, tau0s)
+    found = first >= 0
+    taus = tau0s[found]
+    a, b = xs[first[found]], xs[first[found] + 1]
+    xi_coarse = _bisect_many(pencil, taus, a, b, BISECT_TOL)
+    xi = _bisect_many(pencil, taus, a, b, BISECT_TOL_CHECK)
     gap = np.abs(xi_coarse - xi)
     for _ in range(3):
-        psi, tau = bsol.values(xi, 0, cols), bsol.values(xi, 1, cols)
+        psi, tau, _ = pencil.state(xi, taus)
         dtau = TWO_PI * (tau * np.cos(psi) / np.sin(psi) - 1.0)
         s, c = np.sin(TWO_PI * xi), np.cos(TWO_PI * xi)
         xi = xi - (c - tau * s - 1.0) / (-TWO_PI * s - dtau * s - TWO_PI * tau * c)
-    out_xi = np.full(bsol.tau0s.shape, math.nan)
-    out_gap = np.full(bsol.tau0s.shape, math.nan)
-    out_xi[cols], out_gap[cols] = xi, gap
+    out_xi = np.full(tau0s.shape, math.nan)
+    out_gap = np.full(tau0s.shape, math.nan)
+    out_xi[found], out_gap[found] = xi, gap
     return out_xi, out_gap
 
 
-def clearance_minima(bsol: BatchSolution, xi: np.ndarray, cols) -> np.ndarray:
-    """tau_min of clearance_certificate for the selected columns.
+def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
+    """tau_min of clearance_certificate for each label tau0s[k] on [x0, xi[k]].
 
-    The same 2001-point pre-scan of [x0, xi] brackets each minimum, then a
+    The same 2001-point pre-scan brackets each minimum, then a
     golden-section search shrinks every bracket below BRENT_XATOL.
     """
-    cols = np.asarray(cols)
-    xs = np.linspace(bsol.x0, xi, 2001)
-    k = np.arange(len(cols))
-    j = np.zeros(len(cols), dtype=int)
-    best = np.full(len(cols), np.inf)
+    xs = np.linspace(pencil.x0, xi, 2001)
+    k = np.arange(len(tau0s))
+    j = np.zeros(len(tau0s), dtype=int)
+    best = np.full(len(tau0s), np.inf)
     for lo in range(0, len(xs), SCAN_CHUNK):
-        tau = bsol.values(xs[lo : lo + SCAN_CHUNK], 1, cols)
+        tau = pencil.state(xs[lo : lo + SCAN_CHUNK], tau0s)[1]
         i = np.argmin(tau, axis=0)
         better = tau[i, k] < best
         j[better] = lo + i[better]
         best = np.minimum(best, tau[i, k])
     lo = xs[np.maximum(j - 1, 0), k]
     hi = xs[np.minimum(j + 1, len(xs) - 1), k]
-    return golden_min(lambda x: bsol.values(x, 1, cols), lo, hi, BRENT_XATOL)[1]
-
-
-def sweep_blocks(taus: np.ndarray, block_rows, scalar_row) -> list:
-    """Rows for every tau0, batched BATCH_BLOCK start values at a time.
-
-    ``block_rows(block)`` runs the lockstep pipeline on one block.  When the
-    batch cannot proceed (step control fails, a column leaves the psi guard
-    band or an abscissa leaves the solved range) the whole block is redone
-    with ``scalar_row(tau0)`` per point, so its rows are the scalar rows.
-    """
-    rows = []
-    for lo in range(0, len(taus), BATCH_BLOCK):
-        block = taus[lo : lo + BATCH_BLOCK]
-        try:
-            rows.extend(block_rows(block))
-        except (StepFailure, OutOfRange):
-            rows.extend(scalar_row(float(t)) for t in block)
-    return rows
+    return golden_min(lambda x: pencil.state(x, tau0s)[1], lo, hi, BRENT_XATOL)[1]
 
 
 @dataclass
@@ -310,22 +301,30 @@ def _error_report(tau0: float, kind: str) -> FeasibilityReport:
     )
 
 
-def _assess_row(tau0: float, x0: float, rtol: float, atol: float) -> FeasibilityReport:
-    try:
-        return assess(tau0, x0=x0, rtol=rtol, atol=atol)
-    except DiskInspectError as exc:
-        return _error_report(tau0, exc.kind)
+def feasibility_sweep(
+    tau0_lo: float,
+    tau0_hi: float,
+    grid: int,
+    x0: float = X0_REF,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
+) -> list[FeasibilityReport]:
+    """Reports over a uniform tau0 grid; per-point errors recorded inline.
 
-
-def _assess_block(taus, x0: float, rtol: float, atol: float) -> list[FeasibilityReport]:
-    bsol = integrate_many(taus, x0=x0, rtol=rtol, atol=atol)
-    xi, gap = deployment_parameters(bsol)
-    cols = np.flatnonzero(~np.isnan(xi))
+    One pencil solve, centred at the window midpoint, covers every point; a
+    point without a crossing is a NoCrossing row.
+    """
+    if not (0.0 < tau0_lo < tau0_hi and grid >= 2):
+        raise ValueError("need 0 < tau0_lo < tau0_hi and grid >= 2")
+    pencil = integrate_pencil(0.5 * (tau0_lo + tau0_hi), x0=x0, rtol=rtol, atol=atol)
+    tau0s = np.linspace(tau0_lo, tau0_hi, grid)
+    xi, gap = deployment_parameters(pencil, tau0s)
+    found = ~np.isnan(xi)
     tau_min = np.full(xi.shape, math.nan)
-    tau_min[cols] = clearance_minima(bsol, xi[cols], cols)
+    tau_min[found] = clearance_minima(pencil, xi[found], tau0s[found])
     reports = []
-    for k, tau0 in enumerate(taus):
-        if math.isnan(xi[k]):
+    for k, tau0 in enumerate(tau0s):
+        if not found[k]:
             reports.append(_error_report(float(tau0), NoCrossing.kind))
             continue
         t = float(tau_min[k])
@@ -339,22 +338,4 @@ def _assess_block(taus, x0: float, rtol: float, atol: float) -> list[Feasibility
             xi_selfcheck_gap=float(gap[k]),
         ))
     return reports
-
-
-def feasibility_sweep(
-    tau0_lo: float,
-    tau0_hi: float,
-    grid: int,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-) -> list[FeasibilityReport]:
-    """Reports over a uniform tau0 grid; per-point errors recorded inline."""
-    if not (tau0_lo < tau0_hi and grid >= 2):
-        raise ValueError("need tau0_lo < tau0_hi and grid >= 2")
-    return sweep_blocks(
-        np.linspace(tau0_lo, tau0_hi, grid),
-        lambda block: _assess_block(block, x0, rtol, atol),
-        lambda tau0: _assess_row(tau0, x0, rtol, atol),
-    )
 

@@ -1,14 +1,16 @@
 """One-parameter minimization of the average inspection cost over tau0.
 
 The cost is evaluated per start value through the full pipeline
-(integrate -> deployment parameter -> three-term cost) and minimized over
-the certified feasible window.  The landscape near the optimum is a steep
-parabola (curvature ~ 2e8 in tau0) riding on a feasibility cliff just left
-of the window, so the grid sweep only brackets the minimum; golden-section
-refinement inside the bracketing cell does the real work.  The sweep runs
-the pipeline on lockstep batches of start values, with the inspection
-integral carried as a third ODE component; the refinement evaluates one
-start value at a time.
+(deployment parameter -> three-term cost) and minimized over the certified
+feasible window.  The landscape near the optimum is a steep parabola
+(curvature ~ 2e8 in tau0) riding on a feasibility cliff just left of the
+window, so the grid sweep only brackets the minimum; golden-section
+refinement inside the bracketing cell does the real work.  Both read
+their costs off one tau0 pencil solve per window (``integrate_pencil``),
+with the inspection integral carried by the ODE, so the choice of tau0*
+makes no further ODE solve or quadrature call.  The optimum itself is
+certified on the scalar path: integrate, assess and total_cost with
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cost as cost_mod
-from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, integrate, integrate_many
-from .errors import DiskInspectError, NoCrossing, NotUnimodal, XiOutOfRange
+from .bounds import THETA_HI, THETA_LO
+from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, Pencil, integrate, integrate_pencil
+from .errors import NoCrossing, NotUnimodal, WindowViolated, XiOutOfRange
 from .feasibility import (
     FeasibilityReport,
     assess,
     deployment_parameter,
     deployment_parameters,
     golden_min,
-    sweep_blocks,
 )
 
 #: Abscissa tolerance of the golden-section refinement.  Far below the
@@ -36,6 +38,10 @@ from .feasibility import (
 REFINE_XATOL = 2e-11
 #: Cost differences below this are treated as noise by the unimodality scan.
 SWEEP_NOISE_TOL = 1e-8
+#: A refined tau0* within this many REFINE_XATOL of a window edge is taken
+#: to have run into the edge: the golden section ends within REFINE_XATOL/2
+#: of an edge whenever the cost still falls beyond it.
+EDGE_XATOLS = 3
 
 
 @dataclass
@@ -65,20 +71,38 @@ def cost_at(
     return cost_mod.total_cost(sol, xi).total
 
 
-def _cost_row(tau0: float, x0: float, rtol: float, atol: float):
-    try:
-        return tau0, cost_at(tau0, x0=x0, rtol=rtol, atol=atol), None
-    except DiskInspectError as exc:
-        return tau0, math.nan, exc.kind
+def _pencil_cost(pencil: Pencil, tau0: float) -> float:
+    """Total cost of the label tau0 from the pencil; raises like cost_at."""
+    xi = float(deployment_parameters(pencil, [tau0])[0][0])
+    if math.isnan(xi):
+        raise NoCrossing(f"curve with tau0={tau0!r} never returns to the line x=1")
+    return cost_mod.cost_breakdown(xi, float(pencil.state(xi, tau0)[2])).total
 
 
-def _cost_block(taus, x0: float, rtol: float, atol: float):
-    """Cost rows of one lockstep batch; I(xi) comes from the dense output."""
-    bsol = integrate_many(taus, x0=x0, rtol=rtol, atol=atol)
-    xi, _ = deployment_parameters(bsol)
-    cols = np.flatnonzero(~np.isnan(xi))
+def sweep_cost(
+    lo: float,
+    hi: float,
+    grid: int,
+    x0: float = X0_REF,
+    rtol: float = ODE_RTOL,
+    atol: float = ODE_ATOL,
+    pencil: Pencil | None = None,
+) -> list[tuple[float, float, str | None]]:
+    """(tau0, cost, error) rows over a uniform grid, sorted by tau0.
+
+    Every row is read off one pencil solve: ``pencil`` if passed in, else
+    one centred at the window midpoint.  The inspection integral is carried
+    by the ODE and no quadrature runs.
+    """
+    if not (0.0 < lo < hi and grid >= 2):
+        raise ValueError("need 0 < lo < hi and grid >= 2")
+    if pencil is None:
+        pencil = integrate_pencil(0.5 * (lo + hi), x0=x0, rtol=rtol, atol=atol)
+    taus = np.linspace(lo, hi, grid)
+    xi, _ = deployment_parameters(pencil, taus)
+    found = ~np.isnan(xi)
     integral = np.full(xi.shape, math.nan)
-    integral[cols] = bsol.values(xi[cols], 2, cols)
+    integral[found] = pencil.state(xi[found], taus[found])[2]
     rows = []
     for tau0, x, i in zip(taus, xi, integral):
         if math.isnan(x):
@@ -90,28 +114,6 @@ def _cost_block(taus, x0: float, rtol: float, atol: float):
         except XiOutOfRange as exc:
             rows.append((float(tau0), math.nan, exc.kind))
     return rows
-
-
-def sweep_cost(
-    lo: float,
-    hi: float,
-    grid: int,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-) -> list[tuple[float, float, str | None]]:
-    """(tau0, cost, error) rows over a uniform grid, sorted by tau0.
-
-    The batch integrates the inspection integral with the ODE and makes no
-    quadrature call.
-    """
-    if not (lo < hi and grid >= 2):
-        raise ValueError("need lo < hi and grid >= 2")
-    return sweep_blocks(
-        np.linspace(lo, hi, grid),
-        lambda block: _cost_block(block, x0, rtol, atol),
-        lambda tau0: _cost_row(tau0, x0, rtol, atol),
-    )
 
 
 def _check_unimodal(costs: np.ndarray, noise_tol: float) -> int:
@@ -152,24 +154,42 @@ def refine_minimum(
 ) -> OptimalSolution:
     """Golden-section refinement of the sweep minimum over [lo, hi].
 
-    The sweep (reused if passed in) must be unimodal up to evaluation
-    noise; the minimum's grid cell provides the refinement bracket.
+    One pencil solve serves the sweep (reused if passed in) and the
+    refinement.  The sweep must be unimodal up to evaluation noise; the
+    minimum's grid cell provides the refinement bracket.  The optimum is
+    certified on the scalar path (integrate -> assess -> total_cost) and
+    raises WindowViolated when it sits on the window's edge, its angle
+    leaves [THETA_LO, THETA_HI] or its clearance certificate fails.
     """
+    pencil = integrate_pencil(0.5 * (lo + hi), x0=x0, rtol=rtol, atol=atol)
     if sweep is None:
-        sweep = sweep_cost(lo, hi, grid, x0=x0, rtol=rtol, atol=atol)
+        sweep = sweep_cost(lo, hi, grid, pencil=pencil)
     taus = np.array([r[0] for r in sweep])
     costs = np.array([r[1] for r in sweep])
     j = _check_unimodal(costs, SWEEP_NOISE_TOL)
     a = taus[max(j - 1, 0)]
     b = taus[min(j + 1, len(taus) - 1)]
-
-    def f(tau0):
-        return cost_at(float(tau0), x0=x0, rtol=rtol, atol=atol)
-
-    tau_star = float(golden_min(f, float(a), float(b), REFINE_XATOL)[0])
+    tau_star = float(golden_min(
+        lambda tau0: _pencil_cost(pencil, float(tau0)), float(a), float(b), REFINE_XATOL
+    )[0])
+    if min(tau_star - lo, hi - tau_star) <= EDGE_XATOLS * REFINE_XATOL:
+        raise WindowViolated(
+            f"refined tau0*={tau_star!r} lies on the edge of [{lo!r}, {hi!r}]: "
+            "the minimum may lie outside the window"
+        )
     sol = integrate(tau_star, x0=x0, rtol=rtol, atol=atol)
     certificate = assess(tau_star, sol=sol)
     breakdown = cost_mod.total_cost(sol, certificate.xi)
+    if not THETA_LO <= certificate.theta <= THETA_HI:
+        raise WindowViolated(
+            f"theta*={certificate.theta!r} lies outside the deployment-angle "
+            f"window [{THETA_LO}, {THETA_HI}]"
+        )
+    if not certificate.feasible:
+        raise WindowViolated(
+            f"tau0*={tau_star!r} fails its clearance certificate: "
+            f"tau_min={certificate.tau_min!r}"
+        )
     return OptimalSolution(
         tau0_star=tau_star,
         xi_star=certificate.xi,

@@ -1,4 +1,4 @@
-"""The lockstep batch behind the window sweeps, checked against the scalar path.
+"""The tau0 pencil behind the window sweeps, checked against the scalar path.
 
 The scalar pipeline (integrate -> assess / cost_at) is the reference: every
 test recomputes its rows one start value at a time and compares.
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from diskinspect import continuum, feasibility
-from diskinspect.continuum import OdeSolution, integrate_many
+from diskinspect.continuum import OdeSolution, integrate, integrate_pencil
 from diskinspect.cost import inspection_integral
-from diskinspect.errors import DiskInspectError, StepFailure
+from diskinspect.errors import DiskInspectError
 from diskinspect.feasibility import (
     WINDOW_HI,
     WINDOW_LO,
@@ -22,10 +22,12 @@ from diskinspect.feasibility import (
 )
 from diskinspect.optimizer import SWEEP_NOISE_TOL, cost_at, sweep_cost
 
-#: Agreement required of a batched row with its scalar row.
+#: Agreement required of a pencil row with its scalar row.
 XI_TOL = 1e-8
 TAU_MIN_TOL = 1e-8
 GAP_MAX = 2e-8
+
+WINDOW_MID = 0.5 * (WINDOW_LO + WINDOW_HI)
 
 
 def _scalar_report(tau0, **kwargs):
@@ -42,20 +44,22 @@ def _scalar_cost(tau0, **kwargs):
         return math.nan, exc.kind
 
 
-def column_solution(bsol, k):
-    """Column k of a batch as a scalar OdeSolution over the same dense output."""
+def row_solution(pencil, tau0):
+    """The label tau0 of a pencil as a scalar OdeSolution over the same dense output."""
 
     def dense(x):
-        return np.stack([bsol.values(x, c, k) for c in (0, 1)])
+        psi, tau, _ = pencil.state(x, tau0)
+        return np.stack([psi, tau])
 
+    psi, tau = dense(pencil.grid)
     return OdeSolution(
-        tau0=float(bsol.tau0s[k]),
-        x0=bsol.x0,
-        rtol=bsol.rtol,
-        atol=bsol.atol,
-        grid=bsol.grid,
-        psi=bsol.nodes[0, :, k],
-        tau=bsol.nodes[1, :, k],
+        tau0=tau0,
+        x0=pencil.x0,
+        rtol=continuum.ODE_RTOL,
+        atol=continuum.ODE_ATOL,
+        grid=pencil.grid,
+        psi=psi,
+        tau=tau,
         _dense=dense,
     )
 
@@ -98,7 +102,9 @@ class TestRowsMatchScalar:
                            WINDOW_LO, WINDOW_HI, 2)
 
     def test_grid_not_a_multiple_of_the_block(self, monkeypatch):
-        monkeypatch.setattr(feasibility, "BATCH_BLOCK", 4)
+        # a scan block of 7 divides neither the 9999 cells of the crossing
+        # scan nor the 2001 abscissae of the clearance pre-scan
+        monkeypatch.setattr(feasibility, "SCAN_CHUNK", 7)
         lo, hi, grid = 1.6469764, 1.6469774, 10
         assert_reports_match(feasibility_sweep(lo, hi, grid), lo, hi, grid)
         assert_costs_match(sweep_cost(lo, hi, grid), lo, hi, grid)
@@ -122,37 +128,44 @@ class TestRowsMatchScalar:
         assert_costs_match(rows, 1.63, 1.64, 3)
 
 
-class TestFallback:
-    def test_guard_exit_recomputes_block_on_scalar_path(self, monkeypatch):
-        # psi dips to ~0.16 inside the window; a band of (0.3, pi - 0.3) makes
-        # every column leave it, which only a tightened guard can provoke
+class TestToleranceDrift:
+    def test_halving_rtol_moves_rows_below_noise(self):
+        rtol = continuum.ODE_RTOL
+        coarse = sweep_cost(WINDOW_LO, WINDOW_HI, 5, rtol=rtol, atol=rtol)
+        fine = sweep_cost(WINDOW_LO, WINDOW_HI, 5, rtol=rtol / 2, atol=rtol / 2)
+        for (t_a, c_a, e_a), (t_b, c_b, e_b) in zip(coarse, fine):
+            assert (t_a, e_a, e_b) == (t_b, None, None)
+            assert abs(c_a - c_b) <= SWEEP_NOISE_TOL
+
+
+class TestGuard:
+    def test_guard_exit_rows_match_scalar_rows(self, monkeypatch):
+        # psi dips to ~0.16 inside the window; a band of (0.3, pi - 0.3) ends
+        # every trajectory at x ~ 0.576, which only a tightened guard can
+        # provoke.  The window's curves would cross x = 1 later (NoCrossing
+        # rows); start values up to ~1.1 cross before it, at xi < 1/2
+        # (XiOutOfRange cost rows).
         monkeypatch.setattr(continuum, "PSI_GUARD", 0.3)
-        taus = np.linspace(WINDOW_LO, WINDOW_HI, 3)
-        with pytest.raises(StepFailure):
-            integrate_many(taus)
-        reports = feasibility_sweep(WINDOW_LO, WINDOW_HI, 3)
-        rows = sweep_cost(WINDOW_LO, WINDOW_HI, 3)
-        for tau0, r, (_, cost, err) in zip(taus, reports, rows):
-            ref, kind = _scalar_report(float(tau0))
-            assert r.error == kind
-            if kind is None:
-                assert (r.xi, r.tau_min, r.xi_selfcheck_gap) == (
-                    ref.xi, ref.tau_min, ref.xi_selfcheck_gap)
-            ref_cost, ref_kind = _scalar_cost(float(tau0))
-            assert err == ref_kind
-            assert cost == ref_cost or (math.isnan(cost) and math.isnan(ref_cost))
+        pencil = integrate_pencil(WINDOW_MID)
+        assert pencil.x_end < 1.0
+        assert abs(pencil.x_end - integrate(WINDOW_LO).x_end) <= 1e-10
+        assert_reports_match(feasibility_sweep(WINDOW_LO, WINDOW_HI, 3),
+                             WINDOW_LO, WINDOW_HI, 3)
+        assert_costs_match(sweep_cost(WINDOW_LO, WINDOW_HI, 3),
+                           WINDOW_LO, WINDOW_HI, 3)
+        rows = sweep_cost(0.05, 1.0, 5)
+        assert [e for _, _, e in rows] == ["XiOutOfRange"] * 5
+        assert_costs_match(rows, 0.05, 1.0, 5)
 
     def test_real_guard_not_reached(self):
-        # integrate_many checks the guard at step nodes only (as solve_ivp
-        # does its events); sampling the dense output 20 times per step
-        # also rules out a dip past the guard between nodes
-        bsol = integrate_many(np.linspace(0.05, 10.0, 9))
-        assert bsol.x_end == 1.0
-        assert np.all(bsol.nodes[0] > continuum.PSI_GUARD)
-        assert np.all(bsol.nodes[0] < math.pi - continuum.PSI_GUARD)
+        # the guard events see psi at the step nodes and locate a sign
+        # change between them; sampling the pencil's psi 20 times per step
+        # also rules out a dip past the guard that returns within one step
+        pencil = integrate_pencil(0.5 * (0.05 + 10.0))
+        assert pencil.x_end == 1.0
         t = np.linspace(0.0, 1.0, 21)
-        xs = (bsol.grid[:-1, None] + t * np.diff(bsol.grid)[:, None]).ravel()
-        psi = bsol.values(xs[:, None], 0)
+        xs = (pencil.grid[:-1, None] + t * np.diff(pencil.grid)[:, None]).ravel()
+        psi = pencil.columns(xs)[0]
         assert np.all(psi > continuum.PSI_GUARD)
         assert np.all(psi < math.pi - continuum.PSI_GUARD)
 
@@ -166,17 +179,31 @@ class TestQuadratureTolerances:
 class TestAugmentedState:
     def test_integral_matches_quadrature_over_same_dense_output(self):
         # augmented-state counterpart of the quadrature tolerance-halving check
-        bsol = integrate_many(np.linspace(WINDOW_LO, WINDOW_HI, 5))
-        xi, _ = deployment_parameters(bsol)
-        for k in range(5):
-            carried = bsol.values(xi[k : k + 1], 2, [k])[0]
-            quad = inspection_integral(column_solution(bsol, k), float(xi[k]))
+        pencil = integrate_pencil(WINDOW_MID)
+        taus = np.linspace(WINDOW_LO, WINDOW_HI, 5)
+        xi, _ = deployment_parameters(pencil, taus)
+        for k, tau0 in enumerate(taus):
+            carried = pencil.state(xi[k], tau0)[2]
+            quad = inspection_integral(row_solution(pencil, float(tau0)), float(xi[k]))
             assert abs(carried - quad) <= 1e-10
 
     def test_column_view_matches_shared_evaluation(self):
-        bsol = integrate_many(np.linspace(WINDOW_LO, WINDOW_HI, 4))
+        pencil = integrate_pencil(WINDOW_MID)
+        taus = np.linspace(WINDOW_LO, WINDOW_HI, 4)
         xs = np.linspace(0.1, 0.9, 9)
-        shared = bsol.values(xs[:, None], 1)
-        for k in range(4):
-            assert np.array_equal(column_solution(bsol, k).values(xs)[1], shared[:, k])
-        assert bsol.values(bsol.x0, 2)[0] == 0.0
+        shared = pencil.state(xs[:, None], taus)[1]
+        for k, tau0 in enumerate(taus):
+            row = row_solution(pencil, tau0).values(xs)[1]
+            assert np.array_equal(row, shared[:, k])
+        assert np.all(pencil.state(pencil.x0, taus)[2] == 0.0)
+
+    def test_scalar_rows_read_off_the_pencil(self):
+        # tau is affine in the label: the pencil reproduces each scalar
+        # trajectory to within the scalar solver's own tolerance drift
+        pencil = integrate_pencil(WINDOW_MID)
+        xs = np.array([0.1, 0.3, 0.5, 0.7])
+        for tau0 in np.linspace(WINDOW_LO, WINDOW_HI, 3):
+            ref = integrate(float(tau0)).values(xs)
+            psi, tau, _ = pencil.state(xs, tau0)
+            assert np.max(np.abs(psi - ref[0])) <= 1e-10
+            assert np.max(np.abs(tau - ref[1])) <= 1e-9

@@ -149,6 +149,15 @@ class TestNlpLowerBound:
         assert all(v > 3.551 for v in vals)
         assert max(s.kkt_residual for s in sols) <= 1e-8
 
+    @pytest.mark.slow
+    def test_certificate_near_its_bound_is_polished(self, bound_sweep):
+        # warm-started from theta = 0.005, this angle reached the certified
+        # exit at pg = 9.9e-9, just under the bound; one more Newton step
+        # takes it to rounding level
+        row = min(bound_sweep, key=lambda s: abs(s.theta - 0.01))
+        assert row.theta == pytest.approx(0.01, abs=1e-15)
+        assert row.kkt_residual <= bounds_mod.PG_CERTIFICATE_TOL / 2
+
     def test_warm_sweep_matches_cold_solves(self, warm_sweep):
         for sol in warm_sweep:
             cold = _newton(sol.theta, 1000, _flat_start(sol.theta, 1000))

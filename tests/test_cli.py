@@ -2,9 +2,8 @@ import json
 
 import pytest
 
-from diskinspect import optimizer
+from diskinspect import feasibility
 from diskinspect.cli import main
-from diskinspect.errors import StepFailure
 
 from conftest import PUBLISHED_TAU0
 
@@ -79,15 +78,8 @@ class TestSweeps:
         assert payload["error"]["kind"] == "EmptySweep"
         assert len(read(out / "cost_sweep.csv").splitlines()) == 4
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
-    def test_sweep_cost_xi_out_of_range_rows_exit_2(self, tmp_path, capsys,
-                                                    monkeypatch, batched):
+    def test_sweep_cost_xi_out_of_range_rows_exit_2(self, tmp_path, capsys):
         # these curves recross x = 1 before xi = 1/2, where the cost is undefined
-        if not batched:
-            def step_failure(*args, **kwargs):
-                raise StepFailure("forced fallback to the scalar rows")
-
-            monkeypatch.setattr(optimizer, "integrate_many", step_failure)
         out = tmp_path / "o"
         rc = main(["--out", str(out), "sweep-cost",
                    "--tau0-lo", "0.05", "--tau0-hi", "1.0", "--grid", "5"])
@@ -142,6 +134,19 @@ class TestVerify:
         assert rc == 0
         data = json.loads(read(out / "verify.json"))
         assert data["all_pass"] is True
+        assert data["feasible"]["pass"] is True
+
+    def test_infeasible_trajectory_exits_3(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o"
+        args = ["--out", str(out), "verify", "--samples", "2000", "--segments", "2000"]
+        assert main(args) == 0
+        tau_min = json.loads(read(out / "verify.json"))["feasible"]["tau_min"]
+        monkeypatch.setattr(feasibility, "FEASIBLE_TAU_MIN", tau_min + 1e-3)
+        assert main(args) == 3
+        data = json.loads(read(out / "verify.json"))
+        assert data["feasible"] == {"tau_min": tau_min, "pass": False}
+        assert data["all_pass"] is False
+        assert "FAIL feasible" in capsys.readouterr().out.splitlines()
 
 
 class TestOptimize:
@@ -157,6 +162,29 @@ class TestOptimize:
         assert data["cost_star"] == pytest.approx(3.5492595860809693, abs=1e-6)
         assert data["certificate"]["feasible"] is True
 
+    def test_default_window_grid_50(self, tmp_path):
+        # the sweep minimum is row 0, the window's left edge; the optimum
+        # lies inside that row's bracket, so the window checks must pass
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "optimize", "--grid", "50"])
+        assert rc == 0
+        data = json.loads(read(out / "optimum.json"))
+        assert data["bracket"][0] == 1.64697
+        assert data["tau0_star"] == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
+
+    def test_minimum_on_window_edge_exits_2(self, tmp_path, capsys):
+        # the cost still falls left of 1.7: refinement runs into the edge,
+        # where theta* = 1.37 also lies outside the angle window
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "optimize", "--grid", "20",
+                   "--tau0-lo", "1.7", "--tau0-hi", "2.5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        assert payload["error"]["kind"] == "WindowViolated"
+        assert "edge" in payload["error"]["message"]
+        assert not (out / "optimum.json").exists()
 
     def test_all_error_rows_exits_2(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "o"), "optimize", "--grid", "3",
@@ -215,20 +243,23 @@ class TestUsage:
         ["sweep-cost", "--grid", "1"],
         ["optimize", "--grid", "1"],
         ["sweep-feasibility", "--tau0-lo", "1.65", "--tau0-hi", "1.649"],
+        ["sweep-cost", "--tau0-lo", "-1", "--tau0-hi", "1"],
         ["trace", "--tau0", "1.647", "--grid", "0"],
         ["verify", "--samples", "0"],
         ["--x0", "1", "trace", "--tau0", "1.647"],
         ["--x0", "0", "trace", "--tau0", "1.647"],
         ["--tol-ode", "-1", "trace", "--tau0", "1.647"],
+        ["--tol-ode", "1e-30", "trace", "--tau0", "1.647"],
         ["trace", "--tau0", "-1"],
         ["trace", "--tau0", "inf"],
         ["verify", "--tau0", "0"],
         ["verify", "--samples", "200", "--segments", "1"],
         ["converge", "--tau0", "-1"],
         ["converge", "--grid", "4"],
-    ], ids=["sweep-cost", "optimize", "sweep-feasibility", "trace", "verify",
-            "x0-above", "x0-zero", "tol-ode", "trace-tau0", "trace-tau0-inf",
-            "verify-tau0", "verify-segments", "converge-tau0", "converge-grid"])
+    ], ids=["sweep-cost", "optimize", "sweep-feasibility", "tau0-lo", "trace",
+            "verify", "x0-above", "x0-zero", "tol-ode", "tol-ode-below-floor",
+            "trace-tau0", "trace-tau0-inf", "verify-tau0", "verify-segments",
+            "converge-tau0", "converge-grid"])
     def test_bad_numeric_flag_exits_1(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(["--out", str(tmp_path), *argv])

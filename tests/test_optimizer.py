@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from diskinspect import feasibility, optimizer
 from diskinspect.cli import main
-from diskinspect.errors import NotUnimodal
+from diskinspect.errors import NotUnimodal, WindowViolated
+from diskinspect.feasibility import WINDOW_HI, WINDOW_LO
 from diskinspect.optimizer import (
     _check_unimodal,
     cost_at,
@@ -119,6 +121,15 @@ class TestRefine:
             cost_at(optimum.tau0_star + h) - cost_at(optimum.tau0_star - h)
         ) / (2.0 * h)
         assert abs(fd_small) <= 5e-2
+
+    @pytest.mark.parametrize("module, name, value, words", [
+        (optimizer, "THETA_HI", 0.55, "deployment-angle window"),
+        (feasibility, "FEASIBLE_TAU_MIN", 1.0, "clearance certificate"),
+    ], ids=["theta-outside-angle-window", "infeasible-certificate"])
+    def test_uncertified_optimum_raises(self, monkeypatch, module, name, value, words):
+        monkeypatch.setattr(module, name, value)
+        with pytest.raises(WindowViolated, match=words):
+            refine_minimum(WINDOW_LO, WINDOW_HI, grid=50)
 
     def test_not_unimodal_raises(self):
         fake = [(1.0, 3.0, None), (1.1, 1.0, None), (1.2, 2.0, None),
