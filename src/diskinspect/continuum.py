@@ -41,7 +41,10 @@ every trajectory of a window is read off its dense output.  B grows to
 A + tau0 * B (tau_bar = 0), tau there is the difference of two terms of
 size ~7e4 and loses five digits.  Centred at the window midpoint,
 |tau0 - tau_bar| <= 2.8e-3 on the certified window, both terms stay below
-~250 and at most two to three digits cancel.
+~250 and at most two to three digits cancel.  On a wide window a label far
+from the centre has a large (tau0 - tau_bar) * B, but then tau itself is
+of that size and nothing cancels: rows of one pencil over [0.05, 10] agree
+with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
 """
 
 from __future__ import annotations

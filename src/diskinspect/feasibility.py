@@ -33,7 +33,7 @@ from .continuum import (
     integrate,
     integrate_pencil,
 )
-from .errors import NoCrossing
+from .errors import NoCrossing, OutOfRange
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -114,20 +114,21 @@ def clearance_certificate(sol: OdeSolution, xi: float) -> tuple[float, float]:
     """Minimum of tau on [x0, xi] (bounded Brent) and the radial clearance.
 
     A coarse grid pre-scan brackets the interior minimum before Brent runs,
-    guarding against endpoint traps.
+    guarding against endpoint traps.  Bounded Brent only samples the
+    bracket's interior, so a minimum at x0 or xi (a curve that dives into
+    the disk) is taken from the bracket's end values.
     """
     xs = np.linspace(sol.x0, xi, 2001)
     tau = sol.values(xs)[1]
     j = int(np.argmin(tau))
-    lo = xs[max(j - 1, 0)]
-    hi = xs[min(j + 1, len(xs) - 1)]
+    lo, hi = max(j - 1, 0), min(j + 1, len(xs) - 1)
     res = minimize_scalar(
         lambda x: sol.tau_at(x),
-        bounds=(lo, hi),
+        bounds=(xs[lo], xs[hi]),
         method="bounded",
         options={"xatol": BRENT_XATOL},
     )
-    tau_min = float(res.fun)
+    tau_min = float(min(res.fun, tau[lo], tau[hi]))
     return tau_min, clearance_from_tau(tau_min)
 
 
@@ -203,13 +204,14 @@ def _bisect_many(pencil: Pencil, tau0s, a, b, tol: float) -> np.ndarray:
         fa = np.where(move, fm, fa)
 
 
-def deployment_parameters(pencil: Pencil, tau0s) -> tuple[np.ndarray, np.ndarray]:
-    """deployment_parameter for every label: (xi, self-check gap) arrays.
+def deployment_parameters(pencil: Pencil, tau0s):
+    """deployment_parameter for every label: (xi, self-check gap, error) arrays.
 
     The same scan, bisections and three Newton steps, vectorized across
-    labels.  Where the scan finds no crossing (the scalar version raises
-    NoCrossing) both entries are NaN.  A Newton step that leaves the solved
-    range raises OutOfRange for the whole call.
+    labels.  Where the scalar version raises, xi and gap are NaN and the
+    error entry holds the kind: NoCrossing where the scan finds no
+    crossing, OutOfRange where a Newton iterate leaves the solved range.
+    The other entries of error are None.
     """
     tau0s = np.asarray(tau0s, dtype=float)
     xs, first = _first_crossings(pencil, tau0s)
@@ -220,21 +222,28 @@ def deployment_parameters(pencil: Pencil, tau0s) -> tuple[np.ndarray, np.ndarray
     xi = _bisect_many(pencil, taus, a, b, BISECT_TOL_CHECK)
     gap = np.abs(xi_coarse - xi)
     for _ in range(3):
-        psi, tau, _ = pencil.state(xi, taus)
+        inside = (xi >= pencil.x0) & (xi <= pencil.x_end)
+        xi = np.where(inside, xi, math.nan)
+        psi, tau, _ = pencil.state(xi[inside], taus[inside])
         dtau = TWO_PI * (tau * np.cos(psi) / np.sin(psi) - 1.0)
-        s, c = np.sin(TWO_PI * xi), np.cos(TWO_PI * xi)
-        xi = xi - (c - tau * s - 1.0) / (-TWO_PI * s - dtau * s - TWO_PI * tau * c)
+        s, c = np.sin(TWO_PI * xi[inside]), np.cos(TWO_PI * xi[inside])
+        xi[inside] -= (c - tau * s - 1.0) / (-TWO_PI * s - dtau * s - TWO_PI * tau * c)
+    inside = (xi >= pencil.x0) & (xi <= pencil.x_end)
     out_xi = np.full(tau0s.shape, math.nan)
     out_gap = np.full(tau0s.shape, math.nan)
-    out_xi[found], out_gap[found] = xi, gap
-    return out_xi, out_gap
+    error = np.full(tau0s.shape, NoCrossing.kind, dtype=object)
+    out_xi[found] = np.where(inside, xi, math.nan)
+    out_gap[found] = np.where(inside, gap, math.nan)
+    error[found] = np.where(inside, None, OutOfRange.kind)
+    return out_xi, out_gap, error
 
 
 def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
     """tau_min of clearance_certificate for each label tau0s[k] on [x0, xi[k]].
 
     The same 2001-point pre-scan brackets each minimum, then a
-    golden-section search shrinks every bracket below BRENT_XATOL.
+    golden-section search shrinks every bracket below BRENT_XATOL; as
+    there, a bracket end below the interior minimum is the minimum.
     """
     xs = np.linspace(pencil.x0, xi, 2001)
     k = np.arange(len(tau0s))
@@ -248,7 +257,9 @@ def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.nd
         best = np.minimum(best, tau[i, k])
     lo = xs[np.maximum(j - 1, 0), k]
     hi = xs[np.minimum(j + 1, len(xs) - 1), k]
-    return golden_min(lambda x: pencil.state(x, tau0s)[1], lo, hi, BRENT_XATOL)[1]
+    ends = np.minimum(pencil.state(lo, tau0s)[1], pencil.state(hi, tau0s)[1])
+    inner = golden_min(lambda x: pencil.state(x, tau0s)[1], lo, hi, BRENT_XATOL)[1]
+    return np.minimum(inner, ends)
 
 
 @dataclass
@@ -312,20 +323,21 @@ def feasibility_sweep(
     """Reports over a uniform tau0 grid; per-point errors recorded inline.
 
     One pencil solve, centred at the window midpoint, covers every point; a
-    point without a crossing is a NoCrossing row.
+    point whose deployment parameter fails (NoCrossing, OutOfRange) is an
+    error row of that kind.
     """
     if not (0.0 < tau0_lo < tau0_hi and grid >= 2):
         raise ValueError("need 0 < tau0_lo < tau0_hi and grid >= 2")
     pencil = integrate_pencil(0.5 * (tau0_lo + tau0_hi), x0=x0, rtol=rtol, atol=atol)
     tau0s = np.linspace(tau0_lo, tau0_hi, grid)
-    xi, gap = deployment_parameters(pencil, tau0s)
+    xi, gap, error = deployment_parameters(pencil, tau0s)
     found = ~np.isnan(xi)
     tau_min = np.full(xi.shape, math.nan)
     tau_min[found] = clearance_minima(pencil, xi[found], tau0s[found])
     reports = []
     for k, tau0 in enumerate(tau0s):
         if not found[k]:
-            reports.append(_error_report(float(tau0), NoCrossing.kind))
+            reports.append(_error_report(float(tau0), error[k]))
             continue
         t = float(tau_min[k])
         reports.append(FeasibilityReport(

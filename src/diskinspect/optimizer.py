@@ -23,7 +23,7 @@ import numpy as np
 from . import cost as cost_mod
 from .bounds import THETA_HI, THETA_LO
 from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, Pencil, integrate, integrate_pencil
-from .errors import NoCrossing, NotUnimodal, WindowViolated, XiOutOfRange
+from .errors import NotUnimodal, WindowViolated, XiOutOfRange
 from .feasibility import (
     FeasibilityReport,
     assess,
@@ -71,12 +71,32 @@ def cost_at(
     return cost_mod.total_cost(sol, xi).total
 
 
-def _pencil_cost(pencil: Pencil, tau0: float) -> float:
-    """Total cost of the label tau0 from the pencil; raises like cost_at."""
-    xi = float(deployment_parameters(pencil, [tau0])[0][0])
-    if math.isnan(xi):
-        raise NoCrossing(f"curve with tau0={tau0!r} never returns to the line x=1")
-    return cost_mod.cost_breakdown(xi, float(pencil.state(xi, tau0)[2])).total
+def _cost_rows(pencil: Pencil, taus: np.ndarray) -> list[tuple[float, float, str | None]]:
+    """(tau0, cost, error) rows of the labels taus, read off the pencil.
+
+    The inspection integral is carried by the ODE and no quadrature runs.
+    """
+    xi, _, error = deployment_parameters(pencil, taus)
+    found = ~np.isnan(xi)
+    integral = np.full(xi.shape, math.nan)
+    integral[found] = pencil.state(xi[found], taus[found])[2]
+    rows = []
+    for tau0, x, i, kind in zip(taus, xi, integral, error):
+        if kind is not None:
+            rows.append((float(tau0), math.nan, kind))
+            continue
+        try:
+            total = cost_mod.cost_breakdown(float(x), float(i)).total
+            rows.append((float(tau0), total, None))
+        except XiOutOfRange as exc:
+            rows.append((float(tau0), math.nan, exc.kind))
+    return rows
+
+
+def _window_grid(lo: float, hi: float, grid: int) -> np.ndarray:
+    if not (0.0 < lo < hi and grid >= 2):
+        raise ValueError("need 0 < lo < hi and grid >= 2")
+    return np.linspace(lo, hi, grid)
 
 
 def sweep_cost(
@@ -86,34 +106,14 @@ def sweep_cost(
     x0: float = X0_REF,
     rtol: float = ODE_RTOL,
     atol: float = ODE_ATOL,
-    pencil: Pencil | None = None,
 ) -> list[tuple[float, float, str | None]]:
     """(tau0, cost, error) rows over a uniform grid, sorted by tau0.
 
-    Every row is read off one pencil solve: ``pencil`` if passed in, else
-    one centred at the window midpoint.  The inspection integral is carried
-    by the ODE and no quadrature runs.
+    Every row is read off one pencil solve centred at the window midpoint.
     """
-    if not (0.0 < lo < hi and grid >= 2):
-        raise ValueError("need 0 < lo < hi and grid >= 2")
-    if pencil is None:
-        pencil = integrate_pencil(0.5 * (lo + hi), x0=x0, rtol=rtol, atol=atol)
-    taus = np.linspace(lo, hi, grid)
-    xi, _ = deployment_parameters(pencil, taus)
-    found = ~np.isnan(xi)
-    integral = np.full(xi.shape, math.nan)
-    integral[found] = pencil.state(xi[found], taus[found])[2]
-    rows = []
-    for tau0, x, i in zip(taus, xi, integral):
-        if math.isnan(x):
-            rows.append((float(tau0), math.nan, NoCrossing.kind))
-            continue
-        try:
-            total = cost_mod.cost_breakdown(float(x), float(i)).total
-            rows.append((float(tau0), total, None))
-        except XiOutOfRange as exc:
-            rows.append((float(tau0), math.nan, exc.kind))
-    return rows
+    taus = _window_grid(lo, hi, grid)
+    pencil = integrate_pencil(0.5 * (lo + hi), x0=x0, rtol=rtol, atol=atol)
+    return _cost_rows(pencil, taus)
 
 
 def _check_unimodal(costs: np.ndarray, noise_tol: float) -> int:
@@ -154,24 +154,28 @@ def refine_minimum(
 ) -> OptimalSolution:
     """Golden-section refinement of the sweep minimum over [lo, hi].
 
-    One pencil solve serves the sweep (reused if passed in) and the
+    One pencil solve serves the sweep (unless one is passed in) and the
     refinement.  The sweep must be unimodal up to evaluation noise; the
-    minimum's grid cell provides the refinement bracket.  The optimum is
-    certified on the scalar path (integrate -> assess -> total_cost) and
-    raises WindowViolated when it sits on the window's edge, its angle
+    minimum's grid cell provides the refinement bracket, in which an error
+    row (such as a label past the NoCrossing cliff) counts as infinite
+    cost.  The optimum is certified on the scalar path (integrate ->
+    assess -> total_cost) and raises WindowViolated when it sits on the window's edge, its angle
     leaves [THETA_LO, THETA_HI] or its clearance certificate fails.
     """
     pencil = integrate_pencil(0.5 * (lo + hi), x0=x0, rtol=rtol, atol=atol)
     if sweep is None:
-        sweep = sweep_cost(lo, hi, grid, pencil=pencil)
+        sweep = _cost_rows(pencil, _window_grid(lo, hi, grid))
     taus = np.array([r[0] for r in sweep])
     costs = np.array([r[1] for r in sweep])
     j = _check_unimodal(costs, SWEEP_NOISE_TOL)
     a = taus[max(j - 1, 0)]
     b = taus[min(j + 1, len(taus) - 1)]
-    tau_star = float(golden_min(
-        lambda tau0: _pencil_cost(pencil, float(tau0)), float(a), float(b), REFINE_XATOL
-    )[0])
+
+    def cost(tau0):
+        (_, total, _), = _cost_rows(pencil, np.array([tau0]))
+        return math.inf if math.isnan(total) else total
+
+    tau_star = float(golden_min(cost, float(a), float(b), REFINE_XATOL)[0])
     if min(tau_star - lo, hi - tau_star) <= EDGE_XATOLS * REFINE_XATOL:
         raise WindowViolated(
             f"refined tau0*={tau_star!r} lies on the edge of [{lo!r}, {hi!r}]: "

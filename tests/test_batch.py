@@ -119,6 +119,13 @@ class TestRowsMatchScalar:
         assert_costs_match(sweep_cost(WINDOW_LO, WINDOW_HI, 3, **kwargs),
                            WINDOW_LO, WINDOW_HI, 3, **kwargs)
 
+    @pytest.mark.parametrize("lo, hi, grid", [(1.7, 2.5, 9), (0.05, 10.0, 12)])
+    def test_wide_windows(self, lo, hi, grid):
+        # |tau0 - tau_bar| reaches 0.4 and 5 here, but so does |tau| where
+        # (tau0 - tau_bar) * B is large, so the rows lose no digits
+        assert_reports_match(feasibility_sweep(lo, hi, grid), lo, hi, grid)
+        assert_costs_match(sweep_cost(lo, hi, grid), lo, hi, grid)
+
     def test_no_crossing_rows(self):
         reports = feasibility_sweep(1.63, 1.64, 3)
         assert [r.error for r in reports] == ["NoCrossing"] * 3
@@ -126,6 +133,32 @@ class TestRowsMatchScalar:
         rows = sweep_cost(1.63, 1.64, 3)
         assert [e for _, _, e in rows] == ["NoCrossing"] * 3
         assert_costs_match(rows, 1.63, 1.64, 3)
+
+
+class TestNewtonLeavesRange:
+    def test_only_that_row_is_an_error_row(self, monkeypatch):
+        # throw one label's bisection root past the solved range, as a
+        # Newton iterate leaving it would be; the other rows are untouched
+        lo, hi, grid = WINDOW_LO, WINDOW_HI, 4
+        reports = feasibility_sweep(lo, hi, grid)
+        rows = sweep_cost(lo, hi, grid)
+        bisect = feasibility._bisect_many
+
+        def astray(pencil, tau0s, a, b, tol):
+            xi = bisect(pencil, tau0s, a, b, tol)
+            xi[1] = pencil.x_end + 0.5
+            return xi
+
+        monkeypatch.setattr(feasibility, "_bisect_many", astray)
+        bad_reports = feasibility_sweep(lo, hi, grid)
+        bad_rows = sweep_cost(lo, hi, grid)
+        assert [r.error for r in bad_reports] == [None, "OutOfRange", None, None]
+        assert all(math.isnan(v) for v in (bad_reports[1].xi, bad_reports[1].tau_min))
+        assert [e for _, _, e in bad_rows] == [None, "OutOfRange", None, None]
+        assert math.isnan(bad_rows[1][1])
+        for k in (0, 2, 3):
+            assert bad_reports[k] == reports[k]
+            assert bad_rows[k] == rows[k]
 
 
 class TestToleranceDrift:
@@ -181,7 +214,7 @@ class TestAugmentedState:
         # augmented-state counterpart of the quadrature tolerance-halving check
         pencil = integrate_pencil(WINDOW_MID)
         taus = np.linspace(WINDOW_LO, WINDOW_HI, 5)
-        xi, _ = deployment_parameters(pencil, taus)
+        xi, _, _ = deployment_parameters(pencil, taus)
         for k, tau0 in enumerate(taus):
             carried = pencil.state(xi[k], tau0)[2]
             quad = inspection_integral(row_solution(pencil, float(tau0)), float(xi[k]))

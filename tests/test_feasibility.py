@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from diskinspect.cli import main
@@ -58,6 +59,17 @@ class TestClearance:
         tau_min, clearance = clearance_certificate(sol_star, xi)
         assert tau_min == pytest.approx(0.24774522, abs=1e-4)
         assert clearance == pytest.approx(0.0302318, abs=1e-4)
+
+    @pytest.mark.parametrize("tau0", [0.525, 1.1])
+    def test_minimum_at_the_crossing_end(self, tau0):
+        # these curves dive into the disk and tau falls all the way to the
+        # crossing: the minimum is tau(xi), which bounded Brent alone misses
+        # by 2.5e-8 and 2.2e-7 because it never samples a bracket end
+        sol = integrate(tau0)
+        xi, _ = deployment_parameter(sol)
+        tau_min, _ = clearance_certificate(sol, xi)
+        assert tau_min == sol.tau_at(xi)
+        assert tau_min <= sol.values(np.linspace(sol.x0, xi, 200_001))[1].min()
 
     def test_clearance_formula(self):
         # sqrt(1.04) - 1; the source text rounds this as 0.01980198

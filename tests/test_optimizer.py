@@ -131,6 +131,16 @@ class TestRefine:
         with pytest.raises(WindowViolated, match=words):
             refine_minimum(WINDOW_LO, WINDOW_HI, grid=50)
 
+    def test_bracket_reaching_past_the_cliff(self):
+        # the bracket starts at a NoCrossing row, and the first golden
+        # probe, 1.64696, lands on the cliff: it counts as infinite cost
+        # and the search moves right, onto the optimum
+        opt = refine_minimum(1.6469, 1.64701, grid=4)
+        assert sweep_cost(1.6469, 1.64701, 4)[1][2] == "NoCrossing"
+        assert opt.bracket == (1.6469366666666667, 1.64701)
+        assert opt.tau0_star == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
+        assert opt.cost_star == pytest.approx(PUBLISHED_COST, abs=1e-6)
+
     def test_not_unimodal_raises(self):
         fake = [(1.0, 3.0, None), (1.1, 1.0, None), (1.2, 2.0, None),
                 (1.3, 1.0, None), (1.4, 3.0, None)]
