@@ -22,7 +22,6 @@ from .continuum import (
     OdeSolution,
     Pencil,
     SeriesInit,
-    curve_point,
     integrate,
     integrate_pencil,
     self_check_init,

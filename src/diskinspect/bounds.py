@@ -34,8 +34,6 @@ from scipy.linalg import solve_banded
 from .cost import full_cost_from_partial
 from .errors import MaxIterations, WindowViolated
 
-PI = math.pi
-
 #: Best previously reported average-cost upper bound; both window margins
 #: are measured against it.
 REFERENCE_UPPER_BOUND = 3.5509015
@@ -63,16 +61,17 @@ FLAT_RTOL = 8.0 * float(np.finfo(float).eps)
 
 def analytic_lower_bound(theta: float) -> float:
     """h(theta): tangent/arc/segment lower estimate composed into a full cost."""
-    if not 0.0 <= theta < PI / 2.0:
+    if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError("theta must lie in [0, pi/2)")
-    partial = PI * (math.tan(theta) + PI - 2.0 * theta + 3.0) / (4.0 * (PI - theta))
+    partial = (math.pi * (math.tan(theta) + math.pi - 2.0 * theta + 3.0)
+               / (4.0 * (math.pi - theta)))
     return full_cost_from_partial(theta, partial)
 
 
 def analytic_lower_bound_derivative(theta: float) -> float:
     """Closed form h'(theta) = (tan^2-1)/4 + (pi-theta)*tan*sec/pi."""
     tan = math.tan(theta)
-    return 0.25 * (tan * tan - 1.0) + (PI - theta) * tan / (math.cos(theta) * PI)
+    return 0.25 * (tan * tan - 1.0) + (math.pi - theta) * tan / (math.cos(theta) * math.pi)
 
 
 @dataclass
@@ -91,7 +90,7 @@ class NlpSolution:
 
 def _chain_geometry(theta: float, k: int):
     idx = np.arange(k + 1)
-    phi = 2.0 * PI - (PI - theta) * 2.0 * idx / k
+    phi = 2.0 * math.pi - (math.pi - theta) * 2.0 * idx / k
     p = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     u = np.stack([np.sin(phi), -np.cos(phi)], axis=1)
     w = (np.arange(1, k + 1) - 1.0) / k
@@ -149,7 +148,7 @@ def nlp_lower_bound(
     replaced by tan(theta)) begins from a given point instead, such as the
     optimum at a neighbouring angle.  ``iterations`` counts every level.
     """
-    if not 0.0 <= theta < PI / 2.0:
+    if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError("theta must lie in [0, pi/2)")
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
@@ -183,7 +182,7 @@ def _newton(theta: float, k: int, t: np.ndarray) -> NlpSolution:
     p, u, w = _chain_geometry(theta, k)
     prev_obj = math.inf
     stationarity = math.inf
-    polished = False
+    polished = converged = False
     for it in range(MAX_ITER):
         obj, grad, hdiag, hoff = _grad_hess(t, p, u, w)
         gv = grad[:k].copy()
@@ -200,16 +199,8 @@ def _newton(theta: float, k: int, t: np.ndarray) -> NlpSolution:
             # a certificate in the upper half of its bound gets one more
             # Newton step, which takes pg down to rounding level
             if polished or pgn <= PG_CERTIFICATE_TOL / 2:
-                return NlpSolution(
-                    theta=theta,
-                    k=k,
-                    t=t,
-                    objective=obj,
-                    kkt_residual=pgn,
-                    stationarity_gap=stationarity,
-                    composed_bound=full_cost_from_partial(theta, obj),
-                    iterations=it,
-                )
+                converged = True
+                break
             polished = True
         prev_obj = obj
         eps = min(1e-6, pgn)
@@ -242,24 +233,25 @@ def _newton(theta: float, k: int, t: np.ndarray) -> NlpSolution:
         if not accepted:
             # float-limit flatness: no further decrease possible.  Accept if
             # the convexity certificate already holds at 1e-8.
-            if pgn <= PG_CERTIFICATE_TOL:
-                return NlpSolution(
-                    theta=theta,
-                    k=k,
-                    t=t,
-                    objective=obj,
-                    kkt_residual=pgn,
-                    stationarity_gap=stationarity,
-                    composed_bound=full_cost_from_partial(theta, obj),
-                    iterations=it,
-                )
+            converged = pgn <= PG_CERTIFICATE_TOL
             break
         t = t_new
-    raise MaxIterations(
-        f"projected Newton stalled at pg={pgn:.3e}, stationarity={stationarity:.3e} "
-        f"after {it + 1} iterations",
-        iterate=t,
-        residual=pgn,
+    if not converged:
+        raise MaxIterations(
+            f"projected Newton stalled at pg={pgn:.3e}, stationarity={stationarity:.3e} "
+            f"after {it + 1} iterations",
+            iterate=t,
+            residual=pgn,
+        )
+    return NlpSolution(
+        theta=theta,
+        k=k,
+        t=t,
+        objective=obj,
+        kkt_residual=pgn,
+        stationarity_gap=stationarity,
+        composed_bound=full_cost_from_partial(theta, obj),
+        iterations=it,
     )
 
 

@@ -32,7 +32,7 @@ from . import feasibility as feas_mod
 from . import optimizer as opt_mod
 from . import oracle as oracle_mod
 from .artifacts import write_csv, write_json
-from .continuum import ODE_RTOL, X0_MAX, X0_REF, integrate, self_check_init
+from .continuum import ODE_TOL, X0_MAX, X0_REF, integrate, self_check_init
 from .errors import DiskInspectError, EmptySweep
 from .refraction import discrete_cost, forward_recursion, shoot_theta
 from .svgplot import line_chart
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
                    help="seed for randomized verification draws")
     # solve_ivp raises rtol below 100 * eps to that floor: reject it instead
     rtol_floor = 100.0 * np.finfo(float).eps
-    p.add_argument("--tol-ode", default=ODE_RTOL,
+    p.add_argument("--tol-ode", default=ODE_TOL,
                    type=_ranged(float, lambda x: rtol_floor <= x < math.inf,
                                 f"[{rtol_floor:.3g}, inf)"))
     p.add_argument("--x0", default=X0_REF,
@@ -141,14 +141,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_optimize(args, out: Path, formats) -> int:
-    result = opt_mod.refine_minimum(
-        args.tau0_lo,
-        args.tau0_hi,
-        grid=args.grid,
-        x0=args.x0,
-        rtol=args.tol_ode,
-        atol=args.tol_ode,
-    )
+    result = opt_mod.refine_minimum(args.tau0_lo, args.tau0_hi, grid=args.grid,
+                                    x0=args.x0, tol=args.tol_ode)
     if "json" in formats:
         _write_json(result, out / "optimum.json")
     print(
@@ -159,8 +153,8 @@ def cmd_optimize(args, out: Path, formats) -> int:
 
 
 def cmd_trace(args, out: Path, formats) -> int:
-    sol = integrate(args.tau0, x0=args.x0, rtol=args.tol_ode, atol=args.tol_ode)
-    report = feas_mod.assess(args.tau0, sol=sol)
+    sol = integrate(args.tau0, x0=args.x0, tol=args.tol_ode)
+    report = feas_mod.assess(sol)
     if "csv" in formats:
         xs = np.linspace(sol.x0, sol.x_end, args.grid)
         psi, tau = sol.values(xs)
@@ -180,14 +174,8 @@ def cmd_trace(args, out: Path, formats) -> int:
 
 
 def cmd_sweep_feasibility(args, out: Path, formats) -> int:
-    reports = feas_mod.feasibility_sweep(
-        args.tau0_lo,
-        args.tau0_hi,
-        args.grid,
-        x0=args.x0,
-        rtol=args.tol_ode,
-        atol=args.tol_ode,
-    )
+    reports = feas_mod.feasibility_sweep(args.tau0_lo, args.tau0_hi, args.grid,
+                                         x0=args.x0, tol=args.tol_ode)
     if "csv" in formats:
         _write_csv(out / "feasibility_sweep.csv",
                    ("tau0", "xi", "theta", "tau_min", "clearance", "feasible",
@@ -210,14 +198,8 @@ def cmd_sweep_feasibility(args, out: Path, formats) -> int:
 
 
 def cmd_sweep_cost(args, out: Path, formats) -> int:
-    rows = opt_mod.sweep_cost(
-        args.tau0_lo,
-        args.tau0_hi,
-        args.grid,
-        x0=args.x0,
-        rtol=args.tol_ode,
-        atol=args.tol_ode,
-    )
+    rows = opt_mod.sweep_cost(args.tau0_lo, args.tau0_hi, args.grid,
+                              x0=args.x0, tol=args.tol_ode)
     if "csv" in formats:
         _write_csv(out / "cost_sweep.csv", ("tau0", "cost", "error"), rows)
     good = [(t, c) for t, c, e in rows if e is None]
@@ -269,8 +251,8 @@ def cmd_angle_bounds(args, out: Path, formats) -> int:
 
 def cmd_verify(args, out: Path, formats) -> int:
     checks = {}
-    sol = integrate(args.tau0, x0=args.x0, rtol=args.tol_ode, atol=args.tol_ode)
-    report = feas_mod.assess(args.tau0, sol=sol)
+    sol = integrate(args.tau0, x0=args.x0, tol=args.tol_ode)
+    report = feas_mod.assess(sol)
     breakdown = cost_mod.total_cost(sol, report.xi)
     traj = oracle_mod.assemble_trajectory(sol, report.xi, segments=args.segments)
     res = oracle_mod.average_cost_full(traj, args.samples)
@@ -318,7 +300,7 @@ def cmd_verify(args, out: Path, formats) -> int:
 
 
 def cmd_converge(args, out: Path, formats) -> int:
-    sol = integrate(args.tau0, x0=args.x0, rtol=args.tol_ode, atol=args.tol_ode)
+    sol = integrate(args.tau0, x0=args.x0, tol=args.tol_ode)
     rows = []
     for n in (args.grid, 2 * args.grid):
         chain = forward_recursion(args.tau0, n, m=int(0.85 * n))

@@ -24,7 +24,9 @@ distinction matters: tau perturbations grow by exp(2*pi*int cot psi),
 about 5e4 by the time the curve returns to the line x=1, so the ~2*pi*x0
 difference between the two conventions shifts every downstream quantity
 far beyond its tolerance.  Starting from any other x0 transports the same
-label through the series above, so x0 stays a pure accuracy knob.
+label through the series above, so x0 stays a pure accuracy knob.  The
+other is tol, one number that every solve here passes to DOP853 as both
+its relative and its absolute error tolerance.
 
 The tau0 pencil.  psi's equation does not involve tau, and tau's is
 linear in tau, so every labeled trajectory is one affine family:
@@ -57,16 +59,12 @@ from scipy.integrate import solve_ivp
 
 from .errors import OutOfRange, StepFailure
 
-TWO_PI = 2.0 * math.pi
-PI = math.pi
-
 #: Reference start abscissa anchoring the tau0 label.
 X0_REF = 1e-6
 #: Largest series start the truncated series is trusted at.
 X0_MAX = 1e-5
-#: Integration tolerances for reproduction runs.
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-12
+#: Integration tolerance for reproduction runs, relative and absolute alike.
+ODE_TOL = 1e-12
 #: psi leaving (PSI_GUARD, pi - PSI_GUARD) terminates integration cleanly.
 PSI_GUARD = 1e-3
 #: Series starts and integration tolerance of the two-start self-check.
@@ -78,23 +76,24 @@ def rhs(x: float, state) -> tuple[float, float]:
     """Right-hand side of the (psi, tau) field."""
     psi, tau = float(state[0]), float(state[1])
     cot = math.cos(psi) / math.sin(psi)
-    return (-TWO_PI + cot / x, TWO_PI * (tau * cot - 1.0))
+    return (-math.tau + cot / x, math.tau * (tau * cot - 1.0))
 
 
 def psi_series(x0: float) -> float:
     """Start value for psi: pi/2 - pi*x0 + (pi^2/2)*x0^2."""
-    return PI / 2.0 - PI * x0 + (PI**2 / 2.0) * x0 * x0
+    return math.pi / 2.0 - math.pi * x0 + (math.pi**2 / 2.0) * x0 * x0
 
 
 def tau_series_from_center(tau_center: float, x: float) -> float:
     """tau at small x for the trajectory with x->0 limit tau_center."""
-    return tau_center * (1.0 + PI**2 * x * x) - TWO_PI * x - (4.0 * PI**3 / 3.0) * x**3
+    return (tau_center * (1.0 + math.pi**2 * x * x) - math.tau * x
+            - (4.0 * math.pi**3 / 3.0) * x**3)
 
 
 def tau_center_from_label(tau0: float) -> float:
     """Invert the series: x=0 limit of the trajectory labeled tau(X0_REF)=tau0."""
-    return (tau0 + TWO_PI * X0_REF + (4.0 * PI**3 / 3.0) * X0_REF**3) / (
-        1.0 + PI**2 * X0_REF * X0_REF
+    return (tau0 + math.tau * X0_REF + (4.0 * math.pi**3 / 3.0) * X0_REF**3) / (
+        1.0 + math.pi**2 * X0_REF * X0_REF
     )
 
 
@@ -121,7 +120,7 @@ class SeriesInit:
             tau_start, tau_slope = tau0, 1.0
         else:
             tau_start = tau_series_from_center(tau_center_from_label(tau0), x0)
-            tau_slope = (1.0 + PI**2 * x0 * x0) / (1.0 + PI**2 * X0_REF * X0_REF)
+            tau_slope = (1.0 + math.pi**2 * x0 * x0) / (1.0 + math.pi**2 * X0_REF * X0_REF)
         return cls(x0=x0, psi0=psi_series(x0), tau_start=tau_start, tau_slope=tau_slope)
 
 
@@ -138,8 +137,7 @@ class OdeSolution:
 
     tau0: float
     x0: float
-    rtol: float
-    atol: float
+    tol: float
     grid: np.ndarray
     psi: np.ndarray
     tau: np.ndarray
@@ -183,8 +181,8 @@ class OdeSolution:
         return {
             "tau0": self.tau0,
             "x0": self.x0,
-            "rtol": self.rtol,
-            "atol": self.atol,
+            "rtol": self.tol,
+            "atol": self.tol,
             "n_steps": self.n_steps,
         }
 
@@ -194,22 +192,22 @@ def _psi_low(x, y):
 
 
 def _psi_high(x, y):
-    return (PI - PSI_GUARD) - y[0]
+    return (math.pi - PSI_GUARD) - y[0]
 
 
 _psi_low.terminal = _psi_high.terminal = True
 _psi_low.direction = _psi_high.direction = -1
 
 
-def _solve(fun, x0: float, y0, rtol: float, atol: float):
-    """DOP853 with dense output on [x0, 1], stopped where psi = y[0] meets the guard."""
+def _solve(fun, x0: float, y0, tol: float):
+    """DOP853 (rtol = atol = tol) with dense output on [x0, 1], stopped at the psi guard."""
     sol = solve_ivp(
         fun,
         (x0, 1.0),
         y0,
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=tol,
+        atol=tol,
         dense_output=True,
         events=(_psi_low, _psi_high),
     )
@@ -218,29 +216,24 @@ def _solve(fun, x0: float, y0, rtol: float, atol: float):
     return sol
 
 
-def integrate(
-    tau0: float,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-) -> OdeSolution:
+def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolution:
     """Integrate the pair on [x0, 1] with an adaptive high-order RK scheme.
 
     Joint integration of the 2-vector field (single pass), eighth-order
-    Dormand-Prince with PI step control and dense output.  psi reaching the
-    guard band near 0 or pi terminates the solution early (the stored range
-    then ends before 1); error-control failure raises StepFailure.
+    Dormand-Prince with PI step control and dense output; tol is both the
+    relative and the absolute error tolerance.  psi reaching the guard band
+    near 0 or pi terminates the solution early (the stored range then ends
+    before 1); error-control failure raises StepFailure.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau0, x0)
-    sol = _solve(rhs, x0, (init.psi0, init.tau_start), rtol, atol)
+    sol = _solve(rhs, x0, (init.psi0, init.tau_start), tol)
     psi, tau = sol.y
     return OdeSolution(
         tau0=tau0,
         x0=x0,
-        rtol=rtol,
-        atol=atol,
+        tol=tol,
         grid=sol.t,
         psi=psi,
         tau=tau,
@@ -253,8 +246,9 @@ def _rhs_pencil(x: float, state) -> tuple[float, ...]:
     psi, t, b = float(state[0]), float(state[1]), float(state[2])
     sin = math.sin(psi)
     cot = math.cos(psi) / sin
-    w = TWO_PI * x / sin
-    return (-TWO_PI + cot / x, TWO_PI * (t * cot - 1.0), TWO_PI * b * cot, w * t, w * b)
+    w = math.tau * x / sin
+    return (-math.tau + cot / x, math.tau * (t * cot - 1.0), math.tau * b * cot,
+            w * t, w * b)
 
 
 @dataclass
@@ -309,22 +303,17 @@ class Pencil:
         return self._samples[n]
 
 
-def integrate_pencil(
-    tau_bar: float,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-) -> Pencil:
+def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -> Pencil:
     """Solve the pencil centred at the label tau_bar with one DOP853 pass.
 
-    Same solver, tolerances and psi guard as ``integrate``; a guard hit
+    Same solver, tolerance and psi guard as ``integrate``; a guard hit
     ends every label's range at the same abscissa.
     """
     if tau_bar <= 0.0:
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau_bar, x0)
     y0 = (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0)
-    sol = _solve(_rhs_pencil, x0, y0, rtol, atol)
+    sol = _solve(_rhs_pencil, x0, y0, tol)
     return Pencil(
         tau_bar=tau_bar,
         x0=x0,
@@ -333,19 +322,11 @@ def integrate_pencil(
     )
 
 
-def curve_point(sol: OdeSolution, x: float) -> np.ndarray:
-    """Curve point T(x) = tangent_point(-2*pi*x, tau(x)) from dense output."""
-    x = float(x)
-    tau = sol.tau_at(x)
-    c, s = math.cos(TWO_PI * x), math.sin(TWO_PI * x)
-    return np.array([c - tau * s, -s - tau * c])
-
-
 def curve_points(sol: OdeSolution, xs) -> np.ndarray:
-    """Vectorized curve evaluation, shape (len(xs), 2)."""
+    """Curve points T(x) = tangent_point(-2*pi*x, tau(x)) at xs, shape (len(xs), 2)."""
     xs = np.asarray(xs, dtype=float)
     tau = sol.values(xs)[1]
-    c, s = np.cos(TWO_PI * xs), np.sin(TWO_PI * xs)
+    c, s = np.cos(math.tau * xs), np.sin(math.tau * xs)
     return np.stack([c - tau * s, -s - tau * c], axis=1)
 
 
@@ -359,7 +340,7 @@ def self_check_init(tau0: float) -> float:
     runs differ at the 1e-6 level for reasons unrelated to initialization.
     """
     sol_a, sol_b = (
-        integrate(tau0, x0=x0, rtol=SELF_CHECK_TOL, atol=SELF_CHECK_TOL)
+        integrate(tau0, x0=x0, tol=SELF_CHECK_TOL)
         for x0 in SELF_CHECK_STARTS
     )
     gap = 0.0

@@ -21,9 +21,7 @@ from scipy.integrate import quad
 
 from .continuum import OdeSolution
 from .errors import QuadratureNoConverge, XiOutOfRange
-
-PI = math.pi
-TWO_PI = 2.0 * math.pi
+from .feasibility import deployment_angle
 
 QUAD_RTOL = 1e-12
 QUAD_ATOL = 1e-14
@@ -60,7 +58,7 @@ def inspection_integral(
 
     def integrand(x):
         psi, tau = sol.values(x)
-        return TWO_PI * x * tau / math.sin(psi)
+        return math.tau * x * tau / math.sin(psi)
 
     value, abserr, info, *rest = quad(
         integrand, sol.x0, xi, epsabs=atol, epsrel=rtol, limit=200, full_output=1
@@ -73,12 +71,12 @@ def inspection_integral(
 
 
 def log_term(xi: float) -> float:
-    s = math.sin(xi * PI)
-    return math.log((1.0 + s) / (1.0 - s)) / TWO_PI
+    s = math.sin(xi * math.pi)
+    return math.log((1.0 + s) / (1.0 - s)) / math.tau
 
 
 def deployment_term(xi: float) -> float:
-    return xi / math.cos((1.0 - xi) * PI)
+    return xi / math.cos(deployment_angle(xi))
 
 
 def total_cost(sol: OdeSolution, xi: float) -> CostBreakdown:
@@ -103,7 +101,7 @@ def cost_breakdown(xi: float, integral: float) -> CostBreakdown:
         integral=integral,
         total=lt + dt + integral,
         xi=xi,
-        theta=(1.0 - xi) * PI,
+        theta=deployment_angle(xi),
     )
 
 
@@ -118,7 +116,7 @@ def full_cost_from_partial(theta: float, s: float) -> float:
     (1/2pi)*log((1+sin theta)/(1-sin theta)) + (1 - theta/pi)*(sec theta + s);
     increasing in s since 1 - theta/pi > 0 on [0, pi/2).
     """
-    if not 0.0 <= theta < PI / 2.0:
+    if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError("theta must lie in [0, pi/2)")
-    lt = math.log((1.0 + math.sin(theta)) / (1.0 - math.sin(theta))) / TWO_PI
-    return lt + (1.0 - theta / PI) * (1.0 / math.cos(theta) + s)
+    lt = math.log((1.0 + math.sin(theta)) / (1.0 - math.sin(theta))) / math.tau
+    return lt + (1.0 - theta / math.pi) * (1.0 / math.cos(theta) + s)

@@ -7,13 +7,18 @@ deployment angle of the straight segment that completes the trajectory.
 Clearance is sqrt(1 + tau_min^2) - 1 with tau_min the minimum of tau on
 [x0, xi], since ||T(x)|| = sqrt(1 + tau(x)^2).
 
+``assess`` certifies one solved trajectory, so its report always names
+the start value that trajectory was solved for.
+
 Window sweeps run the same pipeline on every start value of one tau0
-pencil (``continuum.integrate_pencil``): the crossing scan reads tau off
-the pencil's columns sampled once at the scan abscissae, and the
-bisections, Newton steps and clearance minima evaluate its dense output
-for all labels at once.  psi is shared by every label, so a psi-guard hit
-ends every row's range at the same abscissa.  The scalar functions stay
-the reference the sweeps are tested against.
+pencil: ``window_pencil`` checks the window, solves the pencil centred at
+its midpoint (``continuum.integrate_pencil``) and lays the uniform grid of
+labels on it.  The crossing scan reads tau off the pencil's columns
+sampled once at the scan abscissae, and the bisections, Newton steps and
+clearance minima evaluate its dense output for all labels at once.  psi
+is shared by every label, so a psi-guard hit ends every row's range at
+the same abscissa.  The scalar functions stay the reference the sweeps
+are tested against.
 """
 
 from __future__ import annotations
@@ -24,19 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .continuum import (
-    ODE_ATOL,
-    ODE_RTOL,
-    X0_REF,
-    OdeSolution,
-    Pencil,
-    integrate,
-    integrate_pencil,
-)
+# integrate is unused here but stays importable as feasibility.integrate,
+# the name the perfbench tracer patches and its harness test looks up
+from .continuum import ODE_TOL, X0_REF, OdeSolution, Pencil, integrate, integrate_pencil
 from .errors import NoCrossing, OutOfRange
-
-PI = math.pi
-TWO_PI = 2.0 * math.pi
 
 #: Root scan and refinement tolerances.
 SCAN_GRID = 10_000
@@ -59,9 +55,14 @@ SCAN_CHUNK = 250
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def deployment_angle(xi: float) -> float:
+    """Deployment angle theta = (1 - xi) * pi of deployment parameter xi."""
+    return (1.0 - xi) * math.pi
+
+
 def _first_coord_minus_one(sol: OdeSolution, x: float) -> float:
     tau = sol.tau_at(x)
-    return math.cos(TWO_PI * x) - tau * math.sin(TWO_PI * x) - 1.0
+    return math.cos(math.tau * x) - tau * math.sin(math.tau * x) - 1.0
 
 
 def _bisect_root(sol: OdeSolution, a: float, b: float, tol: float) -> float:
@@ -89,7 +90,7 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     """
     xs = np.linspace(sol.x0, sol.x_end, SCAN_GRID)
     vals = sol.values(xs)
-    g = np.cos(TWO_PI * xs) - vals[1] * np.sin(TWO_PI * xs) - 1.0
+    g = np.cos(math.tau * xs) - vals[1] * np.sin(math.tau * xs) - 1.0
     hits = np.where((g[:-1] < -1e-9) & (g[1:] >= 0.0))[0]
     if len(hits) == 0:
         raise NoCrossing(
@@ -102,10 +103,10 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     xi = xi_check
     for _ in range(3):
         psi, tau = sol.values(xi)
-        dtau = TWO_PI * (tau * math.cos(psi) / math.sin(psi) - 1.0)
-        s, c = math.sin(TWO_PI * xi), math.cos(TWO_PI * xi)
+        dtau = math.tau * (tau * math.cos(psi) / math.sin(psi) - 1.0)
+        s, c = math.sin(math.tau * xi), math.cos(math.tau * xi)
         gval = c - tau * s - 1.0
-        gprime = -TWO_PI * s - dtau * s - TWO_PI * tau * c
+        gprime = -math.tau * s - dtau * s - math.tau * tau * c
         xi -= gval / gprime
     return float(xi), float(gap)
 
@@ -162,7 +163,7 @@ def golden_min(f, a, b, xatol: float):
 def _g_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
     """T1 - 1 of the labels tau0s at abscissae x (see Pencil.state)."""
     tau = pencil.state(x, tau0s)[1]
-    return np.cos(TWO_PI * x) - tau * np.sin(TWO_PI * x) - 1.0
+    return np.cos(math.tau * x) - tau * np.sin(math.tau * x) - 1.0
 
 
 def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
@@ -179,7 +180,7 @@ def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
         rows = slice(lo, lo + SCAN_CHUNK + 1)
         x = xs[rows, None]
         tau = t[rows, None] + d * b[rows, None]
-        g = np.cos(TWO_PI * x) - tau * np.sin(TWO_PI * x) - 1.0
+        g = np.cos(math.tau * x) - tau * np.sin(math.tau * x) - 1.0
         hit = (g[:-1] < -1e-9) & (g[1:] >= 0.0)
         new = (first < 0) & hit.any(axis=0)
         first[new] = lo + np.argmax(hit[:, new], axis=0)
@@ -225,9 +226,9 @@ def deployment_parameters(pencil: Pencil, tau0s):
         inside = (xi >= pencil.x0) & (xi <= pencil.x_end)
         xi = np.where(inside, xi, math.nan)
         psi, tau, _ = pencil.state(xi[inside], taus[inside])
-        dtau = TWO_PI * (tau * np.cos(psi) / np.sin(psi) - 1.0)
-        s, c = np.sin(TWO_PI * xi[inside]), np.cos(TWO_PI * xi[inside])
-        xi[inside] -= (c - tau * s - 1.0) / (-TWO_PI * s - dtau * s - TWO_PI * tau * c)
+        dtau = math.tau * (tau * np.cos(psi) / np.sin(psi) - 1.0)
+        s, c = np.sin(math.tau * xi[inside]), np.cos(math.tau * xi[inside])
+        xi[inside] -= (c - tau * s - 1.0) / (-math.tau * s - dtau * s - math.tau * tau * c)
     inside = (xi >= pencil.x0) & (xi <= pencil.x_end)
     out_xi = np.full(tau0s.shape, math.nan)
     out_gap = np.full(tau0s.shape, math.nan)
@@ -276,22 +277,14 @@ class FeasibilityReport:
     error: str | None = None
 
 
-def assess(
-    tau0: float,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-    sol: OdeSolution | None = None,
-) -> FeasibilityReport:
-    """Full feasibility report for one start value."""
-    if sol is None:
-        sol = integrate(tau0, x0=x0, rtol=rtol, atol=atol)
+def assess(sol: OdeSolution) -> FeasibilityReport:
+    """Full feasibility report for the start value sol.tau0 that sol solves."""
     xi, gap = deployment_parameter(sol)
     tau_min, clearance = clearance_certificate(sol, xi)
     return FeasibilityReport(
-        tau0=tau0,
+        tau0=sol.tau0,
         xi=xi,
-        theta=(1.0 - xi) * PI,
+        theta=deployment_angle(xi),
         tau_min=tau_min,
         clearance=clearance,
         feasible=tau_min > FEASIBLE_TAU_MIN,
@@ -312,13 +305,17 @@ def _error_report(tau0: float, kind: str) -> FeasibilityReport:
     )
 
 
+def window_pencil(
+    lo: float, hi: float, grid: int, x0: float = X0_REF, tol: float = ODE_TOL
+) -> tuple[Pencil, np.ndarray]:
+    """The pencil centred at the window midpoint and the uniform grid of labels on it."""
+    if not (0.0 < lo < hi and grid >= 2):
+        raise ValueError("need 0 < lo < hi and grid >= 2")
+    return integrate_pencil(0.5 * (lo + hi), x0=x0, tol=tol), np.linspace(lo, hi, grid)
+
+
 def feasibility_sweep(
-    tau0_lo: float,
-    tau0_hi: float,
-    grid: int,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
+    tau0_lo: float, tau0_hi: float, grid: int, x0: float = X0_REF, tol: float = ODE_TOL
 ) -> list[FeasibilityReport]:
     """Reports over a uniform tau0 grid; per-point errors recorded inline.
 
@@ -326,10 +323,7 @@ def feasibility_sweep(
     point whose deployment parameter fails (NoCrossing, OutOfRange) is an
     error row of that kind.
     """
-    if not (0.0 < tau0_lo < tau0_hi and grid >= 2):
-        raise ValueError("need 0 < tau0_lo < tau0_hi and grid >= 2")
-    pencil = integrate_pencil(0.5 * (tau0_lo + tau0_hi), x0=x0, rtol=rtol, atol=atol)
-    tau0s = np.linspace(tau0_lo, tau0_hi, grid)
+    pencil, tau0s = window_pencil(tau0_lo, tau0_hi, grid, x0=x0, tol=tol)
     xi, gap, error = deployment_parameters(pencil, tau0s)
     found = ~np.isnan(xi)
     tau_min = np.full(xi.shape, math.nan)
@@ -343,7 +337,7 @@ def feasibility_sweep(
         reports.append(FeasibilityReport(
             tau0=float(tau0),
             xi=float(xi[k]),
-            theta=(1.0 - float(xi[k])) * PI,
+            theta=deployment_angle(float(xi[k])),
             tau_min=t,
             clearance=clearance_from_tau(t),
             feasible=t > FEASIBLE_TAU_MIN,

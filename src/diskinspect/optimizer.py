@@ -6,11 +6,12 @@ feasible window.  The landscape near the optimum is a steep parabola
 (curvature ~ 2e8 in tau0) riding on a feasibility cliff just left of the
 window, so the grid sweep only brackets the minimum; golden-section
 refinement inside the bracketing cell does the real work.  Both read
-their costs off one tau0 pencil solve per window (``integrate_pencil``),
-with the inspection integral carried by the ODE, so the choice of tau0*
-makes no further ODE solve or quadrature call.  The optimum itself is
-certified on the scalar path: integrate, assess and total_cost with
-adaptive quadrature.
+their costs off one tau0 pencil solve per window
+(``feasibility.window_pencil``), with the inspection integral carried by
+the ODE, so the choice of tau0* makes no further ODE solve or quadrature
+call.  The optimum itself is certified on the scalar path: integrate,
+assess and total_cost with adaptive quadrature.  Every solve, pencil or
+scalar, takes the same series start x0 and ODE tolerance tol.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import cost as cost_mod
 from .bounds import THETA_HI, THETA_LO
-from .continuum import ODE_ATOL, ODE_RTOL, X0_REF, Pencil, integrate, integrate_pencil
+from .continuum import ODE_TOL, X0_REF, Pencil, integrate
 from .errors import NotUnimodal, WindowViolated, XiOutOfRange
 from .feasibility import (
     FeasibilityReport,
@@ -30,6 +31,7 @@ from .feasibility import (
     deployment_parameter,
     deployment_parameters,
     golden_min,
+    window_pencil,
 )
 
 #: Abscissa tolerance of the golden-section refinement.  Far below the
@@ -59,14 +61,9 @@ class OptimalSolution:
     breakdown: cost_mod.CostBreakdown
 
 
-def cost_at(
-    tau0: float,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-) -> float:
+def cost_at(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> float:
     """Total cost of the trajectory labeled tau0."""
-    sol = integrate(tau0, x0=x0, rtol=rtol, atol=atol)
+    sol = integrate(tau0, x0=x0, tol=tol)
     xi, _ = deployment_parameter(sol)
     return cost_mod.total_cost(sol, xi).total
 
@@ -93,26 +90,14 @@ def _cost_rows(pencil: Pencil, taus: np.ndarray) -> list[tuple[float, float, str
     return rows
 
 
-def _window_grid(lo: float, hi: float, grid: int) -> np.ndarray:
-    if not (0.0 < lo < hi and grid >= 2):
-        raise ValueError("need 0 < lo < hi and grid >= 2")
-    return np.linspace(lo, hi, grid)
-
-
 def sweep_cost(
-    lo: float,
-    hi: float,
-    grid: int,
-    x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
+    lo: float, hi: float, grid: int, x0: float = X0_REF, tol: float = ODE_TOL
 ) -> list[tuple[float, float, str | None]]:
     """(tau0, cost, error) rows over a uniform grid, sorted by tau0.
 
     Every row is read off one pencil solve centred at the window midpoint.
     """
-    taus = _window_grid(lo, hi, grid)
-    pencil = integrate_pencil(0.5 * (lo + hi), x0=x0, rtol=rtol, atol=atol)
+    pencil, taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
     return _cost_rows(pencil, taus)
 
 
@@ -149,8 +134,7 @@ def refine_minimum(
     grid: int = 2000,
     sweep: list | None = None,
     x0: float = X0_REF,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
+    tol: float = ODE_TOL,
 ) -> OptimalSolution:
     """Golden-section refinement of the sweep minimum over [lo, hi].
 
@@ -159,12 +143,13 @@ def refine_minimum(
     minimum's grid cell provides the refinement bracket, in which an error
     row (such as a label past the NoCrossing cliff) counts as infinite
     cost.  The optimum is certified on the scalar path (integrate ->
-    assess -> total_cost) and raises WindowViolated when it sits on the window's edge, its angle
-    leaves [THETA_LO, THETA_HI] or its clearance certificate fails.
+    assess -> total_cost) and raises WindowViolated when it sits on the
+    window's edge, its angle leaves [THETA_LO, THETA_HI] or its clearance
+    certificate fails.
     """
-    pencil = integrate_pencil(0.5 * (lo + hi), x0=x0, rtol=rtol, atol=atol)
+    pencil, grid_taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
     if sweep is None:
-        sweep = _cost_rows(pencil, _window_grid(lo, hi, grid))
+        sweep = _cost_rows(pencil, grid_taus)
     taus = np.array([r[0] for r in sweep])
     costs = np.array([r[1] for r in sweep])
     j = _check_unimodal(costs, SWEEP_NOISE_TOL)
@@ -181,8 +166,8 @@ def refine_minimum(
             f"refined tau0*={tau_star!r} lies on the edge of [{lo!r}, {hi!r}]: "
             "the minimum may lie outside the window"
         )
-    sol = integrate(tau_star, x0=x0, rtol=rtol, atol=atol)
-    certificate = assess(tau_star, sol=sol)
+    sol = integrate(tau_star, x0=x0, tol=tol)
+    certificate = assess(sol)
     breakdown = cost_mod.total_cost(sol, certificate.xi)
     if not THETA_LO <= certificate.theta <= THETA_HI:
         raise WindowViolated(

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import OdeSolution, curve_points
+from .feasibility import deployment_angle
 from .geometry import Polyline, first_inspection_arclengths
-
-TWO_PI = 2.0 * math.pi
 
 #: Worst-case inspection optimum (tangent + arc + final leg construction);
 #: any inspective path must cost at least this much at its worst angle.
@@ -62,7 +61,7 @@ def average_cost_full(traj: Polyline, samples: int) -> OracleResult:
         raise ValueError("full-problem trajectory must start at the origin")
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    phis = TWO_PI * (np.arange(samples) + 0.5) / samples
+    phis = math.tau * (np.arange(samples) + 0.5) / samples
     return _collect(traj, phis)
 
 
@@ -75,7 +74,7 @@ def average_cost_partial(traj: Polyline, theta: float, samples: int) -> OracleRe
     v0 = traj.vertices[0]
     if abs(v0[0] - 1.0) > 1e-9 or abs(v0[1] - math.tan(theta)) > 1e-9:
         raise ValueError("partial-problem trajectory must start at (1, tan theta)")
-    span = TWO_PI - 2.0 * theta
+    span = math.tau - 2.0 * theta
     phis = 2.0 * theta + span * (np.arange(samples) + 0.5) / samples
     return _collect(traj, phis)
 
@@ -87,12 +86,12 @@ def exact_angle_cost(traj: Polyline, phis: np.ndarray) -> OracleResult:
     evaluated at the chain's own tangency angles the two must agree to
     rounding.
     """
-    return _collect(traj, np.asarray(phis, dtype=float) % TWO_PI)
+    return _collect(traj, np.asarray(phis, dtype=float) % math.tau)
 
 
 def is_inspective(traj: Polyline, resolution: int) -> bool:
     """True iff every midpoint-sampled angle is eventually seen."""
-    phis = TWO_PI * (np.arange(resolution) + 0.5) / resolution
+    phis = math.tau * (np.arange(resolution) + 0.5) / resolution
     arcs = first_inspection_arclengths(traj, phis)
     return bool(np.all(np.isfinite(arcs)))
 
@@ -104,7 +103,7 @@ def assemble_trajectory(sol: OdeSolution, xi: float, segments: int = 10_000) -> 
     series start; its first sample coincides with the deployment anchor up
     to root-finding error, and near-duplicate corner vertices are dropped.
     """
-    theta = (1.0 - xi) * math.pi
+    theta = deployment_angle(xi)
     xs = np.linspace(xi, sol.x0, segments)
     pts = curve_points(sol, xs)
     anchor = np.array([1.0, math.tan(theta)])

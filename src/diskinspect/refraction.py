@@ -31,8 +31,6 @@ import numpy as np
 from .errors import AngleDomain, NoBracket, TriangleDegenerate
 from .geometry import Polyline
 
-TWO_PI = 2.0 * math.pi
-
 #: |t_k - tan(theta)| target for shooting.  The forward map amplifies tau0
 #: perturbations by exp(2*pi*int cot(psi)); near theta=0 that exceeds 1e8,
 #: so the float64-attainable residual is amplification * eps(tau0) and the
@@ -125,7 +123,7 @@ def forward_recursion(tau0: float, n: int, m: int | None = None) -> DiscreteTraj
         m = n
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    alpha = TWO_PI / n
+    alpha = math.tau / n
     xs, ys, ts, ds = _run_chain(tau0, alpha, m)
     return DiscreteTrajectory(n=n, alpha=alpha, tau0=tau0, x=xs, y=ys, t=ts, d=ds)
 

@@ -24,7 +24,7 @@ from diskinspect.bounds import (
     analytic_lower_bound_derivative,
     nlp_lower_bound,
 )
-from diskinspect.continuum import curve_point, integrate, self_check_init
+from diskinspect.continuum import curve_points, integrate, self_check_init
 from diskinspect.cost import full_cost_from_partial, inspection_integral, total_cost
 from diskinspect.feasibility import deployment_parameter
 from diskinspect.oracle import assemble_trajectory, average_cost_full, exact_angle_cost
@@ -266,7 +266,7 @@ class TestCriterion7Identities:
         for tau0 in np.linspace(1.64697, 1.6525, 201):
             sol = integrate(float(tau0))
             xi, _ = deployment_parameter(sol)
-            t2 = curve_point(sol, xi)[1]
+            t2 = curve_points(sol, [xi])[0][1]
             worst = max(worst, abs(t2 - math.tan((1.0 - xi) * PI)))
         report("criterion-7 T2(xi) = tan((1-xi)pi) within 1e-7 across window",
                worst <= 1e-7, f"worst={worst:.2e}")
@@ -275,7 +275,7 @@ class TestCriterion7Identities:
         rng = np.random.default_rng(1)
         worst = 0.0
         for x in rng.uniform(1e-6, 1.0, 100):
-            pt = curve_point(sol_star, float(x))
+            pt = curve_points(sol_star, [x])[0]
             tau = sol_star.tau_at(float(x))
             worst = max(worst, abs(pt @ pt - (1.0 + tau * tau)))
         report("criterion-7 |T|^2 = 1 + tau^2 within 1e-10", worst <= 1e-10,

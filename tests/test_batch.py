@@ -32,7 +32,7 @@ WINDOW_MID = 0.5 * (WINDOW_LO + WINDOW_HI)
 
 def _scalar_report(tau0, **kwargs):
     try:
-        return assess(tau0, **kwargs), None
+        return assess(integrate(tau0, **kwargs)), None
     except DiskInspectError as exc:
         return None, exc.kind
 
@@ -55,8 +55,7 @@ def row_solution(pencil, tau0):
     return OdeSolution(
         tau0=tau0,
         x0=pencil.x0,
-        rtol=continuum.ODE_RTOL,
-        atol=continuum.ODE_ATOL,
+        tol=continuum.ODE_TOL,
         grid=pencil.grid,
         psi=psi,
         tau=tau,
@@ -111,7 +110,7 @@ class TestRowsMatchScalar:
 
     @pytest.mark.parametrize("kwargs", [
         {"x0": 1e-7},
-        {"rtol": 1e-11, "atol": 1e-11},
+        {"tol": 1e-11},
     ])
     def test_start_and_tolerance_variants(self, kwargs):
         assert_reports_match(feasibility_sweep(WINDOW_LO, WINDOW_HI, 3, **kwargs),
@@ -163,9 +162,9 @@ class TestNewtonLeavesRange:
 
 class TestToleranceDrift:
     def test_halving_rtol_moves_rows_below_noise(self):
-        rtol = continuum.ODE_RTOL
-        coarse = sweep_cost(WINDOW_LO, WINDOW_HI, 5, rtol=rtol, atol=rtol)
-        fine = sweep_cost(WINDOW_LO, WINDOW_HI, 5, rtol=rtol / 2, atol=rtol / 2)
+        tol = continuum.ODE_TOL
+        coarse = sweep_cost(WINDOW_LO, WINDOW_HI, 5, tol=tol)
+        fine = sweep_cost(WINDOW_LO, WINDOW_HI, 5, tol=tol / 2)
         for (t_a, c_a, e_a), (t_b, c_b, e_b) in zip(coarse, fine):
             assert (t_a, e_a, e_b) == (t_b, None, None)
             assert abs(c_a - c_b) <= SWEEP_NOISE_TOL

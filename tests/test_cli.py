@@ -27,6 +27,13 @@ class TestTrace:
             cost["log_term"] + cost["deployment_term"] + cost["integral"]
         )
 
+    def test_tol_ode_is_both_solver_tolerances(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--tol-ode", "1e-11", "trace", "--tau0", "1.6475"])
+        assert rc == 0
+        meta = json.loads(read(out / "solution_meta.json"))
+        assert meta["rtol"] == meta["atol"] == 1e-11
+
     def test_no_crossing_emits_error_json(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "o"), "trace", "--tau0", "1.64"])
         assert rc == 2

@@ -8,7 +8,6 @@ from diskinspect.artifacts import write_csv, write_json
 from diskinspect.continuum import (
     X0_REF,
     SeriesInit,
-    curve_point,
     curve_points,
     integrate,
     self_check_init,
@@ -36,7 +35,7 @@ class TestSeriesInit:
     def test_transport_matches_integration(self):
         # integrating the transported start from 1e-7 back to 1e-6 recovers
         # the flat label value
-        sol = integrate(1.647, x0=1e-7, rtol=1e-13, atol=1e-13)
+        sol = integrate(1.647, x0=1e-7, tol=1e-13)
         assert sol.tau_at(1e-6) == pytest.approx(1.647, abs=1e-11)
 
     def test_rejects_large_x0(self):
@@ -66,8 +65,8 @@ class TestIntegrate:
         # psi is self-stabilizing; tau amplifies solver noise by ~5e4 near
         # x=0.8, so its drift across tolerance decades is bounded at the
         # amplified scale (measured 5.6e-7), far above the naive 1e-8
-        s10 = integrate(PUBLISHED_TAU0, rtol=1e-10, atol=1e-10)
-        s12 = integrate(PUBLISHED_TAU0, rtol=1e-12, atol=1e-12)
+        s10 = integrate(PUBLISHED_TAU0, tol=1e-10)
+        s12 = integrate(PUBLISHED_TAU0, tol=1e-12)
         assert abs(s10.psi_at(0.8) - s12.psi_at(0.8)) <= 1e-8
         assert abs(s10.tau_at(0.8) - s12.tau_at(0.8)) <= 5e-6
 
@@ -97,13 +96,13 @@ class TestSelfCheck:
 
 class TestCurve:
     def test_curve_starts_at_tangent_anchor(self, sol_star):
-        pt = curve_point(sol_star, X0_REF)
+        pt = curve_points(sol_star, [X0_REF])[0]
         assert np.allclose(pt, [1.0, -PUBLISHED_TAU0], atol=1e-5)
 
     def test_norm_identity(self, sol_star):
         rng = np.random.default_rng(1)
         for x in rng.uniform(X0_REF, 1.0, 100):
-            pt = curve_point(sol_star, float(x))
+            pt = curve_points(sol_star, [x])[0]
             tau = sol_star.tau_at(float(x))
             assert abs(pt @ pt - (1.0 + tau * tau)) <= 1e-10
 
@@ -111,13 +110,7 @@ class TestCurve:
         from diskinspect.feasibility import deployment_parameter
 
         xi, _ = deployment_parameter(sol_star)
-        assert abs(curve_point(sol_star, xi)[0] - 1.0) <= 1e-7
-
-    def test_vectorized_matches_scalar(self, sol_star):
-        xs = np.linspace(0.1, 0.8, 17)
-        pts = curve_points(sol_star, xs)
-        for x, row in zip(xs, pts):
-            assert np.allclose(curve_point(sol_star, float(x)), row, atol=1e-14)
+        assert abs(curve_points(sol_star, [xi])[0][0] - 1.0) <= 1e-7
 
 
 class TestContinuumLimit:
@@ -164,5 +157,5 @@ class TestDumps:
         write_json(sol_star.metadata(), meta)
         data = json.loads(meta.read_text())
         assert data["tau0"] == PUBLISHED_TAU0
-        assert data["rtol"] == 1e-12
+        assert data["rtol"] == data["atol"] == 1e-12
         assert data["n_steps"] == sol_star.n_steps

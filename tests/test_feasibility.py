@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diskinspect.cli import main
-from diskinspect.continuum import integrate
+from diskinspect.continuum import curve_points, integrate
 from diskinspect.errors import NoCrossing
 from diskinspect.feasibility import (
     WINDOW_HI,
@@ -15,6 +15,7 @@ from diskinspect.feasibility import (
     deployment_parameter,
     feasibility_sweep,
 )
+from diskinspect.optimizer import refine_minimum, sweep_cost
 
 from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0
 
@@ -36,7 +37,7 @@ class TestDeploymentParameter:
 
     def test_window_edge_angles(self):
         for tau0, target in ((1.64697, 0.501177), (1.6525, 1.1600947)):
-            rep = assess(tau0)
+            rep = assess(integrate(tau0))
             assert rep.theta == pytest.approx(target, abs=1e-5)
 
     def test_infeasible_start_raises(self):
@@ -46,10 +47,8 @@ class TestDeploymentParameter:
 
     def test_deployment_identity(self, sol_star):
         # T2(xi) = tan((1-xi)*pi)
-        from diskinspect.continuum import curve_point
-
         xi, _ = deployment_parameter(sol_star)
-        t2 = curve_point(sol_star, xi)[1]
+        t2 = curve_points(sol_star, [xi])[0][1]
         assert abs(t2 - math.tan((1.0 - xi) * PI)) <= 1e-7
 
 
@@ -84,11 +83,14 @@ class TestSweep:
         assert [r.tau0 for r in reports] == [WINDOW_LO, WINDOW_HI]
         assert all(r.feasible for r in reports)
 
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            feasibility_sweep(2.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            feasibility_sweep(1.0, 2.0, 1)
+    @pytest.mark.parametrize("sweep", [feasibility_sweep, sweep_cost, refine_minimum])
+    @pytest.mark.parametrize("lo, hi, grid", [
+        (2.0, 1.0, 10), (1.6, 1.6, 10), (0.0, 2.0, 10), (-1.0, 2.0, 10), (1.0, 2.0, 1),
+    ], ids=["lo-above-hi", "lo-equals-hi", "lo-zero", "lo-negative", "grid-one"])
+    def test_invalid_args(self, sweep, lo, hi, grid):
+        # the window is checked once, in window_pencil, before any solve
+        with pytest.raises(ValueError, match="need 0 < lo < hi and grid >= 2"):
+            sweep(lo, hi, grid)
 
     def test_error_recorded_inline(self):
         reports = feasibility_sweep(1.63, 1.64, 3)
@@ -123,7 +125,8 @@ class TestSweep:
 
 class TestReportInvariants:
     def test_theta_consistency(self):
-        rep = assess(1.649)
+        rep = assess(integrate(1.649))
+        assert rep.tau0 == 1.649
         assert rep.theta == (1.0 - rep.xi) * PI
         assert rep.clearance == pytest.approx(
             math.sqrt(1.0 + rep.tau_min**2) - 1.0, abs=1e-14
