@@ -38,6 +38,9 @@ from .errors import NoCrossing, OutOfRange
 SCAN_GRID = 10_000
 BISECT_TOL = 1e-8
 BISECT_TOL_CHECK = 5e-10
+#: The Newton polish may leave |T1 - 1| above its value at the bisection
+#: root by at most a few ulps of the O(1) terms that make it up.
+NEWTON_G_SLACK = 8 * np.finfo(float).eps
 #: A start value counts as feasible when the curve clears the disk by at
 #: least this much in tau; the certified window has margin >= 0.2.
 FEASIBLE_TAU_MIN = 1e-6
@@ -87,6 +90,10 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     on the dense output so the returned root is smooth in tau0 (the
     optimizer differentiates through it; a bisection staircase of height
     5e-10 would contaminate the minimum through dT1/dxi ~ O(1)).
+
+    The polish is guarded: OutOfRange when an iterate leaves the scan
+    bracket, or when |g| at the last iterate it evaluates exceeds |g| at
+    the bisection root by more than NEWTON_G_SLACK.
     """
     xs = np.linspace(sol.x0, sol.x_end, SCAN_GRID)
     vals = sol.values(xs)
@@ -101,14 +108,31 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     xi_check = _bisect_root(sol, a, b, BISECT_TOL_CHECK)
     gap = abs(xi_coarse - xi_check)
     xi = xi_check
+    gvals = []
     for _ in range(3):
+        _check_polish_bracket(sol, xi, a, b)
         psi, tau = sol.values(xi)
         dtau = math.tau * (tau * math.cos(psi) / math.sin(psi) - 1.0)
         s, c = math.sin(math.tau * xi), math.cos(math.tau * xi)
         gval = c - tau * s - 1.0
         gprime = -math.tau * s - dtau * s - math.tau * tau * c
+        gvals.append(abs(gval))
         xi -= gval / gprime
+    _check_polish_bracket(sol, xi, a, b)
+    if gvals[-1] > gvals[0] + NEWTON_G_SLACK:
+        raise OutOfRange(
+            f"Newton polish for tau0={sol.tau0!r} raised |T1 - 1| from "
+            f"{gvals[0]!r} at the bisection root to {gvals[-1]!r}"
+        )
     return float(xi), float(gap)
+
+
+def _check_polish_bracket(sol: OdeSolution, xi: float, a: float, b: float) -> None:
+    if not a <= xi <= b:
+        raise OutOfRange(
+            f"Newton polish for tau0={sol.tau0!r} left the scan bracket "
+            f"[{a!r}, {b!r}] at xi={xi!r}"
+        )
 
 
 def clearance_certificate(sol: OdeSolution, xi: float) -> tuple[float, float]:
@@ -211,8 +235,9 @@ def deployment_parameters(pencil: Pencil, tau0s):
     The same scan, bisections and three Newton steps, vectorized across
     labels.  Where the scalar version raises, xi and gap are NaN and the
     error entry holds the kind: NoCrossing where the scan finds no
-    crossing, OutOfRange where a Newton iterate leaves the solved range.
-    The other entries of error are None.
+    crossing, OutOfRange where a Newton iterate leaves the label's scan
+    bracket (which lies inside the solved range).  The other entries of
+    error are None.
     """
     tau0s = np.asarray(tau0s, dtype=float)
     xs, first = _first_crossings(pencil, tau0s)
@@ -223,13 +248,13 @@ def deployment_parameters(pencil: Pencil, tau0s):
     xi = _bisect_many(pencil, taus, a, b, BISECT_TOL_CHECK)
     gap = np.abs(xi_coarse - xi)
     for _ in range(3):
-        inside = (xi >= pencil.x0) & (xi <= pencil.x_end)
+        inside = (xi >= a) & (xi <= b)
         xi = np.where(inside, xi, math.nan)
         psi, tau, _ = pencil.state(xi[inside], taus[inside])
         dtau = math.tau * (tau * np.cos(psi) / np.sin(psi) - 1.0)
         s, c = np.sin(math.tau * xi[inside]), np.cos(math.tau * xi[inside])
         xi[inside] -= (c - tau * s - 1.0) / (-math.tau * s - dtau * s - math.tau * tau * c)
-    inside = (xi >= pencil.x0) & (xi <= pencil.x_end)
+    inside = (xi >= a) & (xi <= b)
     out_xi = np.full(tau0s.shape, math.nan)
     out_gap = np.full(tau0s.shape, math.nan)
     error = np.full(tau0s.shape, NoCrossing.kind, dtype=object)

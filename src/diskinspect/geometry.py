@@ -10,6 +10,14 @@ the open unit disk, which for perimeter targets is equivalent to the
 closed-halfplane test dot(A, P) >= 1.  The halfplane form makes the first
 visibility time along a polygonal path an exact per-segment linear solve,
 because dot(A(s), P) is affine in arclength s on each segment.
+
+``first_inspection_arclength`` is the definition: it walks the vertices of
+one path for one angle.  ``first_inspection_arclengths``, the brute-force
+oracle's workhorse, answers many angles through an arc index: the angles a
+vertex sees form one arc of the circle, so sorting the angles once and
+painting each vertex's (slightly widened) arc labels every angle with its
+first candidate vertex, which the same dot test then confirms.  The two
+functions are kept apart as a cross-check pair.
 """
 
 from __future__ import annotations
@@ -21,6 +29,14 @@ import numpy as np
 
 # Points numerically on the tangent line count as seeing the target.
 VISIBILITY_SLACK = 1e-12
+
+#: Angles confirmed per block by first_inspection_arclengths.
+CONFIRM_BLOCK = 8192
+#: Widening of the visibility arcs of first_inspection_arclengths, first in
+#: the cosine domain, then in angle (see its docstring).
+EPS = float(np.finfo(float).eps)
+ARC_COS_SLACK = 16 * EPS
+ARC_ANGLE_SLACK = 1e-12
 
 #: Returned by first-inspection queries when no point of the path ever sees
 #: the target.  A value, not an error.
@@ -108,28 +124,95 @@ def first_inspection_arclength(traj: Polyline, phi: float) -> float:
 def first_inspection_arclengths(traj: Polyline, phis: np.ndarray) -> np.ndarray:
     """Vectorized :func:`first_inspection_arclength` over many angles.
 
-    One pass over segments, keeping per-angle state; used by the brute-force
-    cost oracle where ``len(phis)`` reaches 1e5.
+    Arc index.  Vertex v_j, with r_j = |v_j| and a_j = arg v_j, sees P(phi)
+    iff r_j cos(phi - a_j) >= thresh, so the angles it sees form one arc of
+    half-width arccos(thresh / r_j), empty when r_j < thresh.  The angles
+    are reduced mod 2*pi and sorted; one vectorized ``searchsorted`` call
+    per arc end bounds every arc at shifts of -2*pi, 0 and 2*pi (an arc
+    that crosses the seam phi = 0 becomes two slices), and the slices are
+    painted for j in descending order, so each angle ends up labelled with
+    the smallest j whose arc covers it.  In blocks of CONFIRM_BLOCK angles,
+    that candidate is confirmed with the exact dot test at the original
+    angle and interpolated on segment j-1 -> j as in the scalar function;
+    where the test fails, j steps forward through the later vertices.  No
+    vertices-by-angles matrix is built.
+
+    No under-claim.  The painted arcs may be too wide, never too narrow, so
+    the smallest j that passes the dot test is never skipped.  The dot
+    d = vx*cos(phi) + vy*sin(phi) lies within 11 eps r_j of
+    r_j cos(phi - a_j) (cos and sin within 4 ulp, three roundings), so
+    d >= thresh implies cos(phi - a_j) >= thresh/r_j - 11 eps.  The
+    half-width is therefore widened in the cosine domain first, to
+    arccos(thresh/r_j - ARC_COS_SLACK), where ARC_COS_SLACK = 16 eps also
+    covers the rounding of hypot and of the quotient; an arc whose argument
+    exceeds 1 is empty.  No fixed angle widening could replace this step:
+    arccos has slope -1/sqrt(1 - x^2), so near tangency (x ~ 1) one ulp of
+    x moves the half-width by up to ~1.5e-8 rad.  Then every arc is widened
+    in angle by ARC_ANGLE_SLACK + eps*max|phi|, which covers arctan2,
+    arccos, the additions that form the slice bounds and the mod 2*pi
+    reduction, whose error grows like |phi| * 4e-17.  The dot test
+    removes every over-claim.
     """
     phis = np.asarray(phis, dtype=float)
-    targets = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    v = traj.vertices
-    thresh = 1.0 - VISIBILITY_SLACK
     out = np.full(len(phis), NEVER)
-    found = np.zeros(len(phis), dtype=bool)
-    g_prev = targets @ v[0]
-    hit0 = g_prev >= thresh
-    out[hit0] = 0.0
-    found |= hit0
-    for j in range(1, len(v)):
-        g_cur = targets @ v[j]
-        if found.all():
-            break
-        cross = ~found & (g_cur >= thresh)
-        if cross.any():
-            lam = (1.0 - g_prev[cross]) / (g_cur[cross] - g_prev[cross])
-            np.clip(lam, 0.0, 1.0, out=lam)
-            out[cross] = traj.cum_lengths[j - 1] + lam * traj.seg_lengths[j - 1]
-            found[cross] = True
-        g_prev = g_cur
+    if len(phis) == 0:
+        return out
+    thresh = 1.0 - VISIBILITY_SLACK
+    reach = np.max(np.abs(phis), where=np.isfinite(phis), initial=0.0)
+    order = np.argsort(np.mod(phis, math.tau))
+    # reduced again, not kept from the argsort: one angle-sized array fewer
+    labels = _arc_labels(traj.vertices, np.mod(phis[order], math.tau),
+                         thresh, ARC_ANGLE_SLACK + EPS * reach)
+    for lo in range(0, len(phis), CONFIRM_BLOCK):
+        j = labels[lo : lo + CONFIRM_BLOCK]
+        covered = j < len(traj.vertices)
+        idx = order[lo : lo + CONFIRM_BLOCK][covered]
+        out[idx] = _confirmed_arclengths(traj, phis[idx], j[covered], thresh)
+    return out
+
+
+def _arc_labels(v: np.ndarray, red: np.ndarray, thresh: float, slack: float) -> np.ndarray:
+    """Label every sorted angle red[k] in [0, 2*pi] with its first candidate.
+
+    The label is the smallest j whose widened arc covers red[k], or len(v)
+    where no arc does; slack is the angle widening (see
+    first_inspection_arclengths).
+    """
+    with np.errstate(divide="ignore"):
+        x = thresh / np.hypot(v[:, 0], v[:, 1]) - ARC_COS_SLACK
+    j = np.flatnonzero(x <= 1.0)
+    half = np.arccos(x[j]) + slack
+    mid = np.arctan2(v[j, 1], v[j, 0])
+    # arcs are narrower than 2*pi, so the three shifted copies are disjoint
+    shifts = np.array([[-math.tau], [0.0], [math.tau]])
+    a = np.searchsorted(red, mid - half + shifts, side="left").T
+    b = np.searchsorted(red, mid + half + shifts, side="right").T
+    arc, _ = painted = np.nonzero(a < b)
+    labels = np.full(len(red), len(v), dtype=np.int32)
+    for jj, s, e in zip(j[arc][::-1], a[painted][::-1], b[painted][::-1]):
+        labels[s:e] = jj
+    return labels
+
+
+def _confirmed_arclengths(traj: Polyline, phis, j, thresh: float) -> np.ndarray:
+    """First-inspection arclengths of phis given candidate vertices j.
+
+    No vertex before j[k] sees phis[k].  Where v[j[k]] fails the dot test
+    too, the later vertices are searched for the first that passes.
+    """
+    v = traj.vertices
+    c, s = np.cos(phis), np.sin(phis)
+    g_cur = v[j, 0] * c + v[j, 1] * s
+    for k in np.flatnonzero(g_cur < thresh):
+        g = v[j[k] + 1 :, 0] * c[k] + v[j[k] + 1 :, 1] * s[k]
+        hit = np.flatnonzero(g >= thresh)
+        j[k] = j[k] + 1 + hit[0] if len(hit) else len(v)
+        g_cur[k] = g[hit[0]] if len(hit) else math.nan
+    out = np.where(j == 0, 0.0, NEVER)
+    seg = (j > 0) & (j < len(v))
+    i = j[seg] - 1
+    g_prev = v[i, 0] * c[seg] + v[i, 1] * s[seg]
+    lam = (1.0 - g_prev) / (g_cur[seg] - g_prev)
+    np.clip(lam, 0.0, 1.0, out=lam)
+    out[seg] = traj.cum_lengths[i] + lam * traj.seg_lengths[i]
     return out

@@ -159,6 +159,25 @@ class TestNewtonLeavesRange:
             assert bad_reports[k] == reports[k]
             assert bad_rows[k] == rows[k]
 
+    def test_leaving_the_bracket_inside_the_range(self, monkeypatch):
+        # one label's bisection root past its scan bracket but inside the
+        # solved range: the Newton iterate is out of its bracket
+        lo, hi, grid = WINDOW_LO, WINDOW_HI, 4
+        reports = feasibility_sweep(lo, hi, grid)
+        bisect = feasibility._bisect_many
+
+        def astray(pencil, tau0s, a, b, tol):
+            xi = bisect(pencil, tau0s, a, b, tol)
+            xi[2] = b[2] + 1e-3
+            assert xi[2] < pencil.x_end
+            return xi
+
+        monkeypatch.setattr(feasibility, "_bisect_many", astray)
+        bad_reports = feasibility_sweep(lo, hi, grid)
+        assert [r.error for r in bad_reports] == [None, None, "OutOfRange", None]
+        for k in (0, 1, 3):
+            assert bad_reports[k] == reports[k]
+
 
 class TestToleranceDrift:
     def test_halving_rtol_moves_rows_below_noise(self):

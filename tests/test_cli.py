@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from diskinspect import feasibility
 from diskinspect.cli import main
@@ -279,3 +283,41 @@ class TestUsage:
     def test_bad_format_exits_1(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--format", "yaml", "angle-bounds"])
         assert rc == 1
+
+
+#: Edge minimum: the cost still falls left of 1.7 (see TestOptimize).
+EDGE_MINIMUM = ["optimize", "--tau0-lo", "1.7", "--tau0-hi", "2.5", "--grid", "20"]
+
+
+def exit_code(argv):
+    """Exit code of one in-process command; only argparse's SystemExit may escape."""
+    sink = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        try:
+            return main(["--out", out, *argv])
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestExitCodeContract:
+    """0 ok, 1 usage, 2 numerical, 3 check, and never a traceback."""
+
+    @given(st.one_of(
+        (st.floats(1.6, 1.7) | st.floats(-1.0, 4.0)).map(
+            lambda tau0: ["trace", "--tau0", repr(tau0)]),
+        st.just(EDGE_MINIMUM),
+    ))
+    @example(["trace", "--tau0", "1.64"])
+    @example(["trace", "--tau0", "1.6469"])
+    @example(["trace", "--tau0", "1.64697"])
+    @example(["trace", "--tau0", "1.6525"])
+    @example(["trace", "--tau0", "1.66"])
+    @example(EDGE_MINIMUM)
+    def test_exit_code_in_contract(self, argv):
+        assert exit_code(argv) in {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("tau0, code", [("1.6469", 2), ("1.64697", 0)])
+    def test_window_cliff_codes(self, tau0, code):
+        # NoCrossing just left of the window's lower edge, feasible on it
+        assert exit_code(["trace", "--tau0", tau0]) == code

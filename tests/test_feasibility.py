@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from diskinspect import feasibility
 from diskinspect.cli import main
 from diskinspect.continuum import curve_points, integrate
-from diskinspect.errors import NoCrossing
+from diskinspect.errors import NoCrossing, OutOfRange
 from diskinspect.feasibility import (
     WINDOW_HI,
     WINDOW_LO,
@@ -50,6 +51,45 @@ class TestDeploymentParameter:
         xi, _ = deployment_parameter(sol_star)
         t2 = curve_points(sol_star, [xi])[0][1]
         assert abs(t2 - math.tan((1.0 - xi) * PI)) <= 1e-7
+
+
+class _DriftingPolish:
+    """sol, except that each scalar values() call after the first reads tau
+    1e-7 higher: the Newton polish's residual grows while it stays inside
+    the scan bracket.  The scan and the bisections are untouched."""
+
+    def __init__(self, sol):
+        self.sol = sol
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.sol, name)
+
+    def values(self, x):
+        vals = self.sol.values(x)
+        if np.ndim(x) == 0:
+            vals = vals + np.array([0.0, 1e-7 * self.calls])
+            self.calls += 1
+        return vals
+
+
+class TestNewtonPolishGuard:
+    def test_iterate_outside_bracket_raises(self, sol_star, monkeypatch):
+        # a bisection root past its bracket, as a Newton iterate leaving it
+        # would be; the point is still inside the solved range
+        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b, tol: b + 1e-3)
+        with pytest.raises(OutOfRange, match="left the scan bracket"):
+            deployment_parameter(sol_star)
+
+    def test_growing_residual_raises(self, sol_star):
+        with pytest.raises(OutOfRange, match="raised"):
+            deployment_parameter(_DriftingPolish(sol_star))
+
+    def test_trace_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b, tol: b + 1e-3)
+        rc = main(["--out", str(tmp_path / "o"), "trace", "--tau0", "1.6475"])
+        assert rc == 2
+        assert "OutOfRange" in capsys.readouterr().out
 
 
 class TestClearance:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from diskinspect.artifacts import write_csv
 from diskinspect.geometry import (
+    ARC_COS_SLACK,
+    EPS,
     NEVER,
+    VISIBILITY_SLACK,
     Polyline,
     first_inspection_arclength,
     first_inspection_arclengths,
@@ -104,12 +107,10 @@ def test_first_inspection_matches_dense_sampling():
         got = first_inspection_arclength(poly, phi)
         # dense arclength sampling of the predicate
         s_grid = np.linspace(0.0, poly.length, 20_000)
-        pts = np.empty((len(s_grid), 2))
-        for i, s in enumerate(s_grid):
-            j = np.searchsorted(poly.cum_lengths, s, side="right") - 1
-            j = min(j, len(poly.seg_lengths) - 1)
-            lam = (s - poly.cum_lengths[j]) / poly.seg_lengths[j]
-            pts[i] = poly.vertices[j] * (1 - lam) + poly.vertices[j + 1] * lam
+        j = np.searchsorted(poly.cum_lengths, s_grid, side="right") - 1
+        j = np.minimum(j, len(poly.seg_lengths) - 1)
+        lam = ((s_grid - poly.cum_lengths[j]) / poly.seg_lengths[j])[:, None]
+        pts = poly.vertices[j] * (1 - lam) + poly.vertices[j + 1] * lam
         p = perimeter_point(phi)
         seen = pts @ p >= 1.0 - 1e-12
         if got == NEVER:
@@ -135,14 +136,109 @@ def test_first_inspection_monotone_under_extension():
         assert np.all(b <= a + 1e-12)
 
 
+def assert_matches_scalar(poly, phis):
+    """The vectorized arclengths equal the scalar ones: same NEVER set, 1e-12."""
+    vec = first_inspection_arclengths(poly, phis)
+    assert vec.shape == (len(phis),)
+    for phi, v in zip(phis, vec):
+        scalar = first_inspection_arclength(poly, phi)
+        assert math.isinf(v) == (scalar == NEVER), (phi, v, scalar)
+        assert scalar == pytest.approx(v, abs=1e-12), (phi, v, scalar)
+    return vec
+
+
 def test_vectorized_matches_scalar():
     poly = Polyline(np.array([[0.0, 0.0], [1.5, 0.3], [0.4, 2.0], [-2.0, 0.1]]))
-    phis = np.linspace(0.0, 2.0 * math.pi, 257)
-    vec = first_inspection_arclengths(poly, phis)
-    for phi, v in zip(phis, vec):
-        assert first_inspection_arclength(poly, phi) == pytest.approx(v, abs=1e-12) or (
-            math.isinf(v) and first_inspection_arclength(poly, phi) == NEVER
-        )
+    assert_matches_scalar(poly, np.linspace(0.0, 2.0 * math.pi, 257))
+
+
+@given(
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=7),
+    st.lists(st.floats(-7.0, 14.0), min_size=1, max_size=40),
+)
+def test_vectorized_matches_scalar_on_random_polylines(steps, phis):
+    # the polylines of test_first_inspection_matches_dense_sampling
+    verts = np.cumsum([(0.0, 0.0), *steps], axis=0) * 1.5
+    try:
+        poly = Polyline(verts)
+    except ValueError:
+        assume(False)
+    assert_matches_scalar(poly, phis)
+
+
+FAN = Polyline(np.array([[0.0, 0.0], [1.5, 0.0], [0.4, 2.0], [-2.0, -0.1], [0.3, -1.7]]))
+
+
+def test_vectorized_seam():
+    seam = [0.0, math.tau, -math.tau, 2.0 * math.tau]
+    near = [-1e-9, 1e-9, math.tau - 1e-9, math.tau + 1e-9, -0.2, 0.2]
+    vec = assert_matches_scalar(FAN, seam + near)
+    # (1.5, 0) sees the seam angle; the first segment reaches x = 1 at s = 1
+    assert np.allclose(vec[: len(seam)], 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phis",
+    [[-7.0, -3.0, -0.5, 6.5, 9.0, 13.9, 40.0, -40.0], [3.0, 1.0, 3.0, 0.5, 1.0, 5.5, 0.5, 3.0]],
+    ids=["outside_0_2pi", "unsorted_duplicates"],
+)
+def test_vectorized_angle_cases(phis):
+    vec = assert_matches_scalar(FAN, phis)
+    for k, phi in enumerate(phis):
+        assert vec[phis.index(phi)] == vec[k]
+
+
+def test_vectorized_empty_angles():
+    vec = first_inspection_arclengths(FAN, np.array([]))
+    assert vec.shape == (0,)
+
+
+def test_vectorized_vertices_inside_disk():
+    inside = Polyline(np.array([[0.0, 0.0], [0.5, 0.2], [-0.3, 0.6], [0.1, -0.9]]))
+    phis = np.linspace(0.0, math.tau, 101)
+    assert np.all(assert_matches_scalar(inside, phis) == NEVER)
+    leaving = Polyline(np.array([[0.0, 0.0], [0.5, 0.2], [0.9, -0.3], [2.0, 0.5]]))
+    assert_matches_scalar(leaving, phis)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7, math.pi / 2, 2.5, -1.2])
+def test_vectorized_vertex_on_circle_sees_own_angle(angle):
+    on = Polyline(np.array([[0.0, 0.0], [math.cos(angle), math.sin(angle)], [0.0, -3.0]]))
+    vec = assert_matches_scalar(on, [angle, angle + 1e-3, angle - 0.5])
+    assert vec[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("angle", [0.0, 2.2])
+def test_vectorized_over_claimed_arc_steps_forward(angle):
+    # |v1| just below thresh: its widened arc is not empty, but v1 sees
+    # nothing, so the candidate fails the dot test and j steps forward
+    thresh = 1.0 - VISIBILITY_SLACK
+    r = thresh * (1.0 - 8.0 * EPS)
+    assert thresh / r - ARC_COS_SLACK <= 1.0 < thresh / r
+    u = np.array([math.cos(angle), math.sin(angle)])
+    on_to = Polyline(np.array([[0.0, 0.0], r * u, 2.0 * u]))
+    vec = assert_matches_scalar(on_to, [angle, angle + 1e-9])
+    assert np.allclose(vec, 1.0, rtol=0.0, atol=1e-12)
+    stop = Polyline(np.array([[0.0, 0.0], r * u]))
+    assert np.all(assert_matches_scalar(stop, [angle, angle + 1e-9]) == NEVER)
+
+
+def test_vectorized_first_vertex_sees():
+    poly = Polyline(np.array([[2.0, 0.0], [3.0, 1.0], [0.0, 4.0]]))
+    phis = np.linspace(-1.0, 3.0, 41)
+    vec = assert_matches_scalar(poly, phis)
+    assert np.all(vec[np.abs(phis) <= 1.0] == 0.0)
+
+
+def test_vectorized_two_vertex_polyline():
+    ray = Polyline(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    phis = np.linspace(-math.pi, math.pi, 121)
+    vec = assert_matches_scalar(ray, phis)
+    # A(s) = (s, 0) sees P(phi) once s cos(phi) >= 1, which happens by s = 2
+    # iff 2 cos(phi) >= 1, up to the visibility slack
+    seen = 2.0 * np.cos(phis) >= 1.0 - 1e-12
+    assert np.array_equal(np.isfinite(vec), seen)
+    assert np.allclose(vec[seen], 1.0 / np.cos(phis[seen]), atol=1e-9)
 
 
 def test_csv_round_trip(tmp_path):
