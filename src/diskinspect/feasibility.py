@@ -232,12 +232,13 @@ def _bisect_many(pencil: Pencil, tau0s, a, b, tol: float) -> np.ndarray:
 def deployment_parameters(pencil: Pencil, tau0s):
     """deployment_parameter for every label: (xi, self-check gap, error) arrays.
 
-    The same scan, bisections and three Newton steps, vectorized across
-    labels.  Where the scalar version raises, xi and gap are NaN and the
-    error entry holds the kind: NoCrossing where the scan finds no
+    The same scan, bisections and three guarded Newton steps, vectorized
+    across labels.  Where the scalar version raises, xi and gap are NaN and
+    the error entry holds the kind: NoCrossing where the scan finds no
     crossing, OutOfRange where a Newton iterate leaves the label's scan
-    bracket (which lies inside the solved range).  The other entries of
-    error are None.
+    bracket (which lies inside the solved range) or where |g| at the last
+    Newton evaluation exceeds |g| at the bisection root by more than
+    NEWTON_G_SLACK.  The other entries of error are None.
     """
     tau0s = np.asarray(tau0s, dtype=float)
     xs, first = _first_crossings(pencil, tau0s)
@@ -247,20 +248,23 @@ def deployment_parameters(pencil: Pencil, tau0s):
     xi_coarse = _bisect_many(pencil, taus, a, b, BISECT_TOL)
     xi = _bisect_many(pencil, taus, a, b, BISECT_TOL_CHECK)
     gap = np.abs(xi_coarse - xi)
-    for _ in range(3):
+    abs_g = np.full((3, len(taus)), math.nan)
+    for step in range(3):
         inside = (xi >= a) & (xi <= b)
         xi = np.where(inside, xi, math.nan)
         psi, tau, _ = pencil.state(xi[inside], taus[inside])
         dtau = math.tau * (tau * np.cos(psi) / np.sin(psi) - 1.0)
         s, c = np.sin(math.tau * xi[inside]), np.cos(math.tau * xi[inside])
-        xi[inside] -= (c - tau * s - 1.0) / (-math.tau * s - dtau * s - math.tau * tau * c)
-    inside = (xi >= a) & (xi <= b)
+        g = c - tau * s - 1.0
+        abs_g[step, inside] = np.abs(g)
+        xi[inside] -= g / (-math.tau * s - dtau * s - math.tau * tau * c)
+    ok = (xi >= a) & (xi <= b) & ~(abs_g[-1] > abs_g[0] + NEWTON_G_SLACK)
     out_xi = np.full(tau0s.shape, math.nan)
     out_gap = np.full(tau0s.shape, math.nan)
     error = np.full(tau0s.shape, NoCrossing.kind, dtype=object)
-    out_xi[found] = np.where(inside, xi, math.nan)
-    out_gap[found] = np.where(inside, gap, math.nan)
-    error[found] = np.where(inside, None, OutOfRange.kind)
+    out_xi[found] = np.where(ok, xi, math.nan)
+    out_gap[found] = np.where(ok, gap, math.nan)
+    error[found] = np.where(ok, None, OutOfRange.kind)
     return out_xi, out_gap, error
 
 

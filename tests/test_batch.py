@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from diskinspect import continuum, feasibility
+from diskinspect import continuum, feasibility, optimizer
 from diskinspect.continuum import OdeSolution, integrate, integrate_pencil
 from diskinspect.cost import inspection_integral
 from diskinspect.errors import DiskInspectError
@@ -177,6 +177,60 @@ class TestNewtonLeavesRange:
         assert [r.error for r in bad_reports] == [None, None, "OutOfRange", None]
         for k in (0, 1, 3):
             assert bad_reports[k] == reports[k]
+
+
+class _DriftingPencil:
+    """pencil, except that once armed each state() call reads the label
+    tau0's tau 1e-7 higher than the call before: that row's Newton residual
+    grows while its iterates stay inside the scan bracket."""
+
+    def __init__(self, pencil, tau0):
+        self.pencil = pencil
+        self.tau0 = tau0
+        self.armed = False
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.pencil, name)
+
+    def state(self, x, tau0):
+        psi, tau, integral = self.pencil.state(x, tau0)
+        if self.armed:
+            tau = tau + np.where(np.asarray(tau0) == self.tau0, 1e-7 * self.calls, 0.0)
+            self.calls += 1
+        return psi, tau, integral
+
+
+class TestNewtonResidualGuard:
+    def test_only_that_row_is_an_error_row(self, monkeypatch):
+        # the pencil counterpart of the scalar polish's residual guard
+        lo, hi, grid = WINDOW_LO, WINDOW_HI, 4
+        reports = feasibility_sweep(lo, hi, grid)
+        rows = sweep_cost(lo, hi, grid)
+        pencil, taus = feasibility.window_pencil(lo, hi, grid)
+        drifting = _DriftingPencil(pencil, taus[1])
+        bisect = feasibility._bisect_many
+
+        def arming(pencil, tau0s, a, b, tol):
+            # the Newton polish follows the check bisection
+            xi = bisect(pencil, tau0s, a, b, tol)
+            pencil.armed = tol == feasibility.BISECT_TOL_CHECK
+            pencil.calls = 0
+            return xi
+
+        monkeypatch.setattr(feasibility, "_bisect_many", arming)
+        for module in (feasibility, optimizer):
+            monkeypatch.setattr(module, "window_pencil", lambda *a, **k: (drifting, taus))
+        bad_reports = feasibility_sweep(lo, hi, grid)
+        bad_rows = sweep_cost(lo, hi, grid)
+        assert drifting.calls > 3
+        assert [r.error for r in bad_reports] == [None, "OutOfRange", None, None]
+        assert all(math.isnan(v) for v in (bad_reports[1].xi, bad_reports[1].tau_min))
+        assert [e for _, _, e in bad_rows] == [None, "OutOfRange", None, None]
+        assert math.isnan(bad_rows[1][1])
+        for k in (0, 2, 3):
+            assert bad_reports[k] == reports[k]
+            assert bad_rows[k] == rows[k]
 
 
 class TestToleranceDrift:

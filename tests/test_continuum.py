@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
+from diskinspect import continuum
 from diskinspect.artifacts import write_csv, write_json
 from diskinspect.continuum import (
+    ODE_TOL,
     X0_REF,
     SeriesInit,
     curve_points,
     integrate,
+    integrate_pencil,
     self_check_init,
     tau_center_from_label,
     tau_series_from_center,
@@ -80,12 +84,140 @@ class TestIntegrate:
         with pytest.raises(OutOfRange):
             sol_star.values(1e-8)
 
+    def test_nan_is_out_of_range(self, sol_star):
+        # NaN fails every comparison, so a range test written as
+        # "x < x0 or x > x_end" would let it through to a NaN result
+        for x in (math.nan, np.float64(math.nan), np.array(math.nan),
+                  np.array([0.5, math.nan]), [math.nan]):
+            with pytest.raises(OutOfRange):
+                sol_star.values(x)
+        with pytest.raises(OutOfRange):
+            sol_star.tau_at(math.nan)
+
+    def test_pencil_nan_is_out_of_range(self):
+        pencil = integrate_pencil(1.649)
+        for x in (math.nan, [math.nan], np.array([[0.5], [math.nan]])):
+            with pytest.raises(OutOfRange):
+                pencil.columns(x)
+        with pytest.raises(OutOfRange):
+            pencil.state(np.array([0.3, math.nan]), 1.649)
+
     def test_psi_stays_inside_band(self, sol_star):
         assert np.all(sol_star.psi > 0.0)
         assert np.all(sol_star.psi < PI)
 
     def test_grid_strictly_increasing(self, sol_star):
         assert np.all(np.diff(sol_star.grid) > 0)
+
+
+def assert_same_bits(ours, ref):
+    """Equal shapes and equal float64 bit patterns (so -0.0 != 0.0)."""
+    ours, ref = np.asarray(ours, dtype=float), np.asarray(ref, dtype=float)
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+def _reference(fun, y0):
+    """scipy's own OdeSolution for the same solve the library makes."""
+    return continuum._solve(fun, X0_REF, y0, ODE_TOL).sol
+
+
+class TestStackedDense:
+    """The stacked evaluator is read against scipy's OdeSolution with ==:
+    it repeats scipy's arithmetic, so not even the last bit may differ."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        init = SeriesInit.for_label(1.648)
+        return integrate(1.648), _reference(continuum.rhs, (init.psi0, init.tau_start))
+
+    def test_random_points(self, solved):
+        sol, ref = solved
+        xs = np.random.default_rng(7).uniform(sol.x0, sol.x_end, 5000)
+        assert_same_bits(sol.values(xs), ref(xs))
+        for x in xs[:1000].tolist():
+            assert_same_bits(sol.values(x), ref(x))
+
+    def test_step_boundaries_go_to_the_lower_segment(self, solved):
+        sol, ref = solved
+        assert_same_bits(sol.values(sol.grid), ref(sol.grid))
+        for k, x in enumerate(sol.grid.tolist()):
+            lower = ref.interpolants[max(k - 1, 0)](x)
+            assert_same_bits(sol.values(x), lower)
+            assert_same_bits(ref(x), lower)
+
+    def test_hand_made_segments(self, solved):
+        # real solves agree across every step boundary to the last bit, so
+        # a wrong tie-break would not show there: these segments read 1.0
+        # from the left of x = 1 and 5.0 from its right.  The third one is
+        # all -0.0, which scipy's sum from zeros turns into +0.0.
+        dop853 = type(solved[1].interpolants[0])
+        f = np.zeros((7, 1))
+        f[0] = 1.0
+        ref = OdeSolution([0.0, 1.0, 2.0, 3.0], [
+            dop853(0.0, 1.0, np.array([0.0]), f),
+            dop853(1.0, 2.0, np.array([5.0]), np.zeros((7, 1))),
+            dop853(2.0, 3.0, np.array([-0.0]), np.full((7, 1), -0.0)),
+        ])
+        dense = continuum.StackedDense(ref)
+        xs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        assert_same_bits(dense(xs), ref(xs))
+        for x in xs.tolist():
+            assert_same_bits(dense(x), ref(x))
+        assert dense(1.0)[0] == 1.0
+        assert not np.signbit(dense(2.5)[0])
+
+    def test_range_ends(self, solved):
+        sol, ref = solved
+        xs = [sol.x0 - 5e-16, sol.x0, sol.x0 + 5e-16,
+              sol.x_end - 5e-16, sol.x_end, sol.x_end + 5e-16]
+        assert_same_bits(sol.values(np.array(xs)), ref(np.array(xs)))
+        for x in xs:
+            assert_same_bits(sol.values(x), ref(x))
+
+    def test_input_shapes(self, solved):
+        sol, ref = solved
+        x = 0.4321
+        for arg in (x, np.float64(x), np.array(x)):
+            assert_same_bits(sol.values(arg), ref(x))
+        assert_same_bits(sol.values(np.array([x])), ref(np.array([x])))
+        column = np.linspace(0.1, 0.9, 7)[:, None]
+        assert_same_bits(sol.values(column), ref(column.ravel()).reshape(2, 7, 1))
+        assert sol.values(np.empty(0)).shape == (2, 0)
+
+    def test_pencil_columns(self):
+        pencil = integrate_pencil(1.649)
+        init = SeriesInit.for_label(1.649)
+        ref = _reference(continuum._rhs_pencil,
+                         (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0))
+        rng = np.random.default_rng(8)
+        xs = np.concatenate([rng.uniform(pencil.x0, pencil.x_end, 3000), pencil.grid])
+        assert_same_bits(pencil.columns(xs), ref(xs))
+        assert_same_bits(pencil.columns(xs[:30, None]), ref(xs[:30]).reshape(5, 30, 1))
+        for x in xs[:300].tolist():
+            assert_same_bits(pencil.columns(x), ref(x))
+            assert_same_bits(pencil.columns(np.array([x])), ref(np.array([x])))
+        assert pencil.columns(np.empty((0, 3))).shape == (5, 0, 3)
+
+    def test_terminal_event_solve(self):
+        # the library's fields never reach the psi guard (psi does not
+        # depend on tau0); this toy field drives y[0] down through it, so
+        # the last step is cut short at the event and its interpolant
+        # still spans the full step
+        def fun(x, y):
+            return (-(2.0 + y[1] * y[1]), math.cos(3.0 * x) * y[0])
+
+        res = continuum._solve(fun, 0.0, (1.0, 0.2), ODE_TOL)
+        end = res.t[-1]
+        assert res.status == 1 and end < 1.0
+        assert res.y[0, -1] == pytest.approx(continuum.PSI_GUARD, abs=1e-12)
+        assert res.sol.interpolants[-1].t > end
+        rng = np.random.default_rng(9)
+        xs = np.concatenate([rng.uniform(0.0, end, 3000), res.t,
+                             [end - 5e-16, end + 5e-16]])
+        assert_same_bits(res.dense(xs), res.sol(xs))
+        for x in xs[-200:].tolist():
+            assert_same_bits(res.dense(x), res.sol(x))
 
 
 class TestSelfCheck:
