@@ -347,7 +347,10 @@ def main(argv=None) -> int:
         print(f"error: unknown format in {sorted(formats)}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out {args.out}: cannot create directory ({exc.strerror})")
     try:
         return COMMANDS[args.command](args, out, formats)
     except DiskInspectError as exc:

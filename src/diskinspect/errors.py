@@ -50,7 +50,7 @@ class AngleDomain(DiskInspectError):
 
 
 class NoBracket(DiskInspectError):
-    """Shooting endpoint map has no sign change on the search bracket."""
+    """Shooting cannot start: the chain does not complete at the start value."""
 
     kind = "NoBracket"
 

@@ -132,26 +132,21 @@ def refine_minimum(
     lo: float,
     hi: float,
     grid: int = 2000,
-    sweep: list | None = None,
     x0: float = X0_REF,
     tol: float = ODE_TOL,
 ) -> OptimalSolution:
     """Golden-section refinement of the sweep minimum over [lo, hi].
 
-    One pencil solve serves the sweep (unless one is passed in) and the
-    refinement.  The sweep must be unimodal up to evaluation noise; the
-    minimum's grid cell provides the refinement bracket, in which an error
-    row (such as a label past the NoCrossing cliff) counts as infinite
-    cost.  The optimum is certified on the scalar path (integrate ->
-    assess -> total_cost) and raises WindowViolated when it sits on the
-    window's edge, its angle leaves [THETA_LO, THETA_HI] or its clearance
-    certificate fails.
+    One pencil solve serves the sweep and the refinement.  The sweep must
+    be unimodal up to evaluation noise; the minimum's grid cell provides
+    the refinement bracket, in which an error row (such as a label past the
+    NoCrossing cliff) counts as infinite cost.  The optimum is certified on
+    the scalar path (integrate -> assess -> total_cost) and raises
+    WindowViolated when it sits on the window's edge, its angle leaves
+    [THETA_LO, THETA_HI] or its clearance certificate fails.
     """
-    pencil, grid_taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
-    if sweep is None:
-        sweep = _cost_rows(pencil, grid_taus)
-    taus = np.array([r[0] for r in sweep])
-    costs = np.array([r[1] for r in sweep])
+    pencil, taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
+    costs = np.array([total for _, total, _ in _cost_rows(pencil, taus)])
     j = _check_unimodal(costs, SWEEP_NOISE_TOL)
     a = taus[max(j - 1, 0)]
     b = taus[min(j + 1, len(taus) - 1)]

@@ -13,8 +13,10 @@ the tangent parameters t_i:
     d_i = (t_{i-1} - tan(alpha/2)) * sin(alpha)   / sin(x_i)
 
 with y_0 = pi/2 at the free end.  The recursion runs forward from
-t_0 = tau0; anchoring the far end at t_k = tan(theta) is a shooting
-problem solved by bisection on tau0.
+t_0 = tau0.  The angles never read t and t_i is affine in t_{i-1}, so t_k
+is affine in tau0 with a tau0-independent slope: anchoring the far end at
+t_k = tan(theta) is a shooting problem that Newton's method on tau0 solves
+in one step, up to rounding.
 
 The flat-interface least-time refraction problem (two media split by the
 x-axis) is implemented separately as `refraction_optimum`; it serves as
@@ -32,13 +34,13 @@ from .errors import AngleDomain, NoBracket, TriangleDegenerate
 from .geometry import Polyline
 
 #: |t_k - tan(theta)| target for shooting.  The forward map amplifies tau0
-#: perturbations by exp(2*pi*int cot(psi)); near theta=0 that exceeds 1e8,
-#: so the float64-attainable residual is amplification * eps(tau0) and the
-#: nominal target cannot always be met.  Bisection therefore stops at the
-#: target or when the bracket is exhausted, whichever comes first.
+#: perturbations by its slope q = dt_k/dtau0; near theta=0 that exceeds 1e8,
+#: so the float64-attainable residual is about q * ulp(tau0) and the
+#: nominal target cannot always be met.  Newton therefore stops at the
+#: target or when a step no longer reduces the residual.
 SHOOT_RESIDUAL_TARGET = 1e-10
-#: Upper end of the tau0 bisection bracket of shoot_theta.
-SHOOT_BRACKET_HI = 10.0
+#: tau0 of shoot_theta's first chain run, the start of its Newton iteration.
+SHOOT_TAU0_START = 10.0
 
 
 @dataclass
@@ -128,22 +130,17 @@ def forward_recursion(tau0: float, n: int, m: int | None = None) -> DiscreteTraj
     return DiscreteTrajectory(n=n, alpha=alpha, tau0=tau0, x=xs, y=ys, t=ts, d=ds)
 
 
-def _endpoint_gap(tau0: float, alpha: float, k: int, target: float) -> float:
-    """t_k(tau0) - target, with domain failures mapped to -inf (tau0 too small)."""
-    try:
-        _, _, ts, _ = _run_chain(tau0, alpha, k)
-    except (TriangleDegenerate, AngleDomain):
-        return -math.inf
-    return ts[k] - target
-
-
 def shoot_theta(theta: float, k: int) -> DiscreteTrajectory:
-    """Chain anchored at t_k = tan(theta), found by bisection on tau0.
+    """Chain anchored at t_k = tan(theta), found by Newton's method on tau0.
 
-    Angular step alpha = 2*(pi - theta)/k.  The bracket
-    [tan(alpha/2) + 1e-6, SHOOT_BRACKET_HI] is validated by a sign change before
-    refinement; absence raises NoBracket (in particular when the angle
-    recursion cannot complete for this (theta, k) at any tau0).
+    Angular step alpha = 2*(pi - theta)/k.  Wherever the chain completes,
+    t_k is affine in tau0 with slope q = prod_i sin(y_{i-1})/sin(x_i) > 0,
+    read off one run at SHOOT_TAU0_START.  Newton steps
+    tau0 <- tau0 - (t_k - tan(theta))/q stop at SHOOT_RESIDUAL_TARGET or at
+    the first step that does not reduce the residual, so the residual is the
+    target or a few q*ulp(tau0), whichever is larger.  A chain that does not
+    complete at the start value raises NoBracket: AngleDomain fails at every
+    tau0, TriangleDegenerate puts the root above the start value.
     """
     if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError("theta must lie in [0, pi/2)")
@@ -151,31 +148,27 @@ def shoot_theta(theta: float, k: int) -> DiscreteTrajectory:
         raise ValueError("k must be at least 5")
     alpha = 2.0 * (math.pi - theta) / k
     target = math.tan(theta)
-    lo = math.tan(alpha / 2.0) + 1e-6
-    hi = SHOOT_BRACKET_HI
-    f_lo = _endpoint_gap(lo, alpha, k, target)
-    f_hi = _endpoint_gap(hi, alpha, k, target)
-    if not (f_lo < 0.0 < f_hi):
-        raise NoBracket(
-            f"t_k - tan(theta) has no sign change on [{lo:.6g}, {hi:.6g}] "
-            f"(endpoint values {f_lo:.6g}, {f_hi:.6g})"
-        )
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _endpoint_gap(mid, alpha, k, target)
-        if abs(f_mid) <= SHOOT_RESIDUAL_TARGET:
+    tau0 = SHOOT_TAU0_START
+    try:
+        chain = _run_chain(tau0, alpha, k)
+    except (TriangleDegenerate, AngleDomain) as exc:
+        raise NoBracket(f"chain cannot complete at tau0={tau0:.6g}: {exc}") from exc
+    xs, ys, ts, _ = chain
+    q = float(np.prod(np.sin(ys[:-1]) / np.sin(xs[1:])))
+    gap = ts[k] - target
+    while abs(gap) > SHOOT_RESIDUAL_TARGET:
+        step = tau0 - gap / q
+        try:
+            trial = _run_chain(step, alpha, k)
+        except TriangleDegenerate:  # the angles, hence AngleDomain, ignore tau0
             break
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= math.ulp(hi):
-            mid = hi  # bracket exhausted: conditioning-limited residual
+        trial_gap = trial[2][k] - target
+        if not abs(trial_gap) < abs(gap):
             break
-    xs, ys, ts, ds = _run_chain(mid, alpha, k)
+        tau0, chain, gap = step, trial, trial_gap
+    xs, ys, ts, ds = chain
     return DiscreteTrajectory(
-        n=k, alpha=alpha, tau0=mid, x=xs, y=ys, t=ts, d=ds, theta=theta
+        n=k, alpha=alpha, tau0=tau0, x=xs, y=ys, t=ts, d=ds, theta=theta
     )
 
 

@@ -44,9 +44,9 @@ def cost_rows():
 
 
 @pytest.fixture(scope="session")
-def optimum(cost_rows):
-    """Refined window optimum, reusing the session cost sweep."""
-    return refine_minimum(WINDOW_LO, WINDOW_HI, sweep=cost_rows)
+def optimum():
+    """Refined window optimum over the same 2000-point grid as cost_rows."""
+    return refine_minimum(WINDOW_LO, WINDOW_HI)
 
 
 @pytest.fixture(scope="session")

@@ -280,6 +280,17 @@ class TestUsage:
         assert stderr.startswith("usage: diskinspect")
         assert stderr.splitlines()[-1].startswith("error: ")
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "below-a-file"])
+    def test_out_not_creatable_exits_1(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(blocker / sub), "angle-bounds"])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1].startswith("error: --out ")
+
     def test_bad_format_exits_1(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--format", "yaml", "angle-bounds"])
         assert rc == 1

@@ -142,7 +142,6 @@ class TestRefine:
         assert opt.cost_star == pytest.approx(PUBLISHED_COST, abs=1e-6)
 
     def test_not_unimodal_raises(self):
-        fake = [(1.0, 3.0, None), (1.1, 1.0, None), (1.2, 2.0, None),
-                (1.3, 1.0, None), (1.4, 3.0, None)]
+        costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
         with pytest.raises(NotUnimodal):
-            refine_minimum(1.0, 1.4, sweep=fake)
+            _check_unimodal(costs, optimizer.SWEEP_NOISE_TOL)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from diskinspect import refraction
 from diskinspect.errors import AngleDomain, NoBracket, TriangleDegenerate
 from diskinspect.refraction import (
     DiscreteTrajectory,
@@ -95,22 +96,71 @@ class TestShootTheta:
             traj = shoot_theta(theta, k)
             assert abs(traj.t[-1] - math.tan(theta)) <= 1e-10
 
-    def test_endpoint_map_monotone_on_bracket(self):
-        from diskinspect.refraction import _endpoint_gap
-
+    def test_endpoint_map_affine_in_tau0(self):
+        # what the Newton anchoring relies on: failed runs form a prefix, the
+        # angles do not depend on tau0, and t_k lies on one line of slope q > 0
         theta, k = 0.7, 100
         alpha = 2.0 * (math.pi - theta) / k
         grid = np.linspace(math.tan(alpha / 2) + 1e-6, 10.0, 50)
-        vals = [_endpoint_gap(g, alpha, k, math.tan(theta)) for g in grid]
-        finite = [v for v in vals if math.isfinite(v)]
-        # failures (mapped to -inf) form a prefix; the finite tail increases
-        assert vals[-len(finite):] == finite
-        assert all(a < b for a, b in zip(finite, finite[1:]))
+        runs = []
+        for g in grid:
+            try:
+                runs.append(refraction._run_chain(g, alpha, k))
+            except (TriangleDegenerate, AngleDomain):
+                runs.append(None)
+        done = [r is not None for r in runs]
+        first = done.index(True)
+        assert all(done[first:]) and not any(done[:first])
+        xs, ys, _, _ = runs[first]
+        for x, y, _, _ in runs[first:]:
+            assert np.array_equal(x, xs, equal_nan=True) and np.array_equal(y, ys)
+        q = float(np.prod(np.sin(ys[:-1]) / np.sin(xs[1:])))
+        assert q > 0.0
+        tk = np.array([r[2][k] for r in runs[first:]])
+        line = tk[0] + q * (grid[first:] - grid[first])
+        assert np.max(np.abs(tk - line)) <= 1e-13 * np.max(np.abs(tk))
 
     def test_too_coarse_chain_reports_no_bracket(self):
         # k=6 at theta=0.6 cannot complete the angle recursion for any tau0
         with pytest.raises(NoBracket):
             shoot_theta(0.6, 6)
+
+    @given(st.floats(0.0, 1.5, exclude_max=True), st.integers(5, 2000))
+    def test_anchoring_residual_conditioning_limited(self, theta, k):
+        # the residual target, or a few ulps of tau0 amplified by the
+        # endpoint map's slope q where that is larger (theta near 0)
+        try:
+            traj = shoot_theta(theta, k)
+        except NoBracket:
+            return
+        q = float(np.prod(np.sin(traj.y[:-1]) / np.sin(traj.x[1:])))
+        bound = refraction.SHOOT_RESIDUAL_TARGET + 32.0 * q * math.ulp(traj.tau0)
+        assert abs(traj.t[-1] - math.tan(theta)) <= bound
+
+    def test_root_above_start_value(self):
+        # near pi/2 the anchoring tau0 (about 358) lies above the start value,
+        # where the chain completes; Newton steps up to it
+        traj = shoot_theta(1.5707, 100)
+        assert traj.tau0 > refraction.SHOOT_TAU0_START
+        assert abs(traj.t[-1] - math.tan(1.5707)) <= refraction.SHOOT_RESIDUAL_TARGET
+
+    def test_verify_chains_take_few_runs(self, monkeypatch):
+        # the 20 chains of `--seed 1 verify`: the start run plus a step or two
+        run_chain = refraction._run_chain
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_chain(*args)
+
+        monkeypatch.setattr(refraction, "_run_chain", counted)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            theta = float(rng.uniform(0.45, 1.1))
+            k = int(rng.integers(60, 400))
+            calls.clear()
+            shoot_theta(theta, k)
+            assert len(calls) <= 8
 
     def test_local_fermat_optimality(self):
         traj = shoot_theta(0.6, 200)
