@@ -32,7 +32,7 @@ from . import feasibility as feas_mod
 from . import optimizer as opt_mod
 from . import oracle as oracle_mod
 from .artifacts import write_csv, write_json
-from .continuum import ODE_TOL, X0_MAX, X0_REF, integrate, self_check_init
+from .continuum import ODE_TOL, TOL_FLOOR, X0_MAX, X0_REF, integrate, self_check_init
 from .errors import DiskInspectError, EmptySweep
 from .refraction import discrete_cost, forward_recursion, shoot_theta
 from .svgplot import line_chart
@@ -87,11 +87,9 @@ def build_parser() -> _Parser:
                    help="comma subset of json,csv,svg")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized verification draws")
-    # solve_ivp raises rtol below 100 * eps to that floor: reject it instead
-    rtol_floor = 100.0 * np.finfo(float).eps
     p.add_argument("--tol-ode", default=ODE_TOL,
-                   type=_ranged(float, lambda x: rtol_floor <= x < math.inf,
-                                f"[{rtol_floor:.3g}, inf)"))
+                   type=_ranged(float, lambda x: TOL_FLOOR <= x < math.inf,
+                                f"[{TOL_FLOOR:.3g}, inf)"))
     p.add_argument("--x0", default=X0_REF,
                    type=_ranged(float, lambda x: 0.0 < x <= X0_MAX,
                                 f"(0, {X0_MAX:g}]"))

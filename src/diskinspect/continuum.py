@@ -48,22 +48,32 @@ from the centre has a large (tau0 - tau_bar) * B, but then tau itself is
 of that size and nothing cancels: rows of one pencil over [0.05, 10] agree
 with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
 
-Dense output.  scipy does all the stepping; each solve's DOP853
-interpolants are then stacked into arrays once (``StackedDense``) and read
-by one searchsorted-and-Horner evaluator, a plain loop for a single point.
-It repeats scipy's ``OdeSolution`` arithmetic operation for operation, so
-every value is bit-identical to scipy's, and an abscissa on a step
-boundary goes to the lower segment as there.
+Stepping and dense output.  ``_solve`` is DOP853, the Dormand-Prince
+8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), with
+the tableau read off scipy's public ``scipy.integrate.DOP853``.  It repeats
+scipy's ``solve_ivp`` operation for operation: the same initial step,
+step control and terminal psi-guard events, every reduction by the same
+numpy call on arrays of the same layout and everything elementwise on
+Python floats, which IEEE rounding makes equal to numpy's.  Steps, grid
+and interpolants are therefore bit-identical to scipy's, and the tests
+hold it to that; a scipy release that changes DOP853's arithmetic fails
+them by design.  Each accepted step's interpolant goes straight into the
+arrays of ``StackedDense``, read by one searchsorted-and-Horner evaluator
+(a plain loop for a single point) that repeats scipy's ``OdeSolution``
+arithmetic, so an abscissa on a step boundary goes to the lower segment
+as there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .errors import OutOfRange, StepFailure
 
@@ -73,6 +83,9 @@ X0_REF = 1e-6
 X0_MAX = 1e-5
 #: Integration tolerance for reproduction runs, relative and absolute alike.
 ODE_TOL = 1e-12
+#: Smallest tolerance a solve accepts: 100 float64 epsilons, below which
+#: the error estimate is rounding noise (scipy raises its rtol to this).
+TOL_FLOOR = 100.0 * sys.float_info.epsilon
 #: psi leaving (PSI_GUARD, pi - PSI_GUARD) terminates integration cleanly.
 PSI_GUARD = 1e-3
 #: Series starts and integration tolerance of the two-start self-check.
@@ -151,19 +164,18 @@ class StackedDense:
     Segment k covers [ts[k], ts[k+1]] and reads y_old[k] plus the Horner
     polynomial in s = (x - t_old[k]) / h[k] whose coefficient rows are
     F[k, 0..6], in the order scipy's Dop853DenseOutput adds them.  t_old
-    and h come from the interpolants, not from ts: the step cut short by a
+    and h are the steps', not read off ts: the step cut short by a
     terminal event keeps its full step.  Called like scipy's OdeSolution:
     x -> (d,) for a float, 0-d or one-element array (a plain-float loop),
     (d,) + x.shape for any other array.  Range checks are the caller's.
     """
 
-    def __init__(self, ode_solution):
-        pieces = ode_solution.interpolants
-        self.ts = np.asarray(ode_solution.ts, dtype=float)
-        self.t_old = np.array([p.t_old for p in pieces])
-        self.h = np.array([p.h for p in pieces])
-        self.y_old = np.array([p.y_old for p in pieces])
-        self.F = np.array([p.F[::-1] for p in pieces])
+    def __init__(self, ts, t_old, h, y_old, F):
+        self.ts = np.asarray(ts, dtype=float)
+        self.t_old = np.asarray(t_old, dtype=float)
+        self.h = np.asarray(h, dtype=float)
+        self.y_old = np.asarray(y_old, dtype=float)
+        self.F = np.array(F, dtype=float)
         # scipy starts from zeros, so its first sum turns a -0.0 into +0.0
         self.F[:, 0] += 0.0
         # the single-point path: the same numbers as Python floats, and per
@@ -206,7 +218,11 @@ class StackedDense:
 
 @dataclass
 class OdeSolution:
-    """Dense-output solution of the pair on [x0, x_end] for one tau0 label."""
+    """Dense-output solution of the pair on [x0, x_end] for one tau0 label.
+
+    n_rhs and n_rejected count the solve's right-hand-side evaluations and
+    rejected step attempts; metadata() leaves them out.
+    """
 
     tau0: float
     x0: float
@@ -215,6 +231,8 @@ class OdeSolution:
     psi: np.ndarray
     tau: np.ndarray
     _dense: object
+    n_rhs: int = 0
+    n_rejected: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -260,62 +278,184 @@ class OdeSolution:
         }
 
 
-def _psi_low(x, y):
-    return y[0] - PSI_GUARD
+#: scipy's status -1 message, raised as StepFailure.
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# DOP853 step control, as scipy's RungeKutta solvers apply it
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+# (c, a[:s]) of stages 1..11 and of the dense-output stages 13..15, sliced
+# off scipy's own tableau arrays exactly as scipy slices them
+_STAGES = [(float(c), a[:s]) for s, (a, c)
+           in enumerate(zip(DOP853.A[1:], DOP853.C[1:]), start=1)]
+_EXTRA = [(float(c), a[:s]) for s, (a, c)
+          in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
+_EPS = sys.float_info.epsilon
 
 
-def _psi_high(x, y):
-    return (math.pi - PSI_GUARD) - y[0]
+def _guards(y) -> tuple[float, float]:
+    """The two psi-guard events: each falls through 0 where psi leaves the band."""
+    return y[0] - PSI_GUARD, (math.pi - PSI_GUARD) - y[0]
 
 
-_psi_low.terminal = _psi_high.terminal = True
-_psi_low.direction = _psi_high.direction = -1
+def _rms(v: np.ndarray):
+    return np.linalg.norm(v) / len(v) ** 0.5
 
 
-def _solve(fun, x0: float, y0, tol: float):
+def _initial_step(fun, x0: float, y0: list, f0, tol: float) -> float:
+    """scipy's select_initial_step for an order-7 error estimate on [x0, 1]."""
+    y0, f0 = np.array(y0), np.array(f0, dtype=float)
+    span = 1.0 - x0
+    scale = tol + np.abs(y0) * tol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = np.array(fun(x0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (DOP853.error_estimator_order + 1))
+    return float(min(100 * h0, h1, span))
+
+
+@dataclass
+class _Run:
+    """One solve: grid t, states y (d, len(t)), interpolants and work counts.
+
+    status 0 reached x = 1, status 1 stopped at the psi guard.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    dense: StackedDense
+    status: int
+    n_rhs: int
+    n_rejected: int
+
+
+def _solve(fun, x0: float, y0, tol: float) -> _Run:
     """DOP853 (rtol = atol = tol) with dense output on [x0, 1], stopped at the psi guard.
 
-    Returns solve_ivp's result, with scipy's dense output in ``sol`` and
-    the same interpolants stacked in ``dense``.
+    The arithmetic of scipy's solve_ivp(method="DOP853", dense_output=True,
+    events=<the two guards, terminal, direction -1>), step for step; see the
+    module docstring.  fun(x, y) gets y as a list of floats and returns a
+    sequence of floats.  A tol below TOL_FLOOR raises ValueError; a step
+    below 10 ulp of x raises StepFailure.
     """
-    sol = solve_ivp(
-        fun,
-        (x0, 1.0),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-        events=(_psi_low, _psi_high),
-    )
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    sol.dense = StackedDense(sol.sol)
-    return sol
+    if not tol >= TOL_FLOOR:
+        raise ValueError(f"tol {tol!r} is below the floor {TOL_FLOOR:.3g}")
+    t, y = x0, [float(v) for v in y0]
+    n = DOP853.n_stages
+    K = np.empty((n + 1 + len(_EXTRA), len(y)))
+    Kt = [K[:s].T for s in range(len(K) + 1)]
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, tol)
+    n_rhs, n_rejected, status = 2, 0, 0
+    ts, ys, t_olds, hs, y_olds, F_hi, F_lo = [t], [y], [], [], [], [], []
+    g = _guards(y)
+    while t < 1.0 and status == 0:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too, where scipy would loop forever
+                raise StepFailure(TOO_SMALL_STEP)
+            t_new = min(t + h_abs, 1.0)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, (c, a) in enumerate(_STAGES, start=1):
+                dy = Kt[s].dot(a).tolist()
+                K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, dy)])
+            y_new = [v + h * d for v, d in zip(y, Kt[n].dot(DOP853.B).tolist())]
+            f_new = K[n] = fun(t + h, y_new)
+            n_rhs += n
+            # np.maximum's NaN propagation, on floats
+            scale = np.array([tol + (p if p >= q or p != p else q) * tol
+                              for p, q in zip(map(abs, y), map(abs, y_new))])
+            err5 = Kt[n + 1].dot(DOP853.E5) / scale
+            err3 = Kt[n + 1].dot(DOP853.E3) / scale
+            e5, e3 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(y))
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs = float(h_abs * factor)
+                break
+            h_abs = float(h_abs * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+            rejected = True
+            n_rejected += 1
+        t_old, y_old, f_old = t, y, f
+        t, y, f = t_new, y_new, f_new
+        for s, (c, a) in enumerate(_EXTRA, start=n + 1):
+            dy = Kt[s].dot(a).tolist()
+            K[s] = fun(t_old + c * h, [v + d * h for v, d in zip(y_old, dy)])
+        n_rhs += len(_EXTRA)
+        delta = [b - a for a, b in zip(y_old, y)]
+        t_olds.append(t_old)
+        hs.append(h)
+        y_olds.append(y_old)
+        F_hi.append(h * DOP853.D.dot(K))
+        F_lo.append([[2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f, f_old)],
+                     [h * fo - d for d, fo in zip(delta, f_old)],
+                     delta])
+        g_new = _guards(y)
+        hit = [i for i in (0, 1) if g[i] >= 0 and g_new[i] <= 0]
+        g = g_new
+        if hit:  # solve_ivp's root search on the step's interpolant
+            seg = StackedDense([t_old, t], [t_old], [h], [y_old],
+                               [np.concatenate([F_hi[-1][::-1], F_lo[-1]])])._point
+            t = min(brentq(lambda x, i=i: _guards(seg(x))[i], t_old, t,
+                           xtol=4 * _EPS, rtol=4 * _EPS) for i in hit)
+            y = seg(t)
+            status = 1
+            if t == ts[-1] and len(ts) > 1:  # crossed at the step's start
+                for stack in (t_olds, hs, y_olds, F_hi, F_lo):
+                    stack.pop()
+                break
+        ts.append(t)
+        ys.append(y)
+    F = np.concatenate([np.array(F_hi)[:, ::-1], np.array(F_lo)], axis=1)
+    return _Run(t=np.array(ts), y=np.array(ys).T,
+                dense=StackedDense(ts, t_olds, hs, y_olds, F),
+                status=status, n_rhs=n_rhs, n_rejected=n_rejected)
 
 
 def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolution:
-    """Integrate the pair on [x0, 1] with an adaptive high-order RK scheme.
+    """Integrate the pair on [x0, 1] with one adaptive DOP853 pass (``_solve``).
 
-    Joint integration of the 2-vector field (single pass), eighth-order
-    Dormand-Prince with PI step control and dense output; tol is both the
-    relative and the absolute error tolerance.  psi reaching the guard band
-    near 0 or pi terminates the solution early (the stored range then ends
-    before 1); error-control failure raises StepFailure.
+    Joint integration of the 2-vector field, eighth-order Dormand-Prince
+    with dense output, bit-identical to scipy's solve_ivp; tol is both the
+    relative and the absolute error tolerance, at least TOL_FLOOR (else
+    ValueError).  psi reaching the guard band near 0 or pi terminates the
+    solution early (the stored range then ends before 1); a step size
+    below the spacing of floats raises StepFailure.  The solution carries
+    the solve's work counts n_rhs and n_rejected.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau0, x0)
-    sol = _solve(rhs, x0, (init.psi0, init.tau_start), tol)
-    psi, tau = sol.y
+    run = _solve(rhs, x0, (init.psi0, init.tau_start), tol)
+    psi, tau = run.y
     return OdeSolution(
         tau0=tau0,
         x0=x0,
         tol=tol,
-        grid=sol.t,
+        grid=run.t,
         psi=psi,
         tau=tau,
-        _dense=sol.dense,
+        _dense=run.dense,
+        n_rhs=run.n_rhs,
+        n_rejected=run.n_rejected,
     )
 
 
@@ -337,12 +477,15 @@ class Pencil:
     tau = Tbar + (tau0 - tau_bar) * B and inspection integral
     I = I_Tbar + (tau0 - tau_bar) * I_B, where
     I(x) = int_x0^x 2*pi*s*tau(s)/sin(psi(s)) ds; psi is shared by all labels.
+    n_rhs and n_rejected are the solve's work counts, as on OdeSolution.
     """
 
     tau_bar: float
     x0: float
     grid: np.ndarray
     _dense: object
+    n_rhs: int = 0
+    n_rejected: int = 0
     _samples: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -368,11 +511,13 @@ class Pencil:
         d = np.asarray(tau0, dtype=float) - self.tau_bar
         return psi, t + d * b, it + d * ib
 
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n uniform abscissae on [x0, x_end] and the columns there, computed once."""
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """n uniform abscissae xs on [x0, x_end], cos and sin of 2*pi*xs and
+        the columns at xs, computed once."""
         if n not in self._samples:
             xs = np.linspace(self.x0, self.x_end, n)
-            self._samples[n] = xs, self.columns(xs)
+            w = math.tau * xs
+            self._samples[n] = xs, np.cos(w), np.sin(w), self.columns(xs)
         return self._samples[n]
 
 
@@ -386,12 +531,14 @@ def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau_bar, x0)
     y0 = (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0)
-    sol = _solve(_rhs_pencil, x0, y0, tol)
+    run = _solve(_rhs_pencil, x0, y0, tol)
     return Pencil(
         tau_bar=tau_bar,
         x0=x0,
-        grid=sol.t,
-        _dense=sol.dense,
+        grid=run.t,
+        _dense=run.dense,
+        n_rhs=run.n_rhs,
+        n_rejected=run.n_rejected,
     )
 
 

@@ -194,17 +194,16 @@ def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
     """Per label, the first scan index i with g[i] < -1e-9 and g[i+1] >= 0.
 
     -1 marks a label without such a crossing.  Also returns the scan
-    abscissae, deployment_parameter's grid; tau there comes from the
-    pencil's columns, sampled once per pencil.
+    abscissae, deployment_parameter's grid; tau and the trigonometric
+    factors there are the pencil's, sampled once per pencil.
     """
-    xs, (_, t, b, _, _) = pencil.sample(SCAN_GRID)
+    xs, cos, sin, (_, t, b, _, _) = pencil.sample(SCAN_GRID)
     d = tau0s - pencil.tau_bar
     first = np.full(tau0s.shape, -1)
     for lo in range(0, len(xs) - 1, SCAN_CHUNK):
         rows = slice(lo, lo + SCAN_CHUNK + 1)
-        x = xs[rows, None]
         tau = t[rows, None] + d * b[rows, None]
-        g = np.cos(math.tau * x) - tau * np.sin(math.tau * x) - 1.0
+        g = cos[rows, None] - tau * sin[rows, None] - 1.0
         hit = (g[:-1] < -1e-9) & (g[1:] >= 0.0)
         new = (first < 0) & hit.any(axis=0)
         first[new] = lo + np.argmax(hit[:, new], axis=0)

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diskinspect import feasibility
+from diskinspect import continuum, feasibility
 from diskinspect.cli import main
 
 from conftest import PUBLISHED_TAU0
@@ -43,6 +44,17 @@ class TestTrace:
         assert rc == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "NoCrossing"
+
+    def test_step_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a field that turns NaN past x = 0.5 drives the step size below
+        # the spacing of floats: a structured numerical failure, exit 2
+        monkeypatch.setattr(continuum, "rhs",
+                            lambda x, y: (1.0 if x < 0.5 else math.nan, y[0]))
+        rc = main(["--out", str(tmp_path / "o"), "trace", "--tau0", "1.648"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == {"kind": "StepFailure",
+                                    "message": continuum.TOO_SMALL_STEP}
 
     def test_negative_clearance_exits_2(self, tmp_path):
         # curve dives through the disk yet recrosses x=1: reported, not raised

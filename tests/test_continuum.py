@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import OdeSolution, solve_ivp
 
 from diskinspect import continuum
 from diskinspect.artifacts import write_csv, write_json
 from diskinspect.continuum import (
     ODE_TOL,
+    TOL_FLOOR,
+    X0_MAX,
     X0_REF,
     SeriesInit,
     curve_points,
@@ -18,7 +21,7 @@ from diskinspect.continuum import (
     tau_center_from_label,
     tau_series_from_center,
 )
-from diskinspect.errors import OutOfRange
+from diskinspect.errors import OutOfRange, StepFailure
 from diskinspect.refraction import forward_recursion
 
 from conftest import PUBLISHED_TAU0
@@ -117,9 +120,46 @@ def assert_same_bits(ours, ref):
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
 
+def _psi_low(x, y):
+    return y[0] - continuum.PSI_GUARD
+
+
+def _psi_high(x, y):
+    return (PI - continuum.PSI_GUARD) - y[0]
+
+
+_psi_low.terminal = _psi_high.terminal = True
+_psi_low.direction = _psi_high.direction = -1
+
+
+def scipy_solve(fun, x0, y0, tol):
+    """scipy's solve_ivp for the solve continuum._solve makes: the bit-for-bit oracle."""
+    return solve_ivp(fun, (x0, 1.0), y0, method="DOP853", rtol=tol, atol=tol,
+                     dense_output=True, events=(_psi_low, _psi_high))
+
+
 def _reference(fun, y0):
     """scipy's own OdeSolution for the same solve the library makes."""
-    return continuum._solve(fun, X0_REF, y0, ODE_TOL).sol
+    return scipy_solve(fun, X0_REF, y0, ODE_TOL).sol
+
+
+def stacked(ode_solution):
+    """scipy's OdeSolution as the arrays of a continuum.StackedDense."""
+    pieces = ode_solution.interpolants
+    return continuum.StackedDense(ode_solution.ts, [p.t_old for p in pieces],
+                                  [p.h for p in pieces], [p.y_old for p in pieces],
+                                  [p.F[::-1] for p in pieces])
+
+
+def assert_same_run(run, ref):
+    """continuum._solve's run equals scipy's solve_ivp result to the last bit."""
+    assert run.status == ref.status
+    assert_same_bits(run.t, ref.t)
+    assert_same_bits(run.y, ref.y)
+    oracle = stacked(ref.sol)
+    for name in ("t_old", "h", "y_old", "F"):
+        assert_same_bits(getattr(run.dense, name), getattr(oracle, name))
+    assert run.n_rhs == ref.nfev
 
 
 class TestStackedDense:
@@ -159,7 +199,7 @@ class TestStackedDense:
             dop853(1.0, 2.0, np.array([5.0]), np.zeros((7, 1))),
             dop853(2.0, 3.0, np.array([-0.0]), np.full((7, 1), -0.0)),
         ])
-        dense = continuum.StackedDense(ref)
+        dense = stacked(ref)
         xs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         assert_same_bits(dense(xs), ref(xs))
         for x in xs.tolist():
@@ -207,17 +247,96 @@ class TestStackedDense:
         def fun(x, y):
             return (-(2.0 + y[1] * y[1]), math.cos(3.0 * x) * y[0])
 
-        res = continuum._solve(fun, 0.0, (1.0, 0.2), ODE_TOL)
-        end = res.t[-1]
-        assert res.status == 1 and end < 1.0
-        assert res.y[0, -1] == pytest.approx(continuum.PSI_GUARD, abs=1e-12)
-        assert res.sol.interpolants[-1].t > end
+        run = continuum._solve(fun, 0.0, (1.0, 0.2), ODE_TOL)
+        ref = scipy_solve(fun, 0.0, (1.0, 0.2), ODE_TOL)
+        assert_same_run(run, ref)
+        end = run.t[-1]
+        assert run.status == 1 and end < 1.0
+        assert run.y[0, -1] == pytest.approx(continuum.PSI_GUARD, abs=1e-12)
+        assert run.dense.t_old[-1] + run.dense.h[-1] > end
         rng = np.random.default_rng(9)
-        xs = np.concatenate([rng.uniform(0.0, end, 3000), res.t,
+        xs = np.concatenate([rng.uniform(0.0, end, 3000), run.t,
                              [end - 5e-16, end + 5e-16]])
-        assert_same_bits(res.dense(xs), res.sol(xs))
+        assert_same_bits(run.dense(xs), ref.sol(xs))
         for x in xs[-200:].tolist():
-            assert_same_bits(res.dense(x), res.sol(x))
+            assert_same_bits(run.dense(x), ref.sol(x))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: min(max(10.0 ** e, lo), hi))
+
+
+class TestStepper:
+    """continuum._solve repeats scipy's solve_ivp(method="DOP853") exactly.
+
+    A scipy release that changes DOP853's arithmetic fails these tests by
+    design: the stepper would then no longer be the solver it claims to be.
+    """
+
+    @settings(max_examples=30)
+    @given(st.floats(0.05, 10.0),
+           st.floats(0.0, X0_MAX, exclude_min=True) | _log_uniform(1e-9, X0_MAX),
+           _log_uniform(1e-13, 1e-8))
+    def test_matches_scipy(self, tau0, x0, tol):
+        init = SeriesInit.for_label(tau0, x0)
+        for fun, y0 in ((continuum.rhs, (init.psi0, init.tau_start)),
+                        (continuum._rhs_pencil,
+                         (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0))):
+            try:
+                ref = scipy_solve(fun, x0, y0, tol)
+            except ValueError as exc:  # a subnormal x0 drives psi to inf
+                with pytest.raises(type(exc), match=str(exc)):
+                    continuum._solve(fun, x0, y0, tol)
+                continue
+            if ref.status == -1:
+                with pytest.raises(StepFailure, match=ref.message):
+                    continuum._solve(fun, x0, y0, tol)
+            else:
+                assert_same_run(continuum._solve(fun, x0, y0, tol), ref)
+
+    @pytest.mark.parametrize("fun, y0", [
+        # on the guard from the start: the event is at x0, a zero-length run
+        (lambda x, y: (0.0, 1.0), (continuum.PSI_GUARD, 0.0)),
+        (lambda x, y: (-1.0, 1.0), (continuum.PSI_GUARD + 0.5, 0.0)),
+    ], ids=["starts-on-guard", "linear-dive"])
+    def test_guard_events(self, fun, y0):
+        run = continuum._solve(fun, 0.0, y0, ODE_TOL)
+        assert_same_run(run, scipy_solve(fun, 0.0, y0, ODE_TOL))
+        assert run.status == 1
+
+    def test_step_failure(self):
+        # NaN past x = 0.5 rejects every step there until the step size
+        # falls below the spacing of floats: scipy's status -1
+        def fun(x, y):
+            return (1.0 if x < 0.5 else math.nan, y[0])
+
+        ref = scipy_solve(fun, 0.0, (1.0, 2.0), ODE_TOL)
+        assert ref.status == -1
+        assert ref.message == continuum.TOO_SMALL_STEP
+        with pytest.raises(StepFailure, match=continuum.TOO_SMALL_STEP):
+            continuum._solve(fun, 0.0, (1.0, 2.0), ODE_TOL)
+
+    def test_tolerance_floor(self):
+        # scipy would raise such a tol to 100 eps with a warning
+        assert TOL_FLOOR == 100.0 * np.finfo(float).eps
+        with pytest.raises(ValueError, match="below the floor"):
+            integrate(1.648, tol=1e-15)
+        with pytest.raises(ValueError, match="below the floor"):
+            integrate_pencil(1.648, tol=math.nextafter(TOL_FLOOR, 0.0))
+
+    def test_work_counters(self, sol_star):
+        init = SeriesInit.for_label(sol_star.tau0)
+        ref = scipy_solve(continuum.rhs, X0_REF, (init.psi0, init.tau_start), ODE_TOL)
+        assert sol_star.n_steps == len(ref.t) - 1
+        assert sol_star.n_rhs == ref.nfev
+        # 2 start evaluations, 12 per step attempt and 3 dense-output
+        # stages per accepted step
+        assert sol_star.n_rhs == 2 + 12 * (sol_star.n_steps + sol_star.n_rejected) \
+            + 3 * sol_star.n_steps
+        pencil = integrate_pencil(1.649)
+        assert pencil.n_rhs == 2 + 15 * pencil.n_steps + 12 * pencil.n_rejected
+        assert "n_rhs" not in sol_star.metadata()
 
 
 class TestSelfCheck:
