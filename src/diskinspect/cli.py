@@ -91,8 +91,8 @@ def build_parser() -> _Parser:
                    type=_ranged(float, lambda x: TOL_FLOOR <= x < math.inf,
                                 f"[{TOL_FLOOR:.3g}, inf)"))
     p.add_argument("--x0", default=X0_REF,
-                   type=_ranged(float, lambda x: 0.0 < x <= X0_MAX,
-                                f"(0, {X0_MAX:g}]"))
+                   type=_ranged(float, lambda x: sys.float_info.min <= x <= X0_MAX,
+                                f"[{sys.float_info.min:g}, {X0_MAX:g}]"))
     p.add_argument("--jobs", type=int, default=1,
                    help="no effect: each sweep is one in-process pencil solve; "
                    "accepted so existing command lines still parse")

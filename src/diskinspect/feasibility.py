@@ -162,18 +162,18 @@ def clearance_from_tau(tau_min: float) -> float:
     return math.sqrt(1.0 + tau_min * tau_min) - 1.0
 
 
-def golden_min(f, a, b, xatol: float):
+def golden_min(f, a, b):
     """Golden-section search for the minimum of f on [a, b].
 
     Returns the midpoint of the final bracket and the smallest value of f
     seen at its two interior points.  a and b may be floats or arrays of
     independent brackets (f is then evaluated elementwise); every bracket
-    keeps shrinking until the widest is below xatol.
+    keeps shrinking until the widest is below BRENT_XATOL.
     """
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while np.any(b - a > xatol):
+    while np.any(b - a > BRENT_XATOL):
         left = fc < fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)
@@ -287,7 +287,7 @@ def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.nd
     lo = xs[np.maximum(j - 1, 0), k]
     hi = xs[np.minimum(j + 1, len(xs) - 1), k]
     ends = np.minimum(pencil.state(lo, tau0s)[1], pencil.state(hi, tau0s)[1])
-    inner = golden_min(lambda x: pencil.state(x, tau0s)[1], lo, hi, BRENT_XATOL)[1]
+    inner = golden_min(lambda x: pencil.state(x, tau0s)[1], lo, hi)[1]
     return np.minimum(inner, ends)
 
 

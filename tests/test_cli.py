@@ -271,6 +271,7 @@ class TestUsage:
         ["verify", "--samples", "0"],
         ["--x0", "1", "trace", "--tau0", "1.647"],
         ["--x0", "0", "trace", "--tau0", "1.647"],
+        ["--x0", "5e-324", "trace", "--tau0", "1.648"],
         ["--tol-ode", "-1", "trace", "--tau0", "1.647"],
         ["--tol-ode", "1e-30", "trace", "--tau0", "1.647"],
         ["trace", "--tau0", "-1"],
@@ -280,9 +281,9 @@ class TestUsage:
         ["converge", "--tau0", "-1"],
         ["converge", "--grid", "4"],
     ], ids=["sweep-cost", "optimize", "sweep-feasibility", "tau0-lo", "trace",
-            "verify", "x0-above", "x0-zero", "tol-ode", "tol-ode-below-floor",
-            "trace-tau0", "trace-tau0-inf", "verify-tau0", "verify-segments",
-            "converge-tau0", "converge-grid"])
+            "verify", "x0-above", "x0-zero", "x0-subnormal", "tol-ode",
+            "tol-ode-below-floor", "trace-tau0", "trace-tau0-inf", "verify-tau0",
+            "verify-segments", "converge-tau0", "converge-grid"])
     def test_bad_numeric_flag_exits_1(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(["--out", str(tmp_path), *argv])

@@ -5,8 +5,8 @@ import pytest
 
 from diskinspect import feasibility, optimizer
 from diskinspect.cli import main
-from diskinspect.errors import NotUnimodal, WindowViolated
-from diskinspect.feasibility import WINDOW_HI, WINDOW_LO
+from diskinspect.errors import MaxIterations, NotUnimodal, OutOfRange, WindowViolated
+from diskinspect.feasibility import WINDOW_HI, WINDOW_LO, deployment_parameters, window_pencil
 from diskinspect.optimizer import (
     _check_unimodal,
     cost_at,
@@ -132,9 +132,9 @@ class TestRefine:
             refine_minimum(WINDOW_LO, WINDOW_HI, grid=50)
 
     def test_bracket_reaching_past_the_cliff(self):
-        # the bracket starts at a NoCrossing row, and the first golden
-        # probe, 1.64696, lands on the cliff: it counts as infinite cost
-        # and the search moves right, onto the optimum
+        # the bracket starts at a NoCrossing row, which counts as the
+        # cliff side (slope -inf): the refinement bisects until both ends
+        # have a slope, then moves right, onto the optimum
         opt = refine_minimum(1.6469, 1.64701, grid=4)
         assert sweep_cost(1.6469, 1.64701, 4)[1][2] == "NoCrossing"
         assert opt.bracket == (1.6469366666666667, 1.64701)
@@ -145,3 +145,64 @@ class TestRefine:
         costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
         with pytest.raises(NotUnimodal):
             _check_unimodal(costs, optimizer.SWEEP_NOISE_TOL)
+
+
+def pencil_slope(lo, hi, tau0):
+    """dcost/dtau0 of the label tau0 on the window pencil of [lo, hi], from its scanned xi."""
+    pencil, _ = window_pencil(lo, hi, 2)
+    (xi,), _, _ = deployment_parameters(pencil, np.array([tau0]))
+    slope, probe_xi = optimizer._probe(pencil, tau0, float(xi))
+    assert probe_xi == xi
+    return pencil, slope
+
+
+class TestSlopeRefinement:
+    @pytest.mark.parametrize("tau0", [1.646975, 1.6475, 1.65])
+    def test_slope_matches_central_difference(self, tau0):
+        # at h = 1e-8 the cliff's third derivative (~5e13) and the cost
+        # noise over 2h both stay below 1e-5 of the slope
+        pencil, slope = pencil_slope(WINDOW_LO, WINDOW_HI, tau0)
+        h = 1e-8
+        rows, _ = optimizer._cost_rows(pencil, np.array([tau0 + h, tau0 - h]))
+        central = (rows[0][1] - rows[1][1]) / (2.0 * h)
+        assert abs(slope - central) <= 1e-5 * abs(central)
+
+    def test_cost_still_falling_at_right_edge(self):
+        # the optimum, 1.6469768, lies right of this window: the cost still
+        # falls at its right edge, so the last grid cell has no interior root
+        assert pencil_slope(1.64697, 1.646975, 1.646975)[1] < 0.0
+        with pytest.raises(WindowViolated, match="edge"):
+            refine_minimum(1.64697, 1.646975, grid=20)
+
+    def test_wrong_root_probe_fails_the_certificate(self, monkeypatch):
+        # a probe whose xi is not the first root of g, as the certificate's
+        # full scan finds it, must not pass silently
+        probe = optimizer._probe
+
+        def wrong_root(*args, **kwargs):
+            slope, xi = probe(*args, **kwargs)
+            return slope, xi + 1e-3
+
+        monkeypatch.setattr(optimizer, "_probe", wrong_root)
+        with pytest.raises(OutOfRange, match="root other than the first"):
+            refine_minimum(WINDOW_LO, WINDOW_HI, grid=50)
+
+    def test_probe_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "REFINE_MAX_PROBES", 5)
+        with pytest.raises(MaxIterations):
+            refine_minimum(WINDOW_LO, WINDOW_HI, grid=50)
+
+    @pytest.mark.parametrize("grid, most", [(50, 16), (2000, 12)])
+    def test_probe_count(self, monkeypatch, grid, most):
+        calls = []
+        probe = optimizer._probe
+
+        def counted(pencil, tau0, xi, **kwargs):
+            calls.append(tau0)
+            return probe(pencil, tau0, xi, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_probe", counted)
+        opt = refine_minimum(WINDOW_LO, WINDOW_HI, grid=grid)
+        assert len(calls) <= most
+        assert calls[-1] == opt.tau0_star
+        assert opt.tau0_star == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
