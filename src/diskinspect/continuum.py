@@ -51,17 +51,20 @@ with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
 Stepping and dense output.  ``_solve`` is DOP853, the Dormand-Prince
 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), with
 the tableau read off scipy's public ``scipy.integrate.DOP853``.  It repeats
-scipy's ``solve_ivp`` operation for operation: the same initial step,
-step control and terminal psi-guard events, every reduction by the same
-numpy call on arrays of the same layout and everything elementwise on
-Python floats, which IEEE rounding makes equal to numpy's.  Steps, grid
-and interpolants are therefore bit-identical to scipy's, and the tests
-hold it to that; a scipy release that changes DOP853's arithmetic fails
-them by design.  Each accepted step's interpolant goes straight into the
-arrays of ``StackedDense``, read by one searchsorted-and-Horner evaluator
-(a plain loop for a single point) that repeats scipy's ``OdeSolution``
-arithmetic, so an abscissa on a step boundary goes to the lower segment
-as there.
+scipy's ``solve_ivp`` operation for operation: the same initial step and
+step control, every reduction by the same numpy call on arrays of the
+same layout and everything elementwise on Python floats, which IEEE
+rounding makes equal to numpy's.  Steps, grid and interpolants are
+therefore bit-identical to scipy's, and the tests hold it to that; a
+scipy release that changes DOP853's arithmetic fails them by design.
+Each accepted step's interpolant goes straight into the arrays of
+``StackedDense``, read by one searchsorted-and-Horner evaluator (a plain
+loop for a single point) that repeats scipy's ``OdeSolution`` arithmetic,
+so an abscissa on a step boundary goes to the lower segment as there.
+A step that ends with psi outside (PSI_GUARD, pi - PSI_GUARD) raises
+StepFailure, so a solve that returns always reaches x = 1.  psi involves
+no label: at every start that solves and every tol up to 1e-3 it stays
+within [0.16, 1.61], and only far coarser tolerances step it out.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .errors import OutOfRange, StepFailure
 
@@ -86,7 +88,7 @@ ODE_TOL = 1e-12
 #: Smallest tolerance a solve accepts: 100 float64 epsilons, below which
 #: the error estimate is rounding noise (scipy raises its rtol to this).
 TOL_FLOOR = 100.0 * sys.float_info.epsilon
-#: psi leaving (PSI_GUARD, pi - PSI_GUARD) terminates integration cleanly.
+#: psi outside (PSI_GUARD, pi - PSI_GUARD) after a step raises StepFailure.
 PSI_GUARD = 1e-3
 #: Series starts and integration tolerance of the two-start self-check.
 SELF_CHECK_STARTS = (1e-6, 1e-7)
@@ -163,17 +165,17 @@ class StackedDense:
 
     Segment k covers [ts[k], ts[k+1]] and reads y_old[k] plus the Horner
     polynomial in s = (x - t_old[k]) / h[k] whose coefficient rows are
-    F[k, 0..6], in the order scipy's Dop853DenseOutput adds them.  t_old
-    and h are the steps', not read off ts: the step cut short by a
-    terminal event keeps its full step.  Called like scipy's OdeSolution:
-    x -> (d,) for a float, 0-d or one-element array (a plain-float loop),
-    (d,) + x.shape for any other array.  Range checks are the caller's.
+    F[k, 0..6], in the order scipy's Dop853DenseOutput adds them, with
+    t_old = ts[:-1] and h = diff(ts), the step's own subtraction.  Called
+    like scipy's OdeSolution: x -> (d,) for a float, 0-d or one-element
+    array (a plain-float loop), (d,) + x.shape for any other array.  Range
+    checks are the caller's.
     """
 
-    def __init__(self, ts, t_old, h, y_old, F):
+    def __init__(self, ts, y_old, F):
         self.ts = np.asarray(ts, dtype=float)
-        self.t_old = np.asarray(t_old, dtype=float)
-        self.h = np.asarray(h, dtype=float)
+        self.t_old = self.ts[:-1]
+        self.h = np.diff(self.ts)
         self.y_old = np.asarray(y_old, dtype=float)
         self.F = np.array(F, dtype=float)
         # scipy starts from zeros, so its first sum turns a -0.0 into +0.0
@@ -290,12 +292,6 @@ _STAGES = [(float(c), a[:s]) for s, (a, c)
            in enumerate(zip(DOP853.A[1:], DOP853.C[1:]), start=1)]
 _EXTRA = [(float(c), a[:s]) for s, (a, c)
           in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
-_EPS = sys.float_info.epsilon
-
-
-def _guards(y) -> tuple[float, float]:
-    """The two psi-guard events: each falls through 0 where psi leaves the band."""
-    return y[0] - PSI_GUARD, (math.pi - PSI_GUARD) - y[0]
 
 
 def _rms(v: np.ndarray):
@@ -321,27 +317,25 @@ def _initial_step(fun, x0: float, y0: list, f0, tol: float) -> float:
 
 @dataclass
 class _Run:
-    """One solve: grid t, states y (d, len(t)), interpolants and work counts.
+    """One solve: states y (d, len(dense.ts)), interpolants and work counts."""
 
-    status 0 reached x = 1, status 1 stopped at the psi guard.
-    """
-
-    t: np.ndarray
     y: np.ndarray
     dense: StackedDense
-    status: int
     n_rhs: int
     n_rejected: int
 
 
+@np.errstate(all="ignore")
 def _solve(fun, x0: float, y0, tol: float) -> _Run:
-    """DOP853 (rtol = atol = tol) with dense output on [x0, 1], stopped at the psi guard.
+    """DOP853 (rtol = atol = tol) with dense output on [x0, 1].
 
-    The arithmetic of scipy's solve_ivp(method="DOP853", dense_output=True,
-    events=<the two guards, terminal, direction -1>), step for step; see the
-    module docstring.  fun(x, y) gets y as a list of floats and returns a
-    sequence of floats.  A tol below TOL_FLOOR raises ValueError; a step
-    below 10 ulp of x raises StepFailure.
+    The arithmetic of scipy's solve_ivp(method="DOP853", dense_output=True),
+    step for step; see the module docstring.  fun(x, y) gets y as a list of
+    floats and returns a sequence of floats.  A tol below TOL_FLOOR raises
+    ValueError; a step below 10 ulp of x, or psi = y[0] outside (PSI_GUARD,
+    pi - PSI_GUARD) after an accepted step (NaN too), raises StepFailure.
+    numpy's floating-point warnings are silenced: an inf or NaN makes the
+    solve raise, never return, and the arithmetic stays scipy's.
     """
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tol {tol!r} is below the floor {TOL_FLOOR:.3g}")
@@ -351,10 +345,9 @@ def _solve(fun, x0: float, y0, tol: float) -> _Run:
     Kt = [K[:s].T for s in range(len(K) + 1)]
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, tol)
-    n_rhs, n_rejected, status = 2, 0, 0
-    ts, ys, t_olds, hs, y_olds, F_hi, F_lo = [t], [y], [], [], [], [], []
-    g = _guards(y)
-    while t < 1.0 and status == 0:
+    n_rhs, n_rejected = 2, 0
+    ts, ys, F_hi, F_lo = [t], [y], [], []
+    while t < 1.0:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -396,38 +389,24 @@ def _solve(fun, x0: float, y0, tol: float) -> _Run:
             n_rejected += 1
         t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, f_new
+        if not PSI_GUARD < y[0] < math.pi - PSI_GUARD:
+            raise StepFailure(f"psi = {y[0]!r} at x = {t!r} left the guard band "
+                              f"({PSI_GUARD!r}, pi - {PSI_GUARD!r})")
         for s, (c, a) in enumerate(_EXTRA, start=n + 1):
             dy = Kt[s].dot(a).tolist()
             K[s] = fun(t_old + c * h, [v + d * h for v, d in zip(y_old, dy)])
         n_rhs += len(_EXTRA)
         delta = [b - a for a, b in zip(y_old, y)]
-        t_olds.append(t_old)
-        hs.append(h)
-        y_olds.append(y_old)
         F_hi.append(h * DOP853.D.dot(K))
         F_lo.append([[2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f, f_old)],
                      [h * fo - d for d, fo in zip(delta, f_old)],
                      delta])
-        g_new = _guards(y)
-        hit = [i for i in (0, 1) if g[i] >= 0 and g_new[i] <= 0]
-        g = g_new
-        if hit:  # solve_ivp's root search on the step's interpolant
-            seg = StackedDense([t_old, t], [t_old], [h], [y_old],
-                               [np.concatenate([F_hi[-1][::-1], F_lo[-1]])])._point
-            t = min(brentq(lambda x, i=i: _guards(seg(x))[i], t_old, t,
-                           xtol=4 * _EPS, rtol=4 * _EPS) for i in hit)
-            y = seg(t)
-            status = 1
-            if t == ts[-1] and len(ts) > 1:  # crossed at the step's start
-                for stack in (t_olds, hs, y_olds, F_hi, F_lo):
-                    stack.pop()
-                break
         ts.append(t)
         ys.append(y)
     F = np.concatenate([np.array(F_hi)[:, ::-1], np.array(F_lo)], axis=1)
-    return _Run(t=np.array(ts), y=np.array(ys).T,
-                dense=StackedDense(ts, t_olds, hs, y_olds, F),
-                status=status, n_rhs=n_rhs, n_rejected=n_rejected)
+    ys = np.array(ys)
+    return _Run(y=ys.T, dense=StackedDense(ts, ys[:-1], F), n_rhs=n_rhs,
+                n_rejected=n_rejected)
 
 
 def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolution:
@@ -436,10 +415,9 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolut
     Joint integration of the 2-vector field, eighth-order Dormand-Prince
     with dense output, bit-identical to scipy's solve_ivp; tol is both the
     relative and the absolute error tolerance, at least TOL_FLOOR (else
-    ValueError).  psi reaching the guard band near 0 or pi terminates the
-    solution early (the stored range then ends before 1); a step size
-    below the spacing of floats raises StepFailure.  The solution carries
-    the solve's work counts n_rhs and n_rejected.
+    ValueError).  psi leaving the guard band, or a step size below the
+    spacing of floats, raises StepFailure.  The solution carries the
+    solve's work counts n_rhs and n_rejected.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
@@ -450,7 +428,7 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolut
         tau0=tau0,
         x0=x0,
         tol=tol,
-        grid=run.t,
+        grid=run.dense.ts,
         psi=psi,
         tau=tau,
         _dense=run.dense,
@@ -524,8 +502,7 @@ class Pencil:
 def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -> Pencil:
     """Solve the pencil centred at the label tau_bar with one DOP853 pass.
 
-    Same solver, tolerance and psi guard as ``integrate``; a guard hit
-    ends every label's range at the same abscissa.
+    Same solver, tolerance and psi guard as ``integrate``.
     """
     if tau_bar <= 0.0:
         raise ValueError("tau0 must be positive")
@@ -535,7 +512,7 @@ def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -
     return Pencil(
         tau_bar=tau_bar,
         x0=x0,
-        grid=run.t,
+        grid=run.dense.ts,
         _dense=run.dense,
         n_rhs=run.n_rhs,
         n_rejected=run.n_rejected,

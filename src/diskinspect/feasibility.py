@@ -15,10 +15,8 @@ pencil: ``window_pencil`` checks the window, solves the pencil centred at
 its midpoint (``continuum.integrate_pencil``) and lays the uniform grid of
 labels on it.  The crossing scan reads tau off the pencil's columns
 sampled once at the scan abscissae, and the bisections, Newton steps and
-clearance minima evaluate its dense output for all labels at once.  psi
-is shared by every label, so a psi-guard hit ends every row's range at
-the same abscissa.  The scalar functions stay the reference the sweeps
-are tested against.
+clearance minima evaluate its dense output for all labels at once.  The
+scalar functions stay the reference the sweeps are tested against.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pytest
 from diskinspect import continuum, feasibility, optimizer
 from diskinspect.continuum import OdeSolution, integrate, integrate_pencil
 from diskinspect.cost import inspection_integral
-from diskinspect.errors import DiskInspectError
+from diskinspect.errors import DiskInspectError, StepFailure
 from diskinspect.feasibility import (
     WINDOW_HI,
     WINDOW_LO,
@@ -244,28 +244,21 @@ class TestToleranceDrift:
 
 
 class TestGuard:
-    def test_guard_exit_rows_match_scalar_rows(self, monkeypatch):
-        # psi dips to ~0.16 inside the window; a band of (0.3, pi - 0.3) ends
-        # every trajectory at x ~ 0.576, which only a tightened guard can
-        # provoke.  The window's curves would cross x = 1 later (NoCrossing
-        # rows); start values up to ~1.1 cross before it, at xi < 1/2
-        # (XiOutOfRange cost rows).
+    def test_tightened_guard_raises(self, monkeypatch):
+        # psi dips to ~0.16 inside the window, so a band of (0.3, pi - 0.3)
+        # is left near x ~ 0.576 by every label alike: the scalar solve and
+        # the pencil fail the same way, and no row is ever read off a range
+        # that ends before x = 1
         monkeypatch.setattr(continuum, "PSI_GUARD", 0.3)
-        pencil = integrate_pencil(WINDOW_MID)
-        assert pencil.x_end < 1.0
-        assert abs(pencil.x_end - integrate(WINDOW_LO).x_end) <= 1e-10
-        assert_reports_match(feasibility_sweep(WINDOW_LO, WINDOW_HI, 3),
-                             WINDOW_LO, WINDOW_HI, 3)
-        assert_costs_match(sweep_cost(WINDOW_LO, WINDOW_HI, 3),
-                           WINDOW_LO, WINDOW_HI, 3)
-        rows = sweep_cost(0.05, 1.0, 5)
-        assert [e for _, _, e in rows] == ["XiOutOfRange"] * 5
-        assert_costs_match(rows, 0.05, 1.0, 5)
+        with pytest.raises(StepFailure, match="left the guard band"):
+            integrate(WINDOW_LO)
+        with pytest.raises(StepFailure, match="left the guard band"):
+            integrate_pencil(WINDOW_MID)
 
     def test_real_guard_not_reached(self):
-        # the guard events see psi at the step nodes and locate a sign
-        # change between them; sampling the pencil's psi 20 times per step
-        # also rules out a dip past the guard that returns within one step
+        # the guard checks psi at the step nodes only; sampling the
+        # pencil's psi 20 times per step also rules out a dip past the
+        # guard that returns within one step
         pencil = integrate_pencil(0.5 * (0.05 + 10.0))
         assert pencil.x_end == 1.0
         t = np.linspace(0.0, 1.0, 21)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 
 import pytest
@@ -345,3 +346,37 @@ class TestExitCodeContract:
     def test_window_cliff_codes(self, tau0, code):
         # NoCrossing just left of the window's lower edge, feasible on it
         assert exit_code(["trace", "--tau0", tau0]) == code
+
+
+def failure_kind(argv, tmp_path, capsys):
+    """Exit code, error kind and stderr of one in-process command."""
+    rc = main(["--out", str(tmp_path / "o"), *argv])
+    captured = capsys.readouterr()
+    return rc, json.loads(captured.out)["error"]["kind"], captured.err
+
+
+class TestStructuredFailures:
+    """A solve that cannot reach x = 1 cleanly exits 2 with StepFailure."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--tau0", "1.648"],
+        ["sweep-feasibility", "--grid", "5"],
+        ["optimize", "--grid", "5"],
+    ], ids=["trace", "sweep-feasibility", "optimize"])
+    def test_tightened_guard_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        # psi dips to ~0.16 inside the window, below a band edge of 0.3
+        monkeypatch.setattr(continuum, "PSI_GUARD", 0.3)
+        assert failure_kind(argv, tmp_path, capsys)[:2] == (2, "StepFailure")
+
+    def test_coarse_tolerance_exits_2(self, tmp_path, capsys):
+        # at tol 1 a step ends near x = 0.89 with psi = -0.72, far outside
+        # the band; this command must not certify a trajectory
+        argv = ["--x0", "1e-5", "--tol-ode", "1", "trace", "--tau0", "1.648"]
+        assert failure_kind(argv, tmp_path, capsys)[:2] == (2, "StepFailure")
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_x0_warns_nothing(self, tmp_path, capsys):
+        # cot(psi)/x overflows the solver's norms at the smallest normal x0;
+        # the failure is structured and nothing reaches stderr
+        argv = ["--x0", repr(sys.float_info.min), "trace", "--tau0", "1.648"]
+        assert failure_kind(argv, tmp_path, capsys) == (2, "StepFailure", "")

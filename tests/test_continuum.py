@@ -120,22 +120,10 @@ def assert_same_bits(ours, ref):
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
 
-def _psi_low(x, y):
-    return y[0] - continuum.PSI_GUARD
-
-
-def _psi_high(x, y):
-    return (PI - continuum.PSI_GUARD) - y[0]
-
-
-_psi_low.terminal = _psi_high.terminal = True
-_psi_low.direction = _psi_high.direction = -1
-
-
 def scipy_solve(fun, x0, y0, tol):
     """scipy's solve_ivp for the solve continuum._solve makes: the bit-for-bit oracle."""
     return solve_ivp(fun, (x0, 1.0), y0, method="DOP853", rtol=tol, atol=tol,
-                     dense_output=True, events=(_psi_low, _psi_high))
+                     dense_output=True)
 
 
 def _reference(fun, y0):
@@ -146,18 +134,21 @@ def _reference(fun, y0):
 def stacked(ode_solution):
     """scipy's OdeSolution as the arrays of a continuum.StackedDense."""
     pieces = ode_solution.interpolants
-    return continuum.StackedDense(ode_solution.ts, [p.t_old for p in pieces],
-                                  [p.h for p in pieces], [p.y_old for p in pieces],
+    return continuum.StackedDense(ode_solution.ts, [p.y_old for p in pieces],
                                   [p.F[::-1] for p in pieces])
 
 
 def assert_same_run(run, ref):
     """continuum._solve's run equals scipy's solve_ivp result to the last bit."""
-    assert run.status == ref.status
-    assert_same_bits(run.t, ref.t)
+    assert ref.status == 0
+    assert_same_bits(run.dense.ts, ref.t)
     assert_same_bits(run.y, ref.y)
+    pieces = ref.sol.interpolants
+    # t_old and h are derived from the grid; scipy's come from its steps
+    assert_same_bits(run.dense.t_old, [p.t_old for p in pieces])
+    assert_same_bits(run.dense.h, [p.h for p in pieces])
     oracle = stacked(ref.sol)
-    for name in ("t_old", "h", "y_old", "F"):
+    for name in ("y_old", "F"):
         assert_same_bits(getattr(run.dense, name), getattr(oracle, name))
     assert run.n_rhs == ref.nfev
 
@@ -239,28 +230,6 @@ class TestStackedDense:
             assert_same_bits(pencil.columns(np.array([x])), ref(np.array([x])))
         assert pencil.columns(np.empty((0, 3))).shape == (5, 0, 3)
 
-    def test_terminal_event_solve(self):
-        # the library's fields never reach the psi guard (psi does not
-        # depend on tau0); this toy field drives y[0] down through it, so
-        # the last step is cut short at the event and its interpolant
-        # still spans the full step
-        def fun(x, y):
-            return (-(2.0 + y[1] * y[1]), math.cos(3.0 * x) * y[0])
-
-        run = continuum._solve(fun, 0.0, (1.0, 0.2), ODE_TOL)
-        ref = scipy_solve(fun, 0.0, (1.0, 0.2), ODE_TOL)
-        assert_same_run(run, ref)
-        end = run.t[-1]
-        assert run.status == 1 and end < 1.0
-        assert run.y[0, -1] == pytest.approx(continuum.PSI_GUARD, abs=1e-12)
-        assert run.dense.t_old[-1] + run.dense.h[-1] > end
-        rng = np.random.default_rng(9)
-        xs = np.concatenate([rng.uniform(0.0, end, 3000), run.t,
-                             [end - 5e-16, end + 5e-16]])
-        assert_same_bits(run.dense(xs), ref.sol(xs))
-        for x in xs[-200:].tolist():
-            assert_same_bits(run.dense(x), ref.sol(x))
-
 
 def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(
@@ -295,16 +264,6 @@ class TestStepper:
             else:
                 assert_same_run(continuum._solve(fun, x0, y0, tol), ref)
 
-    @pytest.mark.parametrize("fun, y0", [
-        # on the guard from the start: the event is at x0, a zero-length run
-        (lambda x, y: (0.0, 1.0), (continuum.PSI_GUARD, 0.0)),
-        (lambda x, y: (-1.0, 1.0), (continuum.PSI_GUARD + 0.5, 0.0)),
-    ], ids=["starts-on-guard", "linear-dive"])
-    def test_guard_events(self, fun, y0):
-        run = continuum._solve(fun, 0.0, y0, ODE_TOL)
-        assert_same_run(run, scipy_solve(fun, 0.0, y0, ODE_TOL))
-        assert run.status == 1
-
     def test_step_failure(self):
         # NaN past x = 0.5 rejects every step there until the step size
         # falls below the spacing of floats: scipy's status -1
@@ -337,6 +296,42 @@ class TestStepper:
         pencil = integrate_pencil(1.649)
         assert pencil.n_rhs == 2 + 15 * pencil.n_steps + 12 * pencil.n_rejected
         assert "n_rhs" not in sol_star.metadata()
+
+
+class TestPsiGuard:
+    """psi outside (PSI_GUARD, pi - PSI_GUARD) after a step raises StepFailure.
+
+    psi's equation involves neither tau nor the label, so whether a solve
+    leaves the band depends on x0 and tol alone; the library's own field
+    stays inside it at every start and tolerance that real runs use.
+    """
+
+    @pytest.mark.parametrize("fun, y0", [
+        # drives y[0] down through the guard near x = 0.4
+        (lambda x, y: (-(2.0 + y[1] * y[1]), math.cos(3.0 * x) * y[0]), (1.0, 0.2)),
+        # on the guard from the start: the first step already fails
+        (lambda x, y: (0.0, 1.0), (continuum.PSI_GUARD, 0.0)),
+        (lambda x, y: (-1.0, 1.0), (continuum.PSI_GUARD + 0.5, 0.0)),
+        # the upper edge of the band
+        (lambda x, y: (4.0, 1.0), (PI - 1.0, 0.0)),
+    ], ids=["toy-dive", "starts-on-guard", "linear-dive", "upper-edge"])
+    def test_leaving_the_band_raises(self, fun, y0):
+        with pytest.raises(StepFailure, match=r"^psi = \S+ at x = \S+ left the guard band"):
+            continuum._solve(fun, 0.0, y0, ODE_TOL)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.05, 10.0), _log_uniform(1e-12, X0_MAX),
+           _log_uniform(TOL_FLOOR, 1e-6))
+    def test_band_holds_at_every_start_and_tolerance(self, tau0, x0, tol):
+        # the check sees psi at the step nodes only; 20 dense reads per
+        # step rule out a dip past the guard that returns within one step
+        sol = integrate(tau0, x0=x0, tol=tol)
+        assert sol.x_end == 1.0
+        t = np.linspace(0.0, 1.0, 21)
+        xs = (sol.grid[:-1, None] + t * np.diff(sol.grid)[:, None]).ravel()
+        psi = sol.values(xs)[0]
+        assert np.all(psi > continuum.PSI_GUARD)
+        assert np.all(psi < PI - continuum.PSI_GUARD)
 
 
 class TestSelfCheck:
