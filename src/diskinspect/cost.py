@@ -79,6 +79,12 @@ def deployment_term(xi: float) -> float:
     return xi / math.cos(deployment_angle(xi))
 
 
+def closed_form_slope(xi: float) -> float:
+    """d/dxi of log_term + deployment_term: sec(pi xi) + D'(xi), D(xi) = xi / cos((1 - xi) pi)."""
+    theta = deployment_angle(xi)
+    return 1.0 / math.cos(math.pi * xi) + (1.0 - xi * math.pi * math.tan(theta)) / math.cos(theta)
+
+
 def total_cost(sol: OdeSolution, xi: float) -> CostBreakdown:
     """Assemble the three-term average cost at deployment parameter xi."""
     _check_xi(xi)

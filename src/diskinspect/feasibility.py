@@ -14,7 +14,7 @@ Window sweeps run the same pipeline on every start value of one tau0
 pencil: ``window_pencil`` checks the window, solves the pencil centred at
 its midpoint (``continuum.integrate_pencil``) and lays the uniform grid of
 labels on it.  The crossing scan reads tau off the pencil's columns
-sampled once at the scan abscissae, and the bisections, Newton steps and
+sampled once at the scan abscissae, and the bisection, Newton steps and
 clearance minima evaluate its dense output for all labels at once.  The
 scalar functions stay the reference the sweeps are tested against.
 """
@@ -34,16 +34,20 @@ from .errors import NoCrossing, OutOfRange
 
 #: Root scan and refinement tolerances.
 SCAN_GRID = 10_000
-BISECT_TOL = 1e-8
-BISECT_TOL_CHECK = 5e-10
+BISECT_TOL = 5e-10
+#: A crossing starts where g = T1 - 1 is below this floor, which excludes
+#: the trivial near-root at x0 where g ~ -2*pi*tau0*x0.
+CROSSING_FLOOR = -1e-9
 #: The Newton polish may leave |T1 - 1| above its value at the bisection
 #: root by at most a few ulps of the O(1) terms that make it up.
 NEWTON_G_SLACK = 8 * np.finfo(float).eps
 #: A start value counts as feasible when the curve clears the disk by at
 #: least this much in tau; the certified window has margin >= 0.2.
 FEASIBLE_TAU_MIN = 1e-6
-#: Brent tolerance for the tau minimum.
+#: Brent tolerance for the tau minimum, and the abscissae of the
+#: pre-scan that brackets it.
 BRENT_XATOL = 1e-10
+CLEARANCE_GRID = 2001
 
 #: Certified feasible window for the start value.
 WINDOW_LO = 1.64697
@@ -66,9 +70,15 @@ def _first_coord_minus_one(sol: OdeSolution, x: float) -> float:
     return math.cos(math.tau * x) - tau * math.sin(math.tau * x) - 1.0
 
 
-def _bisect_root(sol: OdeSolution, a: float, b: float, tol: float) -> float:
+def g_and_slope(tau, cot_psi, s, c):
+    """g = T1 - 1 and dg/dx from tau, cot psi, s = sin 2 pi x and c = cos 2 pi x
+    (dtau/dx = 2 pi (tau cot psi - 1)); floats or arrays alike."""
+    return c - tau * s - 1.0, -math.tau * (s + (tau * cot_psi - 1.0) * s + tau * c)
+
+
+def _bisect_root(sol: OdeSolution, a: float, b: float) -> float:
     fa = _first_coord_minus_one(sol, a)
-    while b - a > tol:
+    while b - a > BISECT_TOL:
         mid = 0.5 * (a + b)
         fm = _first_coord_minus_one(sol, mid)
         if (fa < 0.0) != (fm < 0.0):
@@ -79,15 +89,16 @@ def _bisect_root(sol: OdeSolution, a: float, b: float, tol: float) -> float:
 
 
 def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
-    """Smallest root xi > x0 of T1(x) = 1, plus the bisection self-check gap.
+    """Smallest root xi > x0 of T1(x) = 1, plus the self-check gap.
 
     Scan a uniform grid for the first sign change of g = T1 - 1 from
-    strictly negative (g < -1e-9, which excludes the trivial near-root at
-    x0 where g ~ -2*pi*tau0*x0) to nonnegative; bisect the bracket at 1e-8,
-    re-bisect at 5e-10 and report the discrepancy; finish with Newton steps
-    on the dense output so the returned root is smooth in tau0 (the
-    optimizer differentiates through it; a bisection staircase of height
-    5e-10 would contaminate the minimum through dT1/dxi ~ O(1)).
+    strictly negative (g < CROSSING_FLOOR) to nonnegative; bisect the
+    bracket to BISECT_TOL; finish with three Newton steps on the dense
+    output so the returned root is smooth in tau0 (the optimizer
+    differentiates through it; a bisection staircase of height 5e-10 would
+    contaminate the minimum through dT1/dxi ~ O(1)).  The gap is
+    |xi - bisection root|, the two root finders checked against each
+    other: at most about BISECT_TOL/2 when both found the same root.
 
     The polish is guarded: OutOfRange when an iterate leaves the scan
     bracket, or when |g| at the last iterate it evaluates exceeds |g| at
@@ -96,24 +107,19 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     xs = np.linspace(sol.x0, sol.x_end, SCAN_GRID)
     vals = sol.values(xs)
     g = np.cos(math.tau * xs) - vals[1] * np.sin(math.tau * xs) - 1.0
-    hits = np.where((g[:-1] < -1e-9) & (g[1:] >= 0.0))[0]
+    hits = np.where((g[:-1] < CROSSING_FLOOR) & (g[1:] >= 0.0))[0]
     if len(hits) == 0:
         raise NoCrossing(
             f"curve with tau0={sol.tau0!r} never returns to the line x=1"
         )
     a, b = xs[hits[0]], xs[hits[0] + 1]
-    xi_coarse = _bisect_root(sol, a, b, BISECT_TOL)
-    xi_check = _bisect_root(sol, a, b, BISECT_TOL_CHECK)
-    gap = abs(xi_coarse - xi_check)
-    xi = xi_check
+    xi = root = _bisect_root(sol, a, b)
     gvals = []
     for _ in range(3):
         _check_polish_bracket(sol, xi, a, b)
         psi, tau = sol.values(xi)
-        dtau = math.tau * (tau * math.cos(psi) / math.sin(psi) - 1.0)
-        s, c = math.sin(math.tau * xi), math.cos(math.tau * xi)
-        gval = c - tau * s - 1.0
-        gprime = -math.tau * s - dtau * s - math.tau * tau * c
+        gval, gprime = g_and_slope(tau, math.cos(psi) / math.sin(psi),
+                                   math.sin(math.tau * xi), math.cos(math.tau * xi))
         gvals.append(abs(gval))
         xi -= gval / gprime
     _check_polish_bracket(sol, xi, a, b)
@@ -122,7 +128,7 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
             f"Newton polish for tau0={sol.tau0!r} raised |T1 - 1| from "
             f"{gvals[0]!r} at the bisection root to {gvals[-1]!r}"
         )
-    return float(xi), float(gap)
+    return float(xi), float(abs(xi - root))
 
 
 def _check_polish_bracket(sol: OdeSolution, xi: float, a: float, b: float) -> None:
@@ -141,7 +147,7 @@ def clearance_certificate(sol: OdeSolution, xi: float) -> tuple[float, float]:
     bracket's interior, so a minimum at x0 or xi (a curve that dives into
     the disk) is taken from the bracket's end values.
     """
-    xs = np.linspace(sol.x0, xi, 2001)
+    xs = np.linspace(sol.x0, xi, CLEARANCE_GRID)
     tau = sol.values(xs)[1]
     j = int(np.argmin(tau))
     lo, hi = max(j - 1, 0), min(j + 1, len(xs) - 1)
@@ -189,7 +195,7 @@ def _g_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
 
 
 def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
-    """Per label, the first scan index i with g[i] < -1e-9 and g[i+1] >= 0.
+    """Per label, the first scan index i with g[i] < CROSSING_FLOOR and g[i+1] >= 0.
 
     -1 marks a label without such a crossing.  Also returns the scan
     abscissae, deployment_parameter's grid; tau and the trigonometric
@@ -202,7 +208,7 @@ def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
         rows = slice(lo, lo + SCAN_CHUNK + 1)
         tau = t[rows, None] + d * b[rows, None]
         g = cos[rows, None] - tau * sin[rows, None] - 1.0
-        hit = (g[:-1] < -1e-9) & (g[1:] >= 0.0)
+        hit = (g[:-1] < CROSSING_FLOOR) & (g[1:] >= 0.0)
         new = (first < 0) & hit.any(axis=0)
         first[new] = lo + np.argmax(hit[:, new], axis=0)
         if np.all(first >= 0):
@@ -210,11 +216,11 @@ def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
     return xs, first
 
 
-def _bisect_many(pencil: Pencil, tau0s, a, b, tol: float) -> np.ndarray:
+def _bisect_many(pencil: Pencil, tau0s, a, b) -> np.ndarray:
     """_bisect_root for every label, each with its own stopping test."""
     fa = _g_many(pencil, a, tau0s)
     while True:
-        active = b - a > tol
+        active = b - a > BISECT_TOL
         if not np.any(active):
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
@@ -229,7 +235,7 @@ def _bisect_many(pencil: Pencil, tau0s, a, b, tol: float) -> np.ndarray:
 def deployment_parameters(pencil: Pencil, tau0s):
     """deployment_parameter for every label: (xi, self-check gap, error) arrays.
 
-    The same scan, bisections and three guarded Newton steps, vectorized
+    The same scan, bisection and three guarded Newton steps, vectorized
     across labels.  Where the scalar version raises, xi and gap are NaN and
     the error entry holds the kind: NoCrossing where the scan finds no
     crossing, OutOfRange where a Newton iterate leaves the label's scan
@@ -242,37 +248,32 @@ def deployment_parameters(pencil: Pencil, tau0s):
     found = first >= 0
     taus = tau0s[found]
     a, b = xs[first[found]], xs[first[found] + 1]
-    xi_coarse = _bisect_many(pencil, taus, a, b, BISECT_TOL)
-    xi = _bisect_many(pencil, taus, a, b, BISECT_TOL_CHECK)
-    gap = np.abs(xi_coarse - xi)
+    xi = root = _bisect_many(pencil, taus, a, b)
     abs_g = np.full((3, len(taus)), math.nan)
     for step in range(3):
         inside = (xi >= a) & (xi <= b)
-        xi = np.where(inside, xi, math.nan)
+        xi = np.where(inside, xi, math.nan)  # a copy: root stays as it is
         psi, tau, _ = pencil.state(xi[inside], taus[inside])
-        dtau = math.tau * (tau * np.cos(psi) / np.sin(psi) - 1.0)
-        s, c = np.sin(math.tau * xi[inside]), np.cos(math.tau * xi[inside])
-        g = c - tau * s - 1.0
+        x = math.tau * xi[inside]
+        g, g_x = g_and_slope(tau, np.cos(psi) / np.sin(psi), np.sin(x), np.cos(x))
         abs_g[step, inside] = np.abs(g)
-        xi[inside] -= g / (-math.tau * s - dtau * s - math.tau * tau * c)
+        xi[inside] -= g / g_x
     ok = (xi >= a) & (xi <= b) & ~(abs_g[-1] > abs_g[0] + NEWTON_G_SLACK)
-    out_xi = np.full(tau0s.shape, math.nan)
-    out_gap = np.full(tau0s.shape, math.nan)
+    out = np.full((2, len(tau0s)), math.nan)
+    out[:, found] = np.where(ok, [xi, np.abs(xi - root)], math.nan)
     error = np.full(tau0s.shape, NoCrossing.kind, dtype=object)
-    out_xi[found] = np.where(ok, xi, math.nan)
-    out_gap[found] = np.where(ok, gap, math.nan)
     error[found] = np.where(ok, None, OutOfRange.kind)
-    return out_xi, out_gap, error
+    return out[0], out[1], error
 
 
 def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
     """tau_min of clearance_certificate for each label tau0s[k] on [x0, xi[k]].
 
-    The same 2001-point pre-scan brackets each minimum, then a
+    The same CLEARANCE_GRID-point pre-scan brackets each minimum, then a
     golden-section search shrinks every bracket below BRENT_XATOL; as
     there, a bracket end below the interior minimum is the minimum.
     """
-    xs = np.linspace(pencil.x0, xi, 2001)
+    xs = np.linspace(pencil.x0, xi, CLEARANCE_GRID)
     k = np.arange(len(tau0s))
     j = np.zeros(len(tau0s), dtype=int)
     best = np.full(len(tau0s), np.inf)
@@ -303,32 +304,25 @@ class FeasibilityReport:
     error: str | None = None
 
 
-def assess(sol: OdeSolution) -> FeasibilityReport:
-    """Full feasibility report for the start value sol.tau0 that sol solves."""
-    xi, gap = deployment_parameter(sol)
-    tau_min, clearance = clearance_certificate(sol, xi)
+def _report(tau0, xi, tau_min, gap, error=None) -> FeasibilityReport:
+    """The report of tau0; NaN xi, tau_min and gap carry an error row through."""
+    xi, tau_min = float(xi), float(tau_min)
     return FeasibilityReport(
-        tau0=sol.tau0,
+        tau0=float(tau0),
         xi=xi,
         theta=deployment_angle(xi),
         tau_min=tau_min,
-        clearance=clearance,
+        clearance=clearance_from_tau(tau_min),
         feasible=tau_min > FEASIBLE_TAU_MIN,
-        xi_selfcheck_gap=gap,
+        xi_selfcheck_gap=float(gap),
+        error=error,
     )
 
 
-def _error_report(tau0: float, kind: str) -> FeasibilityReport:
-    return FeasibilityReport(
-        tau0=tau0,
-        xi=math.nan,
-        theta=math.nan,
-        tau_min=math.nan,
-        clearance=math.nan,
-        feasible=False,
-        xi_selfcheck_gap=math.nan,
-        error=kind,
-    )
+def assess(sol: OdeSolution) -> FeasibilityReport:
+    """Full feasibility report for the start value sol.tau0 that sol solves."""
+    xi, gap = deployment_parameter(sol)
+    return _report(sol.tau0, xi, clearance_certificate(sol, xi)[0], gap)
 
 
 def window_pencil(
@@ -354,20 +348,4 @@ def feasibility_sweep(
     found = ~np.isnan(xi)
     tau_min = np.full(xi.shape, math.nan)
     tau_min[found] = clearance_minima(pencil, xi[found], tau0s[found])
-    reports = []
-    for k, tau0 in enumerate(tau0s):
-        if not found[k]:
-            reports.append(_error_report(float(tau0), error[k]))
-            continue
-        t = float(tau_min[k])
-        reports.append(FeasibilityReport(
-            tau0=float(tau0),
-            xi=float(xi[k]),
-            theta=deployment_angle(float(xi[k])),
-            tau_min=t,
-            clearance=clearance_from_tau(t),
-            feasible=t > FEASIBLE_TAU_MIN,
-            xi_selfcheck_gap=float(gap[k]),
-        ))
-    return reports
-
+    return [_report(*row) for row in zip(tau0s, xi, tau_min, gap, error)]

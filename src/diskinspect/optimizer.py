@@ -31,6 +31,7 @@ from .feasibility import (
     assess,
     deployment_parameter,
     deployment_parameters,
+    g_and_slope,
     window_pencil,
 )
 
@@ -137,13 +138,11 @@ def _probe(pencil: Pencil, tau0: float, xi: float, scanned: bool = False):
         if not pencil.x0 <= xi <= pencil.x_end:
             break
         psi, t, b, _, i_b = pencil.columns(xi).tolist()
-        tau, s, c = t + d * b, math.sin(math.tau * xi), math.cos(math.tau * xi)
-        g_x = -math.tau * (s + (tau * math.cos(psi) / math.sin(psi) - 1.0) * s + tau * c)
-        step = (c - tau * s - 1.0) / g_x
+        tau, s = t + d * b, math.sin(math.tau * xi)
+        g, g_x = g_and_slope(tau, math.cos(psi) / math.sin(psi), s, math.cos(math.tau * xi))
+        step = g / g_x
         if scanned or abs(step) <= PROBE_XI_STEP:
-            theta = (1.0 - xi) * math.pi  # sec(pi xi) + D'(xi) + the integrand at xi
-            dcost_dxi = (1.0 / math.cos(math.pi * xi) + (1.0 - xi * math.pi * math.tan(theta))
-                         / math.cos(theta) + math.tau * xi * tau / math.sin(psi))
+            dcost_dxi = cost_mod.closed_form_slope(xi) + math.tau * xi * tau / math.sin(psi)
             return dcost_dxi * b * s / g_x + i_b, xi
         xi -= step
     (xi,), _, (kind,) = deployment_parameters(pencil, np.array([tau0]))

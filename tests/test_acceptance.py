@@ -332,7 +332,7 @@ class TestCriterion9Robustness:
     @pytest.mark.slow
     def test_xi_selfcheck_gap(self, window_reports):
         worst = max(r.xi_selfcheck_gap for r in window_reports)
-        report("criterion-9 xi bisection self-check gap <= 2e-8 across sweep",
+        report("criterion-9 xi Newton-vs-bisection gap <= 2e-8 across sweep",
                worst <= 2e-8, f"worst={worst:.2e}")
 
     def test_two_start_gap(self):

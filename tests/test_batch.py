@@ -143,8 +143,8 @@ class TestNewtonLeavesRange:
         rows = sweep_cost(lo, hi, grid)
         bisect = feasibility._bisect_many
 
-        def astray(pencil, tau0s, a, b, tol):
-            xi = bisect(pencil, tau0s, a, b, tol)
+        def astray(pencil, tau0s, a, b):
+            xi = bisect(pencil, tau0s, a, b)
             xi[1] = pencil.x_end + 0.5
             return xi
 
@@ -166,8 +166,8 @@ class TestNewtonLeavesRange:
         reports = feasibility_sweep(lo, hi, grid)
         bisect = feasibility._bisect_many
 
-        def astray(pencil, tau0s, a, b, tol):
-            xi = bisect(pencil, tau0s, a, b, tol)
+        def astray(pencil, tau0s, a, b):
+            xi = bisect(pencil, tau0s, a, b)
             xi[2] = b[2] + 1e-3
             assert xi[2] < pencil.x_end
             return xi
@@ -211,11 +211,11 @@ class TestNewtonResidualGuard:
         drifting = _DriftingPencil(pencil, taus[1])
         bisect = feasibility._bisect_many
 
-        def arming(pencil, tau0s, a, b, tol):
-            # the Newton polish follows the check bisection
-            xi = bisect(pencil, tau0s, a, b, tol)
-            pencil.armed = tol == feasibility.BISECT_TOL_CHECK
-            pencil.calls = 0
+        def arming(pencil, tau0s, a, b):
+            # drift only in the Newton polish, which follows the bisection
+            pencil.armed = False
+            xi = bisect(pencil, tau0s, a, b)
+            pencil.armed, pencil.calls = True, 0
             return xi
 
         monkeypatch.setattr(feasibility, "_bisect_many", arming)

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from diskinspect.artifacts import write_json
 from diskinspect.continuum import integrate
 from diskinspect.cost import (
+    closed_form_slope,
+    deployment_term,
     full_cost_from_partial,
     inspection_integral,
     log_term,
@@ -77,6 +79,13 @@ class TestTotalCost:
         assert log_term(xi) == pytest.approx(
             math.log((1.0 + s) / (1.0 - s)) / (2.0 * PI), abs=1e-15
         )
+
+    @given(st.floats(0.55, 0.95, exclude_min=True, exclude_max=True))
+    def test_closed_form_slope_matches_central_difference(self, xi):
+        h = 1e-6
+        terms = lambda x: log_term(x) + deployment_term(x)
+        fd = (terms(xi + h) - terms(xi - h)) / (2.0 * h)
+        assert closed_form_slope(xi) == pytest.approx(fd, rel=1e-7)
 
     def test_xi_domain_guard(self, sol_star):
         with pytest.raises(XiOutOfRange):

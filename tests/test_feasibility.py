@@ -77,7 +77,7 @@ class TestNewtonPolishGuard:
     def test_iterate_outside_bracket_raises(self, sol_star, monkeypatch):
         # a bisection root past its bracket, as a Newton iterate leaving it
         # would be; the point is still inside the solved range
-        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b, tol: b + 1e-3)
+        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b: b + 1e-3)
         with pytest.raises(OutOfRange, match="left the scan bracket"):
             deployment_parameter(sol_star)
 
@@ -86,10 +86,39 @@ class TestNewtonPolishGuard:
             deployment_parameter(_DriftingPolish(sol_star))
 
     def test_trace_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b, tol: b + 1e-3)
+        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b: b + 1e-3)
         rc = main(["--out", str(tmp_path / "o"), "trace", "--tau0", "1.6475"])
         assert rc == 2
         assert "OutOfRange" in capsys.readouterr().out
+
+
+class TestSelfCheckGap:
+    """The gap is |polished xi - bisection root|: a bisection root moved 1e-6
+    inside its scan bracket leaves xi where it was, and the gap shows it."""
+
+    @staticmethod
+    def displaced(root, a, b):
+        return root + np.where(root < 0.5 * (a + b), 1e-6, -1e-6)
+
+    def test_scalar_path(self, sol_star, monkeypatch):
+        xi, _ = deployment_parameter(sol_star)
+        bisect = feasibility._bisect_root
+        monkeypatch.setattr(feasibility, "_bisect_root",
+                            lambda sol, a, b: float(self.displaced(bisect(sol, a, b), a, b)))
+        moved, gap = deployment_parameter(sol_star)
+        assert abs(moved - xi) <= 1e-12
+        assert gap > 2e-8
+
+    def test_pencil_path(self, monkeypatch):
+        reports = feasibility_sweep(WINDOW_LO, WINDOW_HI, 4)
+        bisect = feasibility._bisect_many
+        monkeypatch.setattr(feasibility, "_bisect_many", lambda pencil, tau0s, a, b:
+                            self.displaced(bisect(pencil, tau0s, a, b), a, b))
+        moved = feasibility_sweep(WINDOW_LO, WINDOW_HI, 4)
+        assert all(m.error is None for m in moved)
+        for r, m in zip(reports, moved):
+            assert abs(m.xi - r.xi) <= 1e-12
+            assert m.xi_selfcheck_gap > 2e-8
 
 
 class TestClearance:
