@@ -18,6 +18,7 @@ byte-identical JSON/CSV/SVG output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -80,7 +81,9 @@ def _add_window_args(sp) -> None:
     sp.add_argument("--tau0-hi", type=_POSITIVE, default=feas_mod.WINDOW_HI)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="diskinspect", description=__doc__.split("\n")[0])
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", default="json,csv",

@@ -139,8 +139,8 @@ def _check_polish_bracket(sol: OdeSolution, xi: float, a: float, b: float) -> No
         )
 
 
-def clearance_certificate(sol: OdeSolution, xi: float) -> tuple[float, float]:
-    """Minimum of tau on [x0, xi] (bounded Brent) and the radial clearance.
+def clearance_certificate(sol: OdeSolution, xi: float) -> float:
+    """Minimum of tau on [x0, xi] (bounded Brent); see clearance_from_tau.
 
     A coarse grid pre-scan brackets the interior minimum before Brent runs,
     guarding against endpoint traps.  Bounded Brent only samples the
@@ -157,8 +157,7 @@ def clearance_certificate(sol: OdeSolution, xi: float) -> tuple[float, float]:
         method="bounded",
         options={"xatol": BRENT_XATOL},
     )
-    tau_min = float(min(res.fun, tau[lo], tau[hi]))
-    return tau_min, clearance_from_tau(tau_min)
+    return float(min(res.fun, tau[lo], tau[hi]))
 
 
 def clearance_from_tau(tau_min: float) -> float:
@@ -322,7 +321,7 @@ def _report(tau0, xi, tau_min, gap, error=None) -> FeasibilityReport:
 def assess(sol: OdeSolution) -> FeasibilityReport:
     """Full feasibility report for the start value sol.tau0 that sol solves."""
     xi, gap = deployment_parameter(sol)
-    return _report(sol.tau0, xi, clearance_certificate(sol, xi)[0], gap)
+    return _report(sol.tau0, xi, clearance_certificate(sol, xi), gap)
 
 
 def window_pencil(

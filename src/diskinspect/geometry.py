@@ -14,10 +14,10 @@ because dot(A(s), P) is affine in arclength s on each segment.
 ``first_inspection_arclength`` is the definition: it walks the vertices of
 one path for one angle.  ``first_inspection_arclengths``, the brute-force
 oracle's workhorse, answers many angles through an arc index: the angles a
-vertex sees form one arc of the circle, so sorting the angles once and
-painting each vertex's (slightly widened) arc labels every angle with its
-first candidate vertex, which the same dot test then confirms.  The two
-functions are kept apart as a cross-check pair.
+vertex sees form one arc of the circle, so after sorting the angles once, a
+min segment tree over them takes each vertex's (slightly widened) arc and
+labels every angle with its first candidate vertex, which the same dot test
+then confirms.  The two functions are kept apart as a cross-check pair.
 """
 
 from __future__ import annotations
@@ -129,15 +129,15 @@ def first_inspection_arclengths(traj: Polyline, phis: np.ndarray) -> np.ndarray:
     half-width arccos(thresh / r_j), empty when r_j < thresh.  The angles
     are reduced mod 2*pi and sorted; one vectorized ``searchsorted`` call
     per arc end bounds every arc at shifts of -2*pi, 0 and 2*pi (an arc
-    that crosses the seam phi = 0 becomes two slices), and the slices are
-    painted for j in descending order, so each angle ends up labelled with
-    the smallest j whose arc covers it.  In blocks of CONFIRM_BLOCK angles,
-    that candidate is confirmed with the exact dot test at the original
-    angle and interpolated on segment j-1 -> j as in the scalar function;
-    where the test fails, j steps forward through the later vertices.  No
+    that crosses the seam phi = 0 becomes two slices), and a min segment
+    tree labels each angle with the smallest j whose arc covers it (see
+    _arc_labels).  In blocks of CONFIRM_BLOCK angles, that candidate is
+    confirmed with the exact dot test at the original angle and
+    interpolated on segment j-1 -> j as in the scalar function; where the
+    test fails, j steps forward through the later vertices.  No
     vertices-by-angles matrix is built.
 
-    No under-claim.  The painted arcs may be too wide, never too narrow, so
+    No under-claim.  The widened arcs may be too wide, never too narrow, so
     the smallest j that passes the dot test is never skipped.  The dot
     d = vx*cos(phi) + vy*sin(phi) lies within 11 eps r_j of
     r_j cos(phi - a_j) (cos and sin within 4 ulp, three roundings), so
@@ -154,15 +154,15 @@ def first_inspection_arclengths(traj: Polyline, phis: np.ndarray) -> np.ndarray:
     removes every over-claim.
     """
     phis = np.asarray(phis, dtype=float)
-    out = np.full(len(phis), NEVER)
     if len(phis) == 0:
-        return out
+        return np.full(0, NEVER)
     thresh = 1.0 - VISIBILITY_SLACK
     reach = np.max(np.abs(phis), where=np.isfinite(phis), initial=0.0)
     order = np.argsort(np.mod(phis, math.tau))
     # reduced again, not kept from the argsort: one angle-sized array fewer
     labels = _arc_labels(traj.vertices, np.mod(phis[order], math.tau),
                          thresh, ARC_ANGLE_SLACK + EPS * reach)
+    out = np.full(len(phis), NEVER)
     for lo in range(0, len(phis), CONFIRM_BLOCK):
         j = labels[lo : lo + CONFIRM_BLOCK]
         covered = j < len(traj.vertices)
@@ -177,8 +177,17 @@ def _arc_labels(v: np.ndarray, red: np.ndarray, thresh: float, slack: float) -> 
     The label is the smallest j whose widened arc covers red[k], or len(v)
     where no arc does; slack is the angle widening (see
     first_inspection_arclengths).
+
+    Each arc covers a slice [a, b) of the n sorted angles.  A bottom-up min
+    segment tree holds leaf k at node n + k and the children of node i at
+    2i and 2i + 1; this layout needs no padding to a power of two.  Every
+    slice is split into the O(log n) nodes that tile it, one level at a
+    time for all slices at once, and each node keeps the smallest j among
+    the slices that reach it.  Pushing the minima down level by level, in
+    place, leaves at each leaf the minimum over its ancestors: the smallest
+    j over the slices that cover the angle.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         x = thresh / np.hypot(v[:, 0], v[:, 1]) - ARC_COS_SLACK
     j = np.flatnonzero(x <= 1.0)
     half = np.arccos(x[j]) + slack
@@ -187,11 +196,30 @@ def _arc_labels(v: np.ndarray, red: np.ndarray, thresh: float, slack: float) -> 
     shifts = np.array([[-math.tau], [0.0], [math.tau]])
     a = np.searchsorted(red, mid - half + shifts, side="left").T
     b = np.searchsorted(red, mid + half + shifts, side="right").T
-    arc, _ = painted = np.nonzero(a < b)
-    labels = np.full(len(red), len(v), dtype=np.int32)
-    for jj, s, e in zip(j[arc][::-1], a[painted][::-1], b[painted][::-1]):
-        labels[s:e] = jj
-    return labels
+    arc, _ = covering = np.nonzero(a < b)
+    n = len(red)
+    tree = np.full(2 * n, len(v), dtype=np.int32)
+    lo, hi, jj = a[covering] + n, b[covering] + n, j[arc].astype(np.int32)
+    # an odd lo is a right child: that node lies inside [lo, hi) but its
+    # parent does not; likewise the node left of an odd hi
+    while len(jj):
+        odd = (lo & 1).astype(bool)
+        np.minimum.at(tree, lo[odd], jj[odd])
+        lo += odd
+        odd = (hi & 1).astype(bool)
+        hi -= odd
+        np.minimum.at(tree, hi[odd], jj[odd])
+        lo >>= 1
+        hi >>= 1
+        live = lo < hi
+        lo, hi, jj = lo[live], hi[live], jj[live]
+    # push down: internal nodes 1..n-1, parents before children
+    for depth in range((n - 1).bit_length()):
+        s = 1 << depth
+        e = min(2 * s, n)
+        for child in tree[2 * s : 2 * e : 2], tree[2 * s + 1 : 2 * e : 2]:
+            np.minimum(child, tree[s:e], out=child)
+    return tree[n:].copy()
 
 
 def _confirmed_arclengths(traj: Polyline, phis, j, thresh: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diskinspect import continuum, feasibility
+from diskinspect import cli, continuum, feasibility
 from diskinspect.cli import main
 
 from conftest import PUBLISHED_TAU0
@@ -308,6 +308,45 @@ class TestUsage:
     def test_bad_format_exits_1(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--format", "yaml", "angle-bounds"])
         assert rc == 1
+
+
+class TestParserReuse:
+    """main parses every call with one cached parser."""
+
+    ARGVS = [
+        ["--seed", "7", "--format", "json", "verify", "--samples", "500", "--segments", "3"],
+        ["verify"],
+        ["--x0", "1e-7", "optimize", "--grid", "7", "--tau0-lo", "1.6"],
+        ["optimize"],
+        ["lower-bound", "--grid", "3", "--theta", "0.2"],
+        ["lower-bound"],
+        ["trace", "--tau0", "1.7"],
+        ["--tol-ode", "1e-9", "converge"],
+    ]
+
+    def test_consecutive_calls_keep_no_state(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "COMMANDS", {
+            name: lambda args, out, formats: seen.append(vars(args)) or 0
+            for name in cli.COMMANDS})
+        for argv in self.ARGVS:
+            assert main(["--out", str(tmp_path), *argv]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        fresh = [vars(cli.build_parser.__wrapped__().parse_args(["--out", str(tmp_path), *a]))
+                 for a in self.ARGVS]
+        assert seen == fresh
+        assert seen[1]["seed"] == 0 and seen[1]["samples"] == 100_000
+        assert seen[3]["grid"] == 2000 and seen[3]["x0"] == continuum.X0_REF
+        assert seen[5]["grid"] is None
+        assert "samples" not in seen[3] and "tau0_lo" not in seen[7]
+
+    @pytest.mark.parametrize("bad", [["trace"], ["optimize", "--grid", "1"], ["frobnicate"]])
+    def test_usage_error_after_a_good_call_exits_1(self, tmp_path, capsys, bad):
+        assert main(["--out", str(tmp_path), "--format", "json", "angle-bounds"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(tmp_path), *bad])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 #: Edge minimum: the cost still falls left of 1.7 (see TestOptimize).

@@ -6,11 +6,13 @@ from hypothesis import assume, given, strategies as st
 
 from diskinspect.artifacts import write_csv
 from diskinspect.geometry import (
+    ARC_ANGLE_SLACK,
     ARC_COS_SLACK,
     EPS,
     NEVER,
     VISIBILITY_SLACK,
     Polyline,
+    _arc_labels,
     first_inspection_arclength,
     first_inspection_arclengths,
     inspects,
@@ -239,6 +241,64 @@ def test_vectorized_two_vertex_polyline():
     seen = 2.0 * np.cos(phis) >= 1.0 - 1e-12
     assert np.array_equal(np.isfinite(vec), seen)
     assert np.allclose(vec[seen], 1.0 / np.cos(phis[seen]), atol=1e-9)
+
+
+def painted_labels(v, red, thresh, slack):
+    """Reference for _arc_labels: paint every covered slice, j descending."""
+    with np.errstate(divide="ignore", over="ignore"):
+        x = thresh / np.hypot(v[:, 0], v[:, 1]) - ARC_COS_SLACK
+    j = np.flatnonzero(x <= 1.0)
+    half = np.arccos(x[j]) + slack
+    mid = np.arctan2(v[j, 1], v[j, 0])
+    shifts = np.array([[-math.tau], [0.0], [math.tau]])
+    a = np.searchsorted(red, mid - half + shifts, side="left").T
+    b = np.searchsorted(red, mid + half + shifts, side="right").T
+    arc, _ = painted = np.nonzero(a < b)
+    labels = np.full(len(red), len(v), dtype=np.int32)
+    for jj, s, e in zip(j[arc][::-1], a[painted][::-1], b[painted][::-1]):
+        labels[s:e] = jj
+    return labels
+
+
+# 1, 2, 3 and 2^k - 1, 2^k, 2^k + 1: the tree's shape changes at each 2^k
+ANGLE_COUNTS = sorted({1, 2, 3} | {2**k + d for k in range(2, 11) for d in (-1, 0, 1)})
+SEAM = [0.0, 1e-13, math.tau - 1e-13, math.tau]
+
+
+@given(
+    st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)), min_size=1, max_size=12),
+    st.sampled_from(ANGLE_COUNTS),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(-math.pi, math.pi)),
+)
+def test_arc_labels_match_descending_painting(verts, n, seed, seam, wide):
+    # the vertices fall inside and outside the disk; near-seam angles make
+    # arcs cross phi = 0; a far vertex with a widening just under pi/2 has
+    # an arc of half-width just under pi, almost the whole circle
+    v = np.array(verts)
+    slack = ARC_ANGLE_SLACK
+    if wide is not None:
+        v = np.vstack([v, 1e9 * np.array([math.cos(wide), math.sin(wide)])])
+        slack = math.pi / 2 - 1e-6
+    red = np.random.default_rng(seed).uniform(0.0, math.tau, n)
+    if seam:
+        red[: len(SEAM)] = SEAM[:n]
+    red.sort()
+    thresh = 1.0 - VISIBILITY_SLACK
+    got = _arc_labels(v, red, thresh, slack)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, painted_labels(v, red, thresh, slack))
+
+
+def test_arc_labels_match_painting_on_a_long_spiral():
+    # thousands of overlapping arcs over 2^14 + 1 angles
+    s = np.linspace(0.0, 40.0, 3001)
+    v = (0.2 + 0.05 * s)[:, None] * np.column_stack([np.cos(s), np.sin(s)])
+    red = np.sort(np.random.default_rng(5).uniform(0.0, math.tau, 2**14 + 1))
+    thresh = 1.0 - VISIBILITY_SLACK
+    assert np.array_equal(_arc_labels(v, red, thresh, ARC_ANGLE_SLACK),
+                          painted_labels(v, red, thresh, ARC_ANGLE_SLACK))
 
 
 def test_csv_round_trip(tmp_path):
