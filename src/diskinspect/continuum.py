@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -186,6 +186,16 @@ class StackedDense:
         coef = np.concatenate([self.F, self.y_old[:, None]], axis=1).tolist()
         self._rows = list(zip(self.t_old.tolist(), self.h.tolist(),
                               [list(zip(*c)) for c in coef]))
+        self._samples = {}
+
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """n uniform abscissae xs on [ts[0], ts[-1]], cos and sin of 2*pi*xs
+        and the components at xs, computed once per n."""
+        if n not in self._samples:
+            xs = np.linspace(self.ts[0], self.ts[-1], n)
+            w = math.tau * xs
+            self._samples[n] = xs, np.cos(w), np.sin(w), self(xs)
+        return self._samples[n]
 
     def _point(self, x: float) -> np.ndarray:
         k = min(max(bisect_left(self._ts, x) - 1, 0), len(self._rows) - 1)
@@ -247,6 +257,11 @@ class OdeSolution:
     def values(self, x):
         """(psi, tau) from dense output; scalar or vectorized."""
         return self._dense(_check_range(x, self.x0, self.x_end))
+
+    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """StackedDense.sample: n uniform abscissae xs on [x0, x_end], cos and
+        sin of 2*pi*xs and (psi, tau) at xs, computed once."""
+        return self._dense.sample(n)
 
     def psi_at(self, x) -> float:
         return float(self.values(float(x))[0])
@@ -464,7 +479,6 @@ class Pencil:
     _dense: object
     n_rhs: int = 0
     n_rejected: int = 0
-    _samples: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -490,13 +504,9 @@ class Pencil:
         return psi, t + d * b, it + d * ib
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """n uniform abscissae xs on [x0, x_end], cos and sin of 2*pi*xs and
-        the columns at xs, computed once."""
-        if n not in self._samples:
-            xs = np.linspace(self.x0, self.x_end, n)
-            w = math.tau * xs
-            self._samples[n] = xs, np.cos(w), np.sin(w), self.columns(xs)
-        return self._samples[n]
+        """StackedDense.sample: n uniform abscissae xs on [x0, x_end], cos and
+        sin of 2*pi*xs and the columns at xs, computed once."""
+        return self._dense.sample(n)
 
 
 def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -> Pencil:

@@ -7,16 +7,22 @@ deployment angle of the straight segment that completes the trajectory.
 Clearance is sqrt(1 + tau_min^2) - 1 with tau_min the minimum of tau on
 [x0, xi], since ||T(x)|| = sqrt(1 + tau(x)^2).
 
+Both roots come from one uniform scan of the solve and one bisection: xi
+is the first sign change of g = T1 - 1 on the scan, bisected; tau_min is
+the root of tau' = 2*pi*(tau cot psi - 1), bisected in the two scan cells
+around the scan's smallest tau at or before xi, or a bracket end where tau
+is smaller there (a curve whose tau falls all the way to the crossing).
+
 ``assess`` certifies one solved trajectory, so its report always names
 the start value that trajectory was solved for.
 
 Window sweeps run the same pipeline on every start value of one tau0
 pencil: ``window_pencil`` checks the window, solves the pencil centred at
 its midpoint (``continuum.integrate_pencil``) and lays the uniform grid of
-labels on it.  The crossing scan reads tau off the pencil's columns
-sampled once at the scan abscissae, and the bisection, Newton steps and
-clearance minima evaluate its dense output for all labels at once.  The
-scalar functions stay the reference the sweeps are tested against.
+labels on it.  The crossing and clearance scans read tau off the pencil's
+columns sampled once at the scan abscissae, and the bisections and Newton
+steps evaluate its dense output for all labels at once.  The scalar
+functions stay the reference the sweeps are tested against.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # integrate is unused here but stays importable as feasibility.integrate,
 # the name the perfbench tracer patches and its harness test looks up
@@ -44,10 +49,6 @@ NEWTON_G_SLACK = 8 * np.finfo(float).eps
 #: A start value counts as feasible when the curve clears the disk by at
 #: least this much in tau; the certified window has margin >= 0.2.
 FEASIBLE_TAU_MIN = 1e-6
-#: Brent tolerance for the tau minimum, and the abscissae of the
-#: pre-scan that brackets it.
-BRENT_XATOL = 1e-10
-CLEARANCE_GRID = 2001
 
 #: Certified feasible window for the start value.
 WINDOW_LO = 1.64697
@@ -56,8 +57,6 @@ WINDOW_HI = 1.6525
 #: Scan abscissae per label evaluated at once by the pencil scans; no scan
 #: builds a matrix over every abscissa and every label.
 SCAN_CHUNK = 250
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def deployment_angle(xi: float) -> float:
@@ -70,17 +69,25 @@ def _first_coord_minus_one(sol: OdeSolution, x: float) -> float:
     return math.cos(math.tau * x) - tau * math.sin(math.tau * x) - 1.0
 
 
+def _tau_slope(sol: OdeSolution, x: float) -> float:
+    """tau cot psi - 1 = tau' / (2 pi) at x."""
+    psi, tau = sol.values(x)
+    return float(tau * math.cos(psi) / math.sin(psi) - 1.0)
+
+
 def g_and_slope(tau, cot_psi, s, c):
     """g = T1 - 1 and dg/dx from tau, cot psi, s = sin 2 pi x and c = cos 2 pi x
     (dtau/dx = 2 pi (tau cot psi - 1)); floats or arrays alike."""
     return c - tau * s - 1.0, -math.tau * (s + (tau * cot_psi - 1.0) * s + tau * c)
 
 
-def _bisect_root(sol: OdeSolution, a: float, b: float) -> float:
-    fa = _first_coord_minus_one(sol, a)
+def _bisect_root(f, a: float, b: float) -> float:
+    """Bisect [a, b] to BISECT_TOL for a sign change of f (f < 0 against
+    f >= 0); without one, the bracket closes in on b."""
+    fa = f(a)
     while b - a > BISECT_TOL:
         mid = 0.5 * (a + b)
-        fm = _first_coord_minus_one(sol, mid)
+        fm = f(mid)
         if (fa < 0.0) != (fm < 0.0):
             b = mid
         else:
@@ -91,8 +98,9 @@ def _bisect_root(sol: OdeSolution, a: float, b: float) -> float:
 def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     """Smallest root xi > x0 of T1(x) = 1, plus the self-check gap.
 
-    Scan a uniform grid for the first sign change of g = T1 - 1 from
-    strictly negative (g < CROSSING_FLOOR) to nonnegative; bisect the
+    Scan the solve's SCAN_GRID abscissae (``OdeSolution.sample``, shared
+    with clearance_certificate) for the first sign change of g = T1 - 1
+    from strictly negative (g < CROSSING_FLOOR) to nonnegative; bisect the
     bracket to BISECT_TOL; finish with three Newton steps on the dense
     output so the returned root is smooth in tau0 (the optimizer
     differentiates through it; a bisection staircase of height 5e-10 would
@@ -104,16 +112,15 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     bracket, or when |g| at the last iterate it evaluates exceeds |g| at
     the bisection root by more than NEWTON_G_SLACK.
     """
-    xs = np.linspace(sol.x0, sol.x_end, SCAN_GRID)
-    vals = sol.values(xs)
-    g = np.cos(math.tau * xs) - vals[1] * np.sin(math.tau * xs) - 1.0
+    xs, cos, sin, (_, tau) = sol.sample(SCAN_GRID)
+    g = cos - tau * sin - 1.0
     hits = np.where((g[:-1] < CROSSING_FLOOR) & (g[1:] >= 0.0))[0]
     if len(hits) == 0:
         raise NoCrossing(
             f"curve with tau0={sol.tau0!r} never returns to the line x=1"
         )
     a, b = xs[hits[0]], xs[hits[0] + 1]
-    xi = root = _bisect_root(sol, a, b)
+    xi = root = _bisect_root(lambda x: _first_coord_minus_one(sol, x), a, b)
     gvals = []
     for _ in range(3):
         _check_polish_bracket(sol, xi, a, b)
@@ -140,51 +147,25 @@ def _check_polish_bracket(sol: OdeSolution, xi: float, a: float, b: float) -> No
 
 
 def clearance_certificate(sol: OdeSolution, xi: float) -> float:
-    """Minimum of tau on [x0, xi] (bounded Brent); see clearance_from_tau.
+    """Minimum of tau on [x0, xi]; see clearance_from_tau.
 
-    A coarse grid pre-scan brackets the interior minimum before Brent runs,
-    guarding against endpoint traps.  Bounded Brent only samples the
-    bracket's interior, so a minimum at x0 or xi (a curve that dives into
-    the disk) is taken from the bracket's end values.
+    The smallest tau on deployment_parameter's scan abscissae at or before
+    xi brackets the minimum by its two neighbouring abscissae, the upper
+    one clamped to xi; the bisection of tau cot psi - 1 (tau' / (2 pi))
+    finds the minimum inside.  A bracket end where tau is smaller is the
+    minimum: a curve that dives into the disk has tau falling all the way
+    to the crossing, and then tau_min is tau(xi).
     """
-    xs = np.linspace(sol.x0, xi, CLEARANCE_GRID)
-    tau = sol.values(xs)[1]
-    j = int(np.argmin(tau))
-    lo, hi = max(j - 1, 0), min(j + 1, len(xs) - 1)
-    res = minimize_scalar(
-        lambda x: sol.tau_at(x),
-        bounds=(xs[lo], xs[hi]),
-        method="bounded",
-        options={"xatol": BRENT_XATOL},
-    )
-    return float(min(res.fun, tau[lo], tau[hi]))
+    xs, _, _, (_, tau) = sol.sample(SCAN_GRID)
+    j = int(np.argmin(tau[: np.searchsorted(xs, xi, side="right")]))
+    lo, hi = float(xs[max(j - 1, 0)]), min(float(xs[min(j + 1, len(xs) - 1)]), xi)
+    x = _bisect_root(lambda x: _tau_slope(sol, x), lo, hi)
+    return min(sol.tau_at(x), sol.tau_at(lo), sol.tau_at(hi))
 
 
 def clearance_from_tau(tau_min: float) -> float:
     """Radial clearance sqrt(1 + tau_min^2) - 1 (exactly 0 at tau_min = 0)."""
     return math.sqrt(1.0 + tau_min * tau_min) - 1.0
-
-
-def golden_min(f, a, b):
-    """Golden-section search for the minimum of f on [a, b].
-
-    Returns the midpoint of the final bracket and the smallest value of f
-    seen at its two interior points.  a and b may be floats or arrays of
-    independent brackets (f is then evaluated elementwise); every bracket
-    keeps shrinking until the widest is below BRENT_XATOL.
-    """
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while np.any(b - a > BRENT_XATOL):
-        left = fc < fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fp = f(probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    return 0.5 * (a + b), np.minimum(fc, fd)
 
 
 def _g_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
@@ -215,15 +196,16 @@ def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
     return xs, first
 
 
-def _bisect_many(pencil: Pencil, tau0s, a, b) -> np.ndarray:
-    """_bisect_root for every label, each with its own stopping test."""
-    fa = _g_many(pencil, a, tau0s)
+def _bisect_many(f, a, b) -> np.ndarray:
+    """_bisect_root for every label: f maps the abscissae of all labels to
+    their values, and each bracket has its own stopping test."""
+    fa = f(a)
     while True:
         active = b - a > BISECT_TOL
         if not np.any(active):
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
-        fm = _g_many(pencil, mid, tau0s)
+        fm = f(mid)
         flip = (fa < 0.0) != (fm < 0.0)
         b = np.where(active & flip, mid, b)
         move = active & ~flip
@@ -247,7 +229,7 @@ def deployment_parameters(pencil: Pencil, tau0s):
     found = first >= 0
     taus = tau0s[found]
     a, b = xs[first[found]], xs[first[found] + 1]
-    xi = root = _bisect_many(pencil, taus, a, b)
+    xi = root = _bisect_many(lambda x: _g_many(pencil, x, taus), a, b)
     abs_g = np.full((3, len(taus)), math.nan)
     for step in range(3):
         inside = (xi >= a) & (xi <= b)
@@ -268,25 +250,36 @@ def deployment_parameters(pencil: Pencil, tau0s):
 def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
     """tau_min of clearance_certificate for each label tau0s[k] on [x0, xi[k]].
 
-    The same CLEARANCE_GRID-point pre-scan brackets each minimum, then a
-    golden-section search shrinks every bracket below BRENT_XATOL; as
-    there, a bracket end below the interior minimum is the minimum.
+    The same bracket on the crossing scan's abscissae (``Pencil.sample``),
+    the same bisection of tau cot psi - 1 for all labels at once and the
+    same bracket-end values.
     """
-    xs = np.linspace(pencil.x0, xi, CLEARANCE_GRID)
+    xs, _, _, (_, t, b, _, _) = pencil.sample(SCAN_GRID)
+    d = tau0s - pencil.tau_bar
+    n = np.searchsorted(xs, xi, side="right")
     k = np.arange(len(tau0s))
     j = np.zeros(len(tau0s), dtype=int)
     best = np.full(len(tau0s), np.inf)
-    for lo in range(0, len(xs), SCAN_CHUNK):
-        tau = pencil.state(xs[lo : lo + SCAN_CHUNK], tau0s)[1]
-        i = np.argmin(tau, axis=0)
-        better = tau[i, k] < best
+    end = n.max(initial=0)
+    for lo in range(0, end, SCAN_CHUNK):
+        rows = slice(lo, min(lo + SCAN_CHUNK, end))
+        tau = t[rows] + d[:, None] * b[rows]
+        if rows.stop > n.min():
+            tau[np.arange(rows.start, rows.stop) >= n[:, None]] = np.inf
+        i = np.argmin(tau, axis=1)
+        better = tau[k, i] < best
         j[better] = lo + i[better]
-        best = np.minimum(best, tau[i, k])
-    lo = xs[np.maximum(j - 1, 0), k]
-    hi = xs[np.minimum(j + 1, len(xs) - 1), k]
-    ends = np.minimum(pencil.state(lo, tau0s)[1], pencil.state(hi, tau0s)[1])
-    inner = golden_min(lambda x: pencil.state(x, tau0s)[1], lo, hi)[1]
-    return np.minimum(inner, ends)
+        best[better] = tau[k, i][better]
+    lo = xs[np.maximum(j - 1, 0)]
+    hi = np.minimum(xs[np.minimum(j + 1, len(xs) - 1)], xi)
+
+    def slope(x):
+        psi, tau, _ = pencil.state(x, tau0s)
+        return tau * np.cos(psi) / np.sin(psi) - 1.0
+
+    x = _bisect_many(slope, lo, hi)
+    tau = [pencil.state(e, tau0s)[1] for e in (x, lo, hi)]
+    return np.minimum(tau[0], np.minimum(tau[1], tau[2]))
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Shared fixtures: the expensive sweeps run once per session."""
 
+import sys
+
 import hypothesis
 import pytest
 
@@ -23,6 +25,18 @@ PUBLISHED_THETA = 0.5909025598581181
 #: 30-digit Taylor integration; see the acceptance module for context).
 CONVERGED_XI_AT_PUBLISHED_TAU0 = 0.8119095137383550
 CONVERGED_THETA_AT_PUBLISHED_TAU0 = 0.5909036898497157
+
+
+def crossing_only(real, stand_in):
+    """A bisection that is stand_in where deployment_parameter or
+    deployment_parameters calls it, for the crossing root, and real
+    elsewhere: the clearance bisection that follows keeps its own root."""
+
+    def bisect(f, a, b):
+        caller = sys._getframe(1).f_code.co_name
+        return (stand_in if caller.startswith("deployment_parameter") else real)(f, a, b)
+
+    return bisect
 
 
 @pytest.fixture(scope="session")

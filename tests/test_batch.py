@@ -22,6 +22,8 @@ from diskinspect.feasibility import (
 )
 from diskinspect.optimizer import SWEEP_NOISE_TOL, cost_at, sweep_cost
 
+from conftest import crossing_only
+
 #: Agreement required of a pencil row with its scalar row.
 XI_TOL = 1e-8
 TAU_MIN_TOL = 1e-8
@@ -102,7 +104,7 @@ class TestRowsMatchScalar:
 
     def test_grid_not_a_multiple_of_the_block(self, monkeypatch):
         # a scan block of 7 divides neither the 9999 cells of the crossing
-        # scan nor the 2001 abscissae of the clearance pre-scan
+        # scan nor the clearance scan's abscissae up to the largest xi
         monkeypatch.setattr(feasibility, "SCAN_CHUNK", 7)
         lo, hi, grid = 1.6469764, 1.6469774, 10
         assert_reports_match(feasibility_sweep(lo, hi, grid), lo, hi, grid)
@@ -143,12 +145,12 @@ class TestNewtonLeavesRange:
         rows = sweep_cost(lo, hi, grid)
         bisect = feasibility._bisect_many
 
-        def astray(pencil, tau0s, a, b):
-            xi = bisect(pencil, tau0s, a, b)
-            xi[1] = pencil.x_end + 0.5
+        def astray(f, a, b):
+            xi = bisect(f, a, b)
+            xi[1] = 1.5  # past the solved range [x0, 1]
             return xi
 
-        monkeypatch.setattr(feasibility, "_bisect_many", astray)
+        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, astray))
         bad_reports = feasibility_sweep(lo, hi, grid)
         bad_rows = sweep_cost(lo, hi, grid)
         assert [r.error for r in bad_reports] == [None, "OutOfRange", None, None]
@@ -166,13 +168,13 @@ class TestNewtonLeavesRange:
         reports = feasibility_sweep(lo, hi, grid)
         bisect = feasibility._bisect_many
 
-        def astray(pencil, tau0s, a, b):
-            xi = bisect(pencil, tau0s, a, b)
+        def astray(f, a, b):
+            xi = bisect(f, a, b)
             xi[2] = b[2] + 1e-3
-            assert xi[2] < pencil.x_end
+            assert xi[2] < 1.0  # inside the solved range [x0, 1]
             return xi
 
-        monkeypatch.setattr(feasibility, "_bisect_many", astray)
+        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, astray))
         bad_reports = feasibility_sweep(lo, hi, grid)
         assert [r.error for r in bad_reports] == [None, None, "OutOfRange", None]
         for k in (0, 1, 3):
@@ -211,14 +213,15 @@ class TestNewtonResidualGuard:
         drifting = _DriftingPencil(pencil, taus[1])
         bisect = feasibility._bisect_many
 
-        def arming(pencil, tau0s, a, b):
-            # drift only in the Newton polish, which follows the bisection
-            pencil.armed = False
-            xi = bisect(pencil, tau0s, a, b)
-            pencil.armed, pencil.calls = True, 0
+        def arming(f, a, b):
+            # drift only in the Newton polish, which follows the crossing
+            # bisection
+            drifting.armed = False
+            xi = bisect(f, a, b)
+            drifting.armed, drifting.calls = True, 0
             return xi
 
-        monkeypatch.setattr(feasibility, "_bisect_many", arming)
+        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, arming))
         for module in (feasibility, optimizer):
             monkeypatch.setattr(module, "window_pencil", lambda *a, **k: (drifting, taus))
         bad_reports = feasibility_sweep(lo, hi, grid)

@@ -18,7 +18,7 @@ from diskinspect.feasibility import (
 )
 from diskinspect.optimizer import refine_minimum, sweep_cost
 
-from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0
+from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0, crossing_only
 
 PI = math.pi
 
@@ -74,10 +74,15 @@ class _DriftingPolish:
 
 
 class TestNewtonPolishGuard:
-    def test_iterate_outside_bracket_raises(self, sol_star, monkeypatch):
-        # a bisection root past its bracket, as a Newton iterate leaving it
+    @staticmethod
+    def astray(monkeypatch):
+        # a crossing root past its bracket, as a Newton iterate leaving it
         # would be; the point is still inside the solved range
-        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b: b + 1e-3)
+        monkeypatch.setattr(feasibility, "_bisect_root", crossing_only(
+            feasibility._bisect_root, lambda f, a, b: b + 1e-3))
+
+    def test_iterate_outside_bracket_raises(self, sol_star, monkeypatch):
+        self.astray(monkeypatch)
         with pytest.raises(OutOfRange, match="left the scan bracket"):
             deployment_parameter(sol_star)
 
@@ -86,7 +91,7 @@ class TestNewtonPolishGuard:
             deployment_parameter(_DriftingPolish(sol_star))
 
     def test_trace_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(feasibility, "_bisect_root", lambda sol, a, b: b + 1e-3)
+        self.astray(monkeypatch)
         rc = main(["--out", str(tmp_path / "o"), "trace", "--tau0", "1.6475"])
         assert rc == 2
         assert "OutOfRange" in capsys.readouterr().out
@@ -103,8 +108,8 @@ class TestSelfCheckGap:
     def test_scalar_path(self, sol_star, monkeypatch):
         xi, _ = deployment_parameter(sol_star)
         bisect = feasibility._bisect_root
-        monkeypatch.setattr(feasibility, "_bisect_root",
-                            lambda sol, a, b: float(self.displaced(bisect(sol, a, b), a, b)))
+        monkeypatch.setattr(feasibility, "_bisect_root", crossing_only(
+            bisect, lambda f, a, b: float(self.displaced(bisect(f, a, b), a, b))))
         moved, gap = deployment_parameter(sol_star)
         assert abs(moved - xi) <= 1e-12
         assert gap > 2e-8
@@ -112,13 +117,35 @@ class TestSelfCheckGap:
     def test_pencil_path(self, monkeypatch):
         reports = feasibility_sweep(WINDOW_LO, WINDOW_HI, 4)
         bisect = feasibility._bisect_many
-        monkeypatch.setattr(feasibility, "_bisect_many", lambda pencil, tau0s, a, b:
-                            self.displaced(bisect(pencil, tau0s, a, b), a, b))
+        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(
+            bisect, lambda f, a, b: self.displaced(bisect(f, a, b), a, b)))
         moved = feasibility_sweep(WINDOW_LO, WINDOW_HI, 4)
         assert all(m.error is None for m in moved)
         for r, m in zip(reports, moved):
             assert abs(m.xi - r.xi) <= 1e-12
             assert m.xi_selfcheck_gap > 2e-8
+
+
+def dense_minimum(tau_of, x0, xi):
+    """Minimum of tau over 200,001 uniform points on [x0, xi], refined by the
+    vertex of the parabola through the smallest sample and its neighbours.
+
+    The samples alone lie up to tau'' * dx^2 / 8 ~ 1.3e-11 above an interior
+    minimum on the window (dx = 4e-6); the vertex removes that to O(dx^3).
+    A smallest sample at an end is the minimum as it is.
+    """
+    tau = tau_of(np.linspace(x0, xi, 200_001))
+    j = int(np.argmin(tau))
+    if j in (0, len(tau) - 1):
+        return tau[j], tau[j]
+    y0, y1, y2 = tau[j - 1 : j + 2]
+    return y1 - (y2 - y0) ** 2 / (8.0 * (y2 - 2.0 * y1 + y0)), tau[j]
+
+
+#: Start values whose curves clear the disk (the window and its edges) and
+#: whose tau falls all the way to the crossing (the minimum is tau(xi)).
+CLEARING = (WINDOW_LO, 1.6475, 1.65, WINDOW_HI)
+DIVING = (0.525, 1.1)
 
 
 class TestClearance:
@@ -128,16 +155,40 @@ class TestClearance:
         assert tau_min == pytest.approx(0.24774522, abs=1e-4)
         assert clearance_from_tau(tau_min) == pytest.approx(0.0302318, abs=1e-4)
 
-    @pytest.mark.parametrize("tau0", [0.525, 1.1])
+    @pytest.mark.parametrize("tau0", DIVING)
     def test_minimum_at_the_crossing_end(self, tau0):
         # these curves dive into the disk and tau falls all the way to the
-        # crossing: the minimum is tau(xi), which bounded Brent alone misses
-        # by 2.5e-8 and 2.2e-7 because it never samples a bracket end
+        # crossing: tau' < 0 across the last bracket, so its bisection has no
+        # root to find and closes in on xi, 2.5e-10 short of it; only the
+        # bracket end gives tau(xi) itself
         sol = integrate(tau0)
         xi, _ = deployment_parameter(sol)
         tau_min = clearance_certificate(sol, xi)
         assert tau_min == sol.tau_at(xi)
         assert tau_min <= sol.values(np.linspace(sol.x0, xi, 200_001))[1].min()
+
+    @pytest.mark.parametrize("tau0", CLEARING + DIVING)
+    def test_scalar_matches_dense_minimum(self, tau0):
+        sol = integrate(tau0)
+        xi, _ = deployment_parameter(sol)
+        tau_min = clearance_certificate(sol, xi)
+        refined, sampled = dense_minimum(lambda x: sol.values(x)[1], sol.x0, xi)
+        assert abs(tau_min - refined) <= 1e-12
+        assert tau_min <= sampled
+
+    @pytest.mark.parametrize("lo, hi, grid", [(WINDOW_LO, WINDOW_HI, 5), (*DIVING, 2)],
+                             ids=["window", "diving"])
+    def test_pencil_matches_dense_minimum(self, lo, hi, grid):
+        pencil, tau0s = feasibility.window_pencil(lo, hi, grid)
+        xi, _, _ = feasibility.deployment_parameters(pencil, tau0s)
+        tau_min = feasibility.clearance_minima(pencil, xi, tau0s)
+        for tau0, x, m in zip(tau0s, xi, tau_min):
+            refined, sampled = dense_minimum(lambda y: pencil.state(y, tau0)[1],
+                                             pencil.x0, x)
+            assert abs(m - refined) <= 1e-12
+            assert m <= sampled
+            if tau0 in DIVING:
+                assert m == pencil.state(x, tau0)[1]
 
     def test_clearance_formula(self):
         # sqrt(1.04) - 1; the source text rounds this as 0.01980198
