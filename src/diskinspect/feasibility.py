@@ -5,7 +5,7 @@ unit disk and returns to the vertical line x=1: the smallest root xi > x0
 of T1(x) = 1 is the deployment parameter, and theta = (1 - xi)*pi the
 deployment angle of the straight segment that completes the trajectory.
 Clearance is sqrt(1 + tau_min^2) - 1 with tau_min the minimum of tau on
-[x0, xi], since ||T(x)|| = sqrt(1 + tau(x)^2).
+[x0, xi], since ||T(x)|| = sqrt(1 + tau(x)^2); it is 0 where tau_min <= 0.
 
 Both roots come from one uniform scan of the solve and one bisection: xi
 is the first sign change of g = T1 - 1 on the scan, bisected; tau_min is
@@ -164,7 +164,11 @@ def clearance_certificate(sol: OdeSolution, xi: float) -> float:
 
 
 def clearance_from_tau(tau_min: float) -> float:
-    """Radial clearance sqrt(1 + tau_min^2) - 1 (exactly 0 at tau_min = 0)."""
+    """Radial clearance sqrt(1 + tau_min^2) - 1, and 0 where tau_min <= 0:
+    tau starts at tau0 > 0, so it passed through 0, where ||T|| = 1 and the
+    curve touches the disk.  NaN stays NaN."""
+    if tau_min <= 0.0:
+        return 0.0
     return math.sqrt(1.0 + tau_min * tau_min) - 1.0
 
 
@@ -258,18 +262,14 @@ def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.nd
     d = tau0s - pencil.tau_bar
     n = np.searchsorted(xs, xi, side="right")
     k = np.arange(len(tau0s))
-    j = np.zeros(len(tau0s), dtype=int)
-    best = np.full(len(tau0s), np.inf)
-    end = n.max(initial=0)
-    for lo in range(0, end, SCAN_CHUNK):
-        rows = slice(lo, min(lo + SCAN_CHUNK, end))
-        tau = t[rows] + d[:, None] * b[rows]
-        if rows.stop > n.min():
-            tau[np.arange(rows.start, rows.stop) >= n[:, None]] = np.inf
+    j, best = np.zeros(len(tau0s), dtype=int), np.full(len(tau0s), np.inf)
+    for lo in range(0, n.max(initial=0), SCAN_CHUNK):
+        cols = np.arange(lo, min(lo + SCAN_CHUNK, len(xs)))
+        tau = t[cols] + d[:, None] * b[cols]
+        tau[cols >= n[:, None]] = np.inf
         i = np.argmin(tau, axis=1)
-        better = tau[k, i] < best
-        j[better] = lo + i[better]
-        best[better] = tau[k, i][better]
+        j = np.where(tau[k, i] < best, lo + i, j)
+        best = np.minimum(best, tau[k, i])
     lo = xs[np.maximum(j - 1, 0)]
     hi = np.minimum(xs[np.minimum(j + 1, len(xs) - 1)], xi)
 

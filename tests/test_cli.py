@@ -65,6 +65,7 @@ class TestTrace:
         feas = json.loads(read(out / "feasibility.json"))
         assert feas["feasible"] is False
         assert feas["tau_min"] < 0
+        assert feas["clearance"] == 0.0
 
 
 class TestSweeps:

@@ -196,6 +196,21 @@ class TestClearance:
         assert abs(clearance_from_tau(0.2) - 0.01980198) <= 2e-6
         assert clearance_from_tau(0.0) == 0.0
 
+    def test_touching_curve_has_zero_clearance(self):
+        # tau_min <= 0: tau passed through 0, where ||T|| = 1, so the curve
+        # touches the disk; sqrt(1 + tau_min^2) - 1 would read 0.14 at
+        # tau0 = 0.5 (tau_min = -0.547)
+        assert clearance_from_tau(-0.547) == 0.0
+        assert clearance_from_tau(-0.0) == 0.0
+        assert math.isnan(clearance_from_tau(math.nan))
+        rep = assess(integrate(0.5))
+        assert rep.tau_min < 0 and rep.clearance == 0.0 and not rep.feasible
+        reports = feasibility_sweep(0.5, 1.2, 8)
+        touching = [r for r in reports if r.error is None]
+        assert len(touching) == 7
+        assert all(r.tau_min < 0 and r.clearance == 0.0 for r in touching)
+        assert math.isnan(reports[-1].clearance)
+
 
 class TestSweep:
     def test_two_point_sweep_hits_endpoints(self):
