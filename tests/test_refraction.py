@@ -188,12 +188,24 @@ class TestShootTheta:
         lo = math.tan(alpha / 2.0)
         phi = 2.0 * math.pi - (math.pi - theta) * 2.0 * np.arange(k + 1) / k
         weights = np.arange(1, k + 1, dtype=float)
+        cos, sin = np.cos(phi).tolist(), np.sin(phi).tolist()
 
         def cost(tv):
             ax = np.cos(phi) + tv * np.sin(phi)
             ay = np.sin(phi) - tv * np.cos(phi)
             d = np.hypot(np.diff(ax), np.diff(ay))
             return float(np.dot(weights, d)) / (k + 1)
+
+        def near(t, j, v):
+            # the weighted lengths of the two segments at point j, the only
+            # terms of cost(t) that t[j] = v changes (segment i has weight i + 1)
+            x, y = cos[j] + v * sin[j], sin[j] - v * cos[j]
+            out = (j + 1) * math.hypot(cos[j + 1] + t[j + 1] * sin[j + 1] - x,
+                                       sin[j + 1] - t[j + 1] * cos[j + 1] - y)
+            if j > 0:
+                out += j * math.hypot(x - cos[j - 1] - t[j - 1] * sin[j - 1],
+                                      y - sin[j - 1] + t[j - 1] * cos[j - 1])
+            return out
 
         def golden(f, a, b, tol=1e-13):
             c = b - GOLDEN * (b - a)
@@ -217,11 +229,8 @@ class TestShootTheta:
             cur = cost(t)
             for _ in range(400):
                 for j in range(k):
-                    def f1(v, j=j):
-                        t2 = t.copy()
-                        t2[j] = v
-                        return cost(t2)
-                    t[j] = golden(f1, lo, 12.0)
+                    tl = t.tolist()
+                    t[j] = golden(lambda v, j=j: near(tl, j, v), lo, 12.0)
                 new = cost(t)
                 if cur - new < 1e-15:
                     break
