@@ -15,7 +15,7 @@ i.e. tangent_point(-2*pi*x, tau(x)); ||T(x)||^2 = 1 + tau(x)^2.
 The x=0 singularity is handled by starting at a small x0 > 0 from series
 values.  Near zero,
 
-    psi(x) = pi/2 - pi*x + O(x^3)
+    psi(x) = pi/2 - pi*x + (pi^3/12) x^3 + O(x^5)
     tau(x) = tau_c (1 + pi^2 x^2) - 2*pi*x - (4*pi^3/3) x^3 + O(x^4).
 
 Labeling convention: ``tau0`` names the tau VALUE AT the reference start
@@ -51,10 +51,14 @@ with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
 Stepping and dense output.  ``_solve`` is DOP853, the Dormand-Prince
 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), with
 the tableau read off scipy's public ``scipy.integrate.DOP853``.  It repeats
-scipy's ``solve_ivp`` operation for operation: the same initial step and
+scipy's ``solve_ivp`` with ``first_step`` operation for operation: the same
 step control, every reduction by the same numpy call on arrays of the
 same layout and everything elementwise on Python floats, which IEEE
-rounding makes equal to numpy's.  Steps, grid and interpolants are
+rounding makes equal to numpy's.  Every solve takes x0 as its first step,
+not scipy's initial-step heuristic: the series start lies on the smooth
+solution, so the heuristic sees almost no curvature and would step from
+x0 = 1e-6 to about 1e-2, across the region where psi's Jacobian
+-1/(x sin^2 psi) is near -1/x0, and lose up to 8x in tau at x = 0.8.  Steps, grid and interpolants are
 therefore bit-identical to scipy's, and the tests hold it to that; a
 scipy release that changes DOP853's arithmetic fails them by design.
 Each accepted step's interpolant goes straight into the arrays of
@@ -103,8 +107,9 @@ def rhs(x: float, state) -> tuple[float, float]:
 
 
 def psi_series(x0: float) -> float:
-    """Start value for psi: pi/2 - pi*x0 + (pi^2/2)*x0^2."""
-    return math.pi / 2.0 - math.pi * x0 + (math.pi**2 / 2.0) * x0 * x0
+    """Start value for psi: pi/2 - pi*x0 + (pi^3/12)*x0^3 (no even powers:
+    psi - pi/2 is odd in x)."""
+    return math.pi / 2.0 - math.pi * x0 + (math.pi**3 / 12.0) * x0**3
 
 
 def tau_series_from_center(tau_center: float, x: float) -> float:
@@ -124,7 +129,7 @@ def tau_center_from_label(tau0: float) -> float:
 class SeriesInit:
     """Start state at abscissa x0 for the trajectory labeled tau0.
 
-    At the reference start the tau initialization is flat (tau_start equals
+    psi0 = psi_series(x0) is the same for every label.  At the reference start the tau initialization is flat (tau_start equals
     the label); other starts receive the series-transported value of the
     same trajectory.  The transport is affine in the label, with slope
     tau_slope = d tau_start / d tau0.
@@ -192,9 +197,11 @@ class StackedDense:
         """n uniform abscissae xs on [ts[0], ts[-1]], cos and sin of 2*pi*xs
         and the components at xs, computed once per n."""
         if n not in self._samples:
+            # the components first: their evaluation's temporaries are the
+            # largest, and then the only arrays alive are xs and the result
             xs = np.linspace(self.ts[0], self.ts[-1], n)
-            w = math.tau * xs
-            self._samples[n] = xs, np.cos(w), np.sin(w), self(xs)
+            values = self(xs)
+            self._samples[n] = xs, np.cos(math.tau * xs), np.sin(math.tau * xs), values
         return self._samples[n]
 
     def _point(self, x: float) -> np.ndarray:
@@ -258,9 +265,8 @@ class OdeSolution:
         """(psi, tau) from dense output; scalar or vectorized."""
         return self._dense(_check_range(x, self.x0, self.x_end))
 
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """StackedDense.sample: n uniform abscissae xs on [x0, x_end], cos and
-        sin of 2*pi*xs and (psi, tau) at xs, computed once."""
+    def sample(self, n: int):
+        """StackedDense.sample: xs, cos 2 pi xs, sin 2 pi xs and (psi, tau) at xs."""
         return self._dense.sample(n)
 
     def psi_at(self, x) -> float:
@@ -309,27 +315,6 @@ _EXTRA = [(float(c), a[:s]) for s, (a, c)
           in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
 
 
-def _rms(v: np.ndarray):
-    return np.linalg.norm(v) / len(v) ** 0.5
-
-
-def _initial_step(fun, x0: float, y0: list, f0, tol: float) -> float:
-    """scipy's select_initial_step for an order-7 error estimate on [x0, 1]."""
-    y0, f0 = np.array(y0), np.array(f0, dtype=float)
-    span = 1.0 - x0
-    scale = tol + np.abs(y0) * tol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = np.array(fun(x0 + h0, (y0 + h0 * f0).tolist()), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (DOP853.error_estimator_order + 1))
-    return float(min(100 * h0, h1, span))
-
-
 @dataclass
 class _Run:
     """One solve: states y (d, len(dense.ts)), interpolants and work counts."""
@@ -341,11 +326,11 @@ class _Run:
 
 
 @np.errstate(all="ignore")
-def _solve(fun, x0: float, y0, tol: float) -> _Run:
+def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
     """DOP853 (rtol = atol = tol) with dense output on [x0, 1].
 
-    The arithmetic of scipy's solve_ivp(method="DOP853", dense_output=True),
-    step for step; see the module docstring.  fun(x, y) gets y as a list of
+    The arithmetic of scipy's solve_ivp(method="DOP853", dense_output=True,
+    first_step=first_step), step for step; see the module docstring.  fun(x, y) gets y as a list of
     floats and returns a sequence of floats.  A tol below TOL_FLOOR raises
     ValueError; a step below 10 ulp of x, or psi = y[0] outside (PSI_GUARD,
     pi - PSI_GUARD) after an accepted step (NaN too), raises StepFailure.
@@ -359,8 +344,7 @@ def _solve(fun, x0: float, y0, tol: float) -> _Run:
     K = np.empty((n + 1 + len(_EXTRA), len(y)))
     Kt = [K[:s].T for s in range(len(K) + 1)]
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, tol)
-    n_rhs, n_rejected = 2, 0
+    h_abs, n_rhs, n_rejected = first_step, 1, 0
     ts, ys, F_hi, F_lo = [t], [y], [], []
     while t < 1.0:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -428,8 +412,8 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolut
     """Integrate the pair on [x0, 1] with one adaptive DOP853 pass (``_solve``).
 
     Joint integration of the 2-vector field, eighth-order Dormand-Prince
-    with dense output, bit-identical to scipy's solve_ivp; tol is both the
-    relative and the absolute error tolerance, at least TOL_FLOOR (else
+    with dense output and first step x0, bit-identical to scipy's solve_ivp;
+    tol is both the relative and the absolute error tolerance, at least TOL_FLOOR (else
     ValueError).  psi leaving the guard band, or a step size below the
     spacing of floats, raises StepFailure.  The solution carries the
     solve's work counts n_rhs and n_rejected.
@@ -437,7 +421,7 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolut
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau0, x0)
-    run = _solve(rhs, x0, (init.psi0, init.tau_start), tol)
+    run = _solve(rhs, x0, (init.psi0, init.tau_start), tol, first_step=x0)
     psi, tau = run.y
     return OdeSolution(
         tau0=tau0,
@@ -503,22 +487,21 @@ class Pencil:
         d = np.asarray(tau0, dtype=float) - self.tau_bar
         return psi, t + d * b, it + d * ib
 
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """StackedDense.sample: n uniform abscissae xs on [x0, x_end], cos and
-        sin of 2*pi*xs and the columns at xs, computed once."""
+    def sample(self, n: int):
+        """StackedDense.sample: xs, cos 2 pi xs, sin 2 pi xs and the columns at xs."""
         return self._dense.sample(n)
 
 
 def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -> Pencil:
     """Solve the pencil centred at the label tau_bar with one DOP853 pass.
 
-    Same solver, tolerance and psi guard as ``integrate``.
+    Same solver, first step, tolerance and psi guard as ``integrate``.
     """
     if tau_bar <= 0.0:
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau_bar, x0)
     y0 = (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0)
-    run = _solve(_rhs_pencil, x0, y0, tol)
+    run = _solve(_rhs_pencil, x0, y0, tol, first_step=x0)
     return Pencil(
         tau_bar=tau_bar,
         x0=x0,

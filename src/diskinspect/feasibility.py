@@ -7,11 +7,9 @@ deployment angle of the straight segment that completes the trajectory.
 Clearance is sqrt(1 + tau_min^2) - 1 with tau_min the minimum of tau on
 [x0, xi], since ||T(x)|| = sqrt(1 + tau(x)^2); it is 0 where tau_min <= 0.
 
-Both roots come from one uniform scan of the solve and one bisection: xi
-is the first sign change of g = T1 - 1 on the scan, bisected; tau_min is
-the root of tau' = 2*pi*(tau cot psi - 1), bisected in the two scan cells
-around the scan's smallest tau at or before xi, or a bracket end where tau
-is smaller there (a curve whose tau falls all the way to the crossing).
+Both come from the solve's one uniform scan and one bisection: xi from
+the first sign change of g = T1 - 1 on the scan, tau_min from the root of
+tau' = 2*pi*(tau cot psi - 1) next to the scan's smallest tau before xi.
 
 ``assess`` certifies one solved trajectory, so its report always names
 the start value that trajectory was solved for.
@@ -149,12 +147,10 @@ def _check_polish_bracket(sol: OdeSolution, xi: float, a: float, b: float) -> No
 def clearance_certificate(sol: OdeSolution, xi: float) -> float:
     """Minimum of tau on [x0, xi]; see clearance_from_tau.
 
-    The smallest tau on deployment_parameter's scan abscissae at or before
-    xi brackets the minimum by its two neighbouring abscissae, the upper
-    one clamped to xi; the bisection of tau cot psi - 1 (tau' / (2 pi))
-    finds the minimum inside.  A bracket end where tau is smaller is the
-    minimum: a curve that dives into the disk has tau falling all the way
-    to the crossing, and then tau_min is tau(xi).
+    The neighbours of the smallest tau on deployment_parameter's scan at or
+    before xi, the upper one clamped to xi, bracket the root of tau cot psi
+    - 1 = tau' / (2 pi), which the bisection finds.  A bracket end with
+    smaller tau is the minimum: tau(xi) for a curve that dives to the crossing.
     """
     xs, _, _, (_, tau) = sol.sample(SCAN_GRID)
     j = int(np.argmin(tau[: np.searchsorted(xs, xi, side="right")]))
@@ -176,6 +172,12 @@ def _g_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
     """T1 - 1 of the labels tau0s at abscissae x (see Pencil.state)."""
     tau = pencil.state(x, tau0s)[1]
     return np.cos(math.tau * x) - tau * np.sin(math.tau * x) - 1.0
+
+
+def _tau_slope_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
+    """tau cot psi - 1 of the labels tau0s at abscissae x (see Pencil.state)."""
+    psi, tau, _ = pencil.state(x, tau0s)
+    return tau * np.cos(psi) / np.sin(psi) - 1.0
 
 
 def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
@@ -272,14 +274,8 @@ def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.nd
         best = np.minimum(best, tau[k, i])
     lo = xs[np.maximum(j - 1, 0)]
     hi = np.minimum(xs[np.minimum(j + 1, len(xs) - 1)], xi)
-
-    def slope(x):
-        psi, tau, _ = pencil.state(x, tau0s)
-        return tau * np.cos(psi) / np.sin(psi) - 1.0
-
-    x = _bisect_many(slope, lo, hi)
-    tau = [pencil.state(e, tau0s)[1] for e in (x, lo, hi)]
-    return np.minimum(tau[0], np.minimum(tau[1], tau[2]))
+    x = _bisect_many(lambda x: _tau_slope_many(pencil, x, tau0s), lo, hi)
+    return np.min([pencil.state(e, tau0s)[1] for e in (x, lo, hi)], axis=0)
 
 
 @dataclass

@@ -35,7 +35,7 @@ class TestSeriesInit:
     def test_reference_start_is_flat(self):
         init = SeriesInit.for_label(1.647)
         assert init.tau_start == 1.647
-        assert init.psi0 == PI / 2 - PI * X0_REF + (PI**2 / 2) * X0_REF**2
+        assert init.psi0 == PI / 2 - PI * X0_REF + (PI**3 / 12) * X0_REF**3
 
     def test_label_transport_round_trip(self):
         tau_c = tau_center_from_label(1.647)
@@ -55,16 +55,11 @@ class TestSeriesInit:
 class TestIntegrate:
     def test_start_values(self, sol_star):
         assert sol_star.psi_at(X0_REF) == pytest.approx(
-            PI / 2 - PI * X0_REF + (PI**2 / 2) * X0_REF**2, abs=1e-15
+            PI / 2 - PI * X0_REF + (PI**3 / 12) * X0_REF**3, abs=1e-15
         )
         # tau0 labels the value AT the reference start (flat initialization)
         assert sol_star.tau_at(X0_REF) == pytest.approx(PUBLISHED_TAU0, abs=1e-14)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "psi_series carries a spurious (pi^2/2) x0^2 term; the true series "
-        "pi/2 - pi*x0 + (pi^3/12) x0^3 lets DOP853's initial-step heuristic "
-        "take a first step of ~1e4 x0 and costs the tol-1e-11 pencil rows "
-        "their 1e-8 agreement with the scalar rows"))
     def test_psi_series_residual_is_fourth_order(self):
         # psi' - (-2 pi + cot(psi) / x) on the series start, its derivative
         # taken by the five-point difference, exact on cubics: halving x
@@ -142,15 +137,15 @@ def assert_same_bits(ours, ref):
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
 
-def scipy_solve(fun, x0, y0, tol):
+def scipy_solve(fun, x0, y0, tol, first_step):
     """scipy's solve_ivp for the solve continuum._solve makes: the bit-for-bit oracle."""
     return solve_ivp(fun, (x0, 1.0), y0, method="DOP853", rtol=tol, atol=tol,
-                     dense_output=True)
+                     dense_output=True, first_step=first_step)
 
 
 def _reference(fun, y0):
     """scipy's own OdeSolution for the same solve the library makes."""
-    return scipy_solve(fun, X0_REF, y0, ODE_TOL).sol
+    return scipy_solve(fun, X0_REF, y0, ODE_TOL, X0_REF).sol
 
 
 def stacked(ode_solution):
@@ -275,16 +270,16 @@ class TestStepper:
                         (continuum._rhs_pencil,
                          (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0))):
             try:
-                ref = scipy_solve(fun, x0, y0, tol)
+                ref = scipy_solve(fun, x0, y0, tol, x0)
             except ValueError as exc:  # a subnormal x0 drives psi to inf
                 with pytest.raises(type(exc), match=str(exc)):
-                    continuum._solve(fun, x0, y0, tol)
+                    continuum._solve(fun, x0, y0, tol, x0)
                 continue
             if ref.status == -1:
                 with pytest.raises(StepFailure, match=ref.message):
-                    continuum._solve(fun, x0, y0, tol)
+                    continuum._solve(fun, x0, y0, tol, x0)
             else:
-                assert_same_run(continuum._solve(fun, x0, y0, tol), ref)
+                assert_same_run(continuum._solve(fun, x0, y0, tol, x0), ref)
 
     def test_step_failure(self):
         # NaN past x = 0.5 rejects every step there until the step size
@@ -292,11 +287,11 @@ class TestStepper:
         def fun(x, y):
             return (1.0 if x < 0.5 else math.nan, y[0])
 
-        ref = scipy_solve(fun, 0.0, (1.0, 2.0), ODE_TOL)
+        ref = scipy_solve(fun, 0.0, (1.0, 2.0), ODE_TOL, 1e-3)
         assert ref.status == -1
         assert ref.message == continuum.TOO_SMALL_STEP
         with pytest.raises(StepFailure, match=continuum.TOO_SMALL_STEP):
-            continuum._solve(fun, 0.0, (1.0, 2.0), ODE_TOL)
+            continuum._solve(fun, 0.0, (1.0, 2.0), ODE_TOL, 1e-3)
 
     def test_tolerance_floor(self):
         # scipy would raise such a tol to 100 eps with a warning
@@ -308,15 +303,16 @@ class TestStepper:
 
     def test_work_counters(self, sol_star):
         init = SeriesInit.for_label(sol_star.tau0)
-        ref = scipy_solve(continuum.rhs, X0_REF, (init.psi0, init.tau_start), ODE_TOL)
+        ref = scipy_solve(continuum.rhs, X0_REF, (init.psi0, init.tau_start), ODE_TOL,
+                          X0_REF)
         assert sol_star.n_steps == len(ref.t) - 1
         assert sol_star.n_rhs == ref.nfev
-        # 2 start evaluations, 12 per step attempt and 3 dense-output
-        # stages per accepted step
-        assert sol_star.n_rhs == 2 + 12 * (sol_star.n_steps + sol_star.n_rejected) \
+        # 1 start evaluation (the first step is given, so no initial-step
+        # probe), 12 per step attempt and 3 dense-output stages per accepted step
+        assert sol_star.n_rhs == 1 + 12 * (sol_star.n_steps + sol_star.n_rejected) \
             + 3 * sol_star.n_steps
         pencil = integrate_pencil(1.649)
-        assert pencil.n_rhs == 2 + 15 * pencil.n_steps + 12 * pencil.n_rejected
+        assert pencil.n_rhs == 1 + 15 * pencil.n_steps + 12 * pencil.n_rejected
         assert "n_rhs" not in sol_star.metadata()
 
 
@@ -339,7 +335,7 @@ class TestPsiGuard:
     ], ids=["toy-dive", "starts-on-guard", "linear-dive", "upper-edge"])
     def test_leaving_the_band_raises(self, fun, y0):
         with pytest.raises(StepFailure, match=r"^psi = \S+ at x = \S+ left the guard band"):
-            continuum._solve(fun, 0.0, y0, ODE_TOL)
+            continuum._solve(fun, 0.0, y0, ODE_TOL, 1e-3)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.05, 10.0), _log_uniform(1e-12, X0_MAX),
