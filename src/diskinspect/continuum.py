@@ -54,17 +54,18 @@ the tableau read off scipy's public ``scipy.integrate.DOP853``.  It repeats
 scipy's ``solve_ivp`` with ``first_step`` operation for operation: the same
 step control, every reduction by the same numpy call on arrays of the
 same layout and everything elementwise on Python floats, which IEEE
-rounding makes equal to numpy's.  Every solve takes x0 as its first step,
-not scipy's initial-step heuristic: the series start lies on the smooth
-solution, so the heuristic sees almost no curvature and would step from
-x0 = 1e-6 to about 1e-2, across the region where psi's Jacobian
--1/(x sin^2 psi) is near -1/x0, and lose up to 8x in tau at x = 0.8.  Steps, grid and interpolants are
+rounding makes equal to numpy's.  Steps, grid and interpolants are
 therefore bit-identical to scipy's, and the tests hold it to that; a
 scipy release that changes DOP853's arithmetic fails them by design.
 Each accepted step's interpolant goes straight into the arrays of
 ``StackedDense``, read by one searchsorted-and-Horner evaluator (a plain
 loop for a single point) that repeats scipy's ``OdeSolution`` arithmetic,
 so an abscissa on a step boundary goes to the lower segment as there.
+Every solve takes x0 as its first step, not scipy's initial-step
+heuristic: the series start lies on the smooth solution, so the heuristic
+sees almost no curvature and would step from x0 = 1e-6 to about 1e-2,
+across the region where psi's Jacobian -1/(x sin^2 psi) is near -1/x0,
+and lose up to 8x in tau at x = 0.8.
 A step that ends with psi outside (PSI_GUARD, pi - PSI_GUARD) raises
 StepFailure, so a solve that returns always reaches x = 1.  psi involves
 no label: at every start that solves and every tol up to 1e-3 it stays
@@ -129,9 +130,10 @@ def tau_center_from_label(tau0: float) -> float:
 class SeriesInit:
     """Start state at abscissa x0 for the trajectory labeled tau0.
 
-    psi0 = psi_series(x0) is the same for every label.  At the reference start the tau initialization is flat (tau_start equals
-    the label); other starts receive the series-transported value of the
-    same trajectory.  The transport is affine in the label, with slope
+    psi0 = psi_series(x0) is the same for every label.  At the reference
+    start the tau initialization is flat (tau_start equals the label);
+    other starts receive the series-transported value of the same
+    trajectory.  The transport is affine in the label, with slope
     tau_slope = d tau_start / d tau0.
     """
 
@@ -330,10 +332,11 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
     """DOP853 (rtol = atol = tol) with dense output on [x0, 1].
 
     The arithmetic of scipy's solve_ivp(method="DOP853", dense_output=True,
-    first_step=first_step), step for step; see the module docstring.  fun(x, y) gets y as a list of
-    floats and returns a sequence of floats.  A tol below TOL_FLOOR raises
-    ValueError; a step below 10 ulp of x, or psi = y[0] outside (PSI_GUARD,
-    pi - PSI_GUARD) after an accepted step (NaN too), raises StepFailure.
+    first_step=first_step), step for step; see the module docstring.
+    fun(x, y) gets y as a list of floats and returns a sequence of floats.
+    A tol below TOL_FLOOR raises ValueError; a step below 10 ulp of x, or
+    psi = y[0] outside (PSI_GUARD, pi - PSI_GUARD) after an accepted step
+    (NaN too), raises StepFailure.
     numpy's floating-point warnings are silenced: an inf or NaN makes the
     solve raise, never return, and the arithmetic stays scipy's.
     """
@@ -412,11 +415,11 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolut
     """Integrate the pair on [x0, 1] with one adaptive DOP853 pass (``_solve``).
 
     Joint integration of the 2-vector field, eighth-order Dormand-Prince
-    with dense output and first step x0, bit-identical to scipy's solve_ivp;
-    tol is both the relative and the absolute error tolerance, at least TOL_FLOOR (else
-    ValueError).  psi leaving the guard band, or a step size below the
-    spacing of floats, raises StepFailure.  The solution carries the
-    solve's work counts n_rhs and n_rejected.
+    with dense output and first step x0, bit-identical to scipy's
+    solve_ivp; tol is both the relative and the absolute error tolerance,
+    at least TOL_FLOOR (else ValueError).  psi leaving the guard band, or a
+    step size below the spacing of floats, raises StepFailure.  The
+    solution carries the solve's work counts n_rhs and n_rejected.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")

@@ -230,7 +230,7 @@ class TestShootTheta:
             for _ in range(400):
                 for j in range(k):
                     tl = t.tolist()
-                    t[j] = golden(lambda v, j=j: near(tl, j, v), lo, 12.0)
+                    t[j] = golden(lambda v: near(tl, j, v), lo, 12.0)
                 new = cost(t)
                 if cur - new < 1e-15:
                     break
