@@ -32,7 +32,6 @@ from .errors import (
     DiskInspectError,
     EmptySweep,
     MaxIterations,
-    NoBracket,
     NoCrossing,
     NotUnimodal,
     OutOfRange,

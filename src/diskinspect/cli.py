@@ -183,13 +183,14 @@ def cmd_sweep_feasibility(args, out: Path, formats) -> int:
                     "selfcheck_gap"),
                    ((r.tau0, r.xi, r.theta, r.tau_min, r.clearance, r.feasible,
                      r.xi_selfcheck_gap) for r in reports))
-    if "svg" in formats:
-        taus = [r.tau0 for r in reports]
-        line_chart(taus, {"xi": [r.xi for r in reports]},
+    good = [r for r in reports if r.error is None]  # as in sweep-cost's chart
+    if "svg" in formats and good:
+        taus = [r.tau0 for r in good]
+        line_chart(taus, {"xi": [r.xi for r in good]},
                    out / "sweep_xi.svg", title="deployment parameter")
-        line_chart(taus, {"tau_min": [r.tau_min for r in reports]},
+        line_chart(taus, {"tau_min": [r.tau_min for r in good]},
                    out / "sweep_tau_min.svg", title="min tau", ref_lines=(0.2,))
-        line_chart(taus, {"theta": [r.theta for r in reports]},
+        line_chart(taus, {"theta": [r.theta for r in good]},
                    out / "sweep_theta.svg", title="deployment angle",
                    ref_lines=(bounds_mod.THETA_LO, bounds_mod.THETA_HI))
         print(f"wrote {out / 'sweep_xi.svg'} and companions")

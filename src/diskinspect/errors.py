@@ -49,12 +49,6 @@ class AngleDomain(DiskInspectError):
         self.value = value
 
 
-class NoBracket(DiskInspectError):
-    """Shooting cannot start: the chain does not complete at the start value."""
-
-    kind = "NoBracket"
-
-
 class StepFailure(DiskInspectError):
     """Adaptive integrator could not proceed under its error control."""
 
@@ -102,7 +96,10 @@ class WindowViolated(DiskInspectError):
 
     Either an angle-window margin came out non-positive (an implementation
     bug), or the refined optimum sits on the tau0 window's edge, outside the
-    deployment-angle window, or fails its clearance certificate.
+    deployment-angle window, or fails its clearance certificate, or a
+    lower-bound chain fails its certificate (t >= 0 and a projected
+    gradient below ``bounds.PG_CERTIFICATE_TOL``), so its objective is not
+    a proven minimum.
     """
 
     kind = "WindowViolated"

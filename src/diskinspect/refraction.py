@@ -12,11 +12,14 @@ the tangent parameters t_i:
     t_i = (t_{i-1} - tan(alpha/2)) * sin(y_{i-1}) / sin(x_i) - tan(alpha/2)
     d_i = (t_{i-1} - tan(alpha/2)) * sin(alpha)   / sin(x_i)
 
-with y_0 = pi/2 at the free end.  The recursion runs forward from
-t_0 = tau0.  The angles never read t and t_i is affine in t_{i-1}, so t_k
-is affine in tau0 with a tau0-independent slope: anchoring the far end at
-t_k = tan(theta) is a shooting problem that Newton's method on tau0 solves
-in one step, up to rounding.
+with y_0 = pi/2 at the free end.  `forward_recursion` runs it forward from
+t_0 = tau0.  The angles never read t, so a chain anchored at the far end,
+t_m = tan(theta), needs no shooting: `anchored_chain` runs the angles
+forward, then the t step inverted,
+
+    t_{i-1} = (t_i + tan(alpha/2)) * sin(x_i) / sin(y_{i-1}) + tan(alpha/2)
+
+backward from t_m.  Its factor is below 1, so the backward pass contracts.
 
 The flat-interface least-time refraction problem (two media split by the
 x-axis) is implemented separately as `refraction_optimum`; it serves as
@@ -30,17 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleDomain, NoBracket, TriangleDegenerate
+from .errors import AngleDomain, TriangleDegenerate
 from .geometry import Polyline
-
-#: |t_k - tan(theta)| target for shooting.  The forward map amplifies tau0
-#: perturbations by its slope q = dt_k/dtau0; near theta=0 that exceeds 1e8,
-#: so the float64-attainable residual is about q * ulp(tau0) and the
-#: nominal target cannot always be met.  Newton therefore stops at the
-#: target or when a step no longer reduces the residual.
-SHOOT_RESIDUAL_TARGET = 1e-10
-#: tau0 of shoot_theta's first chain run, the start of its Newton iteration.
-SHOOT_TAU0_START = 10.0
 
 
 @dataclass
@@ -85,32 +79,44 @@ class DiscreteTrajectory:
         return Polyline(self.points[::-1])
 
 
-def _run_chain(tau0: float, alpha: float, m: int) -> tuple[np.ndarray, ...]:
-    """Forward recursion for m steps; raises on domain violations."""
-    c = math.tan(alpha / 2.0)
-    xs = np.empty(m + 1)
-    ys = np.empty(m + 1)
-    ts = np.empty(m + 1)
-    ds = np.empty(m + 1)
-    xs[0] = ds[0] = math.nan
-    ys[0] = math.pi / 2.0
-    ts[0] = tau0
-    y, t = ys[0], tau0
+def _angle_pass(alpha: float, m: int):
+    """The angles x_i, y_i of an m-step chain, which never read t.
+
+    Returns the lists x (entry 0 is NaN) and y over indices 0..j-1, and the
+    AngleDomain error of the first index j <= m with x_j <= 0, or None when
+    all m steps complete.
+    """
+    xs, ys = [math.nan], [math.pi / 2.0]
+    y = ys[0]
     for i in range(1, m + 1):
         x = y - alpha
         if x <= 0.0:
-            raise AngleDomain(i, x)
+            return xs, ys, AngleDomain(i, x)
+        y = math.acos(i / (i + 1.0) * math.cos(x))
+        xs.append(x)
+        ys.append(y)
+    return xs, ys, None
+
+
+def _run_chain(tau0: float, alpha: float, m: int) -> tuple[np.ndarray, ...]:
+    """Forward recursion for m steps; raises on domain violations.
+
+    The first failing index wins; at one index AngleDomain comes first.
+    """
+    xs, ys, bad = _angle_pass(alpha, m)
+    c = math.tan(alpha / 2.0)
+    ts, ds = [tau0], [math.nan]
+    t = tau0
+    for i in range(1, len(xs)):
         if t <= c:
             raise TriangleDegenerate(i, t, c)
-        sy, sx = math.sin(y), math.sin(x)
-        y_next = math.acos(i / (i + 1.0) * math.cos(x))
-        t_next = (t - c) * sy / sx - c
-        ds[i] = (t - c) * math.sin(alpha) / sx
-        xs[i] = x
-        ys[i] = y_next
-        ts[i] = t_next
-        y, t = y_next, t_next
-    return xs, ys, ts, ds
+        sx = math.sin(xs[i])
+        ds.append((t - c) * math.sin(alpha) / sx)
+        t = (t - c) * math.sin(ys[i - 1]) / sx - c
+        ts.append(t)
+    if bad is not None:
+        raise bad
+    return np.array(xs), np.array(ys), np.array(ts), np.array(ds)
 
 
 def forward_recursion(tau0: float, n: int, m: int | None = None) -> DiscreteTrajectory:
@@ -130,46 +136,45 @@ def forward_recursion(tau0: float, n: int, m: int | None = None) -> DiscreteTraj
     return DiscreteTrajectory(n=n, alpha=alpha, tau0=tau0, x=xs, y=ys, t=ts, d=ds)
 
 
-def shoot_theta(theta: float, k: int) -> DiscreteTrajectory:
-    """Chain anchored at t_k = tan(theta), found by Newton's method on tau0.
+def anchored_chain(theta: float, k: int, m: int) -> DiscreteTrajectory:
+    """m-step chain of step alpha = 2*(pi - theta)/k that ends at t_m = tan(theta).
 
-    Angular step alpha = 2*(pi - theta)/k.  Wherever the chain completes,
-    t_k is affine in tau0 with slope q = prod_i sin(y_{i-1})/sin(x_i) > 0,
-    read off one run at SHOOT_TAU0_START.  Newton steps
-    tau0 <- tau0 - (t_k - tan(theta))/q stop at SHOOT_RESIDUAL_TARGET or at
-    the first step that does not reduce the residual, so the residual is the
-    target or a few q*ulp(tau0), whichever is larger.  A chain that does not
-    complete at the start value raises NoBracket: AngleDomain fails at every
-    tau0, TriangleDegenerate puts the root above the start value.
+    The angles run forward, then t and d_i = (t_i + c)*sin(alpha)/sin(y_{i-1})
+    backward from t_m, c = tan(alpha/2).  The backward factor
+    sin(x_i)/sin(y_{i-1}) is below 1 since 0 < x_i = y_{i-1} - alpha and
+    y_{i-1} <= pi/2, so rounding errors shrink, t_m is tan(theta) exactly and
+    every t_{i-1} exceeds c: no triangle degenerates.  An angle recursion
+    that does not complete raises AngleDomain.
+    """
+    alpha = 2.0 * (math.pi - theta) / k
+    xs, ys, bad = _angle_pass(alpha, m)
+    if bad is not None:
+        raise bad
+    c = math.tan(alpha / 2.0)
+    ts = [0.0] * (m + 1)
+    ds = [math.nan] * (m + 1)
+    ts[m] = t = math.tan(theta)
+    for i in range(m, 0, -1):
+        sy = math.sin(ys[i - 1])
+        ds[i] = (t + c) * math.sin(alpha) / sy
+        t = ts[i - 1] = (t + c) * math.sin(xs[i]) / sy + c
+    return DiscreteTrajectory(
+        n=k, alpha=alpha, tau0=t, x=np.array(xs), y=np.array(ys), t=np.array(ts),
+        d=np.array(ds), theta=theta,
+    )
+
+
+def shoot_theta(theta: float, k: int) -> DiscreteTrajectory:
+    """The k-step chain anchored at t_k = tan(theta), by `anchored_chain`.
+
+    Angular step alpha = 2*(pi - theta)/k.  A chain whose angle recursion
+    does not complete (at theta = 0, k <= 19) raises AngleDomain.
     """
     if not 0.0 <= theta < math.pi / 2.0:
         raise ValueError("theta must lie in [0, pi/2)")
     if k < 5:
         raise ValueError("k must be at least 5")
-    alpha = 2.0 * (math.pi - theta) / k
-    target = math.tan(theta)
-    tau0 = SHOOT_TAU0_START
-    try:
-        chain = _run_chain(tau0, alpha, k)
-    except (TriangleDegenerate, AngleDomain) as exc:
-        raise NoBracket(f"chain cannot complete at tau0={tau0:.6g}: {exc}") from exc
-    xs, ys, ts, _ = chain
-    q = float(np.prod(np.sin(ys[:-1]) / np.sin(xs[1:])))
-    gap = ts[k] - target
-    while abs(gap) > SHOOT_RESIDUAL_TARGET:
-        step = tau0 - gap / q
-        try:
-            trial = _run_chain(step, alpha, k)
-        except TriangleDegenerate:  # the angles, hence AngleDomain, ignore tau0
-            break
-        trial_gap = trial[2][k] - target
-        if not abs(trial_gap) < abs(gap):
-            break
-        tau0, chain, gap = step, trial, trial_gap
-    xs, ys, ts, ds = chain
-    return DiscreteTrajectory(
-        n=k, alpha=alpha, tau0=tau0, x=xs, y=ys, t=ts, d=ds, theta=theta
-    )
+    return anchored_chain(theta, k, k)
 
 
 def discrete_cost(traj: DiscreteTrajectory, weights: str) -> float:

@@ -82,6 +82,18 @@ class TestSweeps:
         assert (out / "sweep_xi.svg").exists()
         assert read(out / "sweep_xi.svg").startswith("<svg")
 
+    def test_sweep_feasibility_charts_skip_error_rows(self, tmp_path):
+        # the first 3 of 7 rows are NoCrossing error rows with NaN values
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--format", "csv,svg", "sweep-feasibility",
+                   "--tau0-lo", "1.6", "--tau0-hi", "1.7", "--grid", "7"])
+        assert rc == 2
+        for name in ("sweep_xi.svg", "sweep_tau_min.svg", "sweep_theta.svg"):
+            svg = read(out / name)
+            assert "nan" not in svg
+            points = svg.split('<polyline points="')[1].split('"')[0]
+            assert len(points.split()) == 4
+
     def test_sweep_cost_small(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["--out", str(out), "sweep-cost", "--grid", "4"])
@@ -122,7 +134,7 @@ class TestLowerBound:
         rc = main(["--out", str(out), "lower-bound", "--theta", "0.52", "--k", "500"])
         assert rc == 0
         data = json.loads(read(out / "lower_bound.json"))
-        assert data["kkt_residual"] <= 1e-8
+        assert data["kkt_residual"] <= 1e-12
         assert data["composed_bound"] > 3.5509015
 
     def test_theta_sweep(self, tmp_path):
@@ -135,6 +147,12 @@ class TestLowerBound:
         lines = read(out / "lower_bound_sweep.csv").splitlines()
         assert len(lines) == 7
         assert (out / "lower_bound_sweep.svg").exists()
+
+
+    def test_too_coarse_chain_exits_2(self, tmp_path, capsys):
+        # k = 6 at theta = 0.6 cannot complete the angle recursion
+        argv = ["lower-bound", "--theta", "0.6", "--k", "6"]
+        assert failure_kind(argv, tmp_path, capsys) == (2, "AngleDomain", "")
 
 
 class TestAngleBounds:
@@ -413,6 +431,17 @@ class TestStructuredFailures:
         # the band; this command must not certify a trajectory
         argv = ["--x0", "1e-5", "--tol-ode", "1", "trace", "--tau0", "1.648"]
         assert failure_kind(argv, tmp_path, capsys)[:2] == (2, "StepFailure")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="psi is checked against its band only at step nodes")
+    def test_psi_band_between_nodes_exits_2(self, tmp_path, capsys):
+        # at tol 0.3 the window pencil's dense psi falls to -0.208 near
+        # x = 0.867, while every node psi is at least 0.163; the sweep exits 0
+        # with 4 of its 5 rows OutOfRange and reports the fifth row's cost
+        rc = main(["--out", str(tmp_path / "o"), "--x0", "3e-6", "--tol-ode", "0.3",
+                   "sweep-cost", "--grid", "5"])
+        assert rc == 2
+        assert '"kind": "StepFailure"' in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error")
     def test_smallest_x0_warns_nothing(self, tmp_path, capsys):

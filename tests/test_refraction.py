@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskinspect import refraction
-from diskinspect.errors import AngleDomain, NoBracket, TriangleDegenerate
+from diskinspect.bounds import _chain_geometry, _gradient
+from diskinspect.errors import AngleDomain, TriangleDegenerate
 from diskinspect.refraction import (
     DiscreteTrajectory,
     discrete_cost,
@@ -17,6 +18,7 @@ from diskinspect.refraction import (
 from conftest import PUBLISHED_TAU0
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = float(np.finfo(float).eps)
 
 
 def chain_cost_from_points(points, m):
@@ -86,19 +88,17 @@ class TestShootTheta:
         assert gap_ratio == pytest.approx(4.0, rel=0.15)
 
     def test_theta_zero_lands_on_zero(self):
-        # fp-conditioning floor: the endpoint map amplifies tau0 noise by
-        # ~1e8 at theta=0, so the residual target saturates near 4e-8
         traj = shoot_theta(0.0, 40)
-        assert abs(traj.t[-1]) <= 1e-6
+        assert traj.t[-1] == 0.0
 
     def test_anchoring_residual_well_conditioned_range(self):
         for theta, k in ((0.52, 300), (0.8, 150), (1.1, 80)):
             traj = shoot_theta(theta, k)
-            assert abs(traj.t[-1] - math.tan(theta)) <= 1e-10
+            assert traj.t[-1] == math.tan(theta)
 
     def test_endpoint_map_affine_in_tau0(self):
-        # what the Newton anchoring relies on: failed runs form a prefix, the
-        # angles do not depend on tau0, and t_k lies on one line of slope q > 0
+        # the forward map: failed runs form a prefix, the angles do not
+        # depend on tau0, and t_k lies on one line of slope q > 0
         theta, k = 0.7, 100
         alpha = 2.0 * (math.pi - theta) / k
         grid = np.linspace(math.tan(alpha / 2) + 1e-6, 10.0, 50)
@@ -120,47 +120,61 @@ class TestShootTheta:
         line = tk[0] + q * (grid[first:] - grid[first])
         assert np.max(np.abs(tk - line)) <= 1e-13 * np.max(np.abs(tk))
 
-    def test_too_coarse_chain_reports_no_bracket(self):
-        # k=6 at theta=0.6 cannot complete the angle recursion for any tau0
-        with pytest.raises(NoBracket):
+    def test_anchored_chain_shares_the_forward_angles(self):
+        # one angle pass for both directions; the backward d_i, written with
+        # sin(y_{i-1}), are the embedded segment lengths
+        traj = shoot_theta(0.7, 100)
+        forward = refraction._run_chain(traj.tau0, traj.alpha, traj.m)
+        assert np.array_equal(forward[0], traj.x, equal_nan=True)
+        assert np.array_equal(forward[1], traj.y)
+        d_embed = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
+        assert np.max(np.abs(d_embed - traj.d[1:])) <= 1e-14
+
+    def test_too_coarse_chain_raises_angle_domain(self):
+        # k=6 at theta=0.6 cannot complete the angle recursion
+        with pytest.raises(AngleDomain):
             shoot_theta(0.6, 6)
 
-    @given(st.floats(0.0, 1.5, exclude_max=True), st.integers(5, 2000))
+    def test_angle_recursion_boundary_at_theta_zero(self):
+        assert shoot_theta(0.0, 20).t[-1] == 0.0
+        with pytest.raises(AngleDomain):
+            shoot_theta(0.0, 19)
+
+    @given(st.floats(0.0, math.pi / 2, exclude_max=True), st.integers(5, 3000))
     def test_anchoring_residual_conditioning_limited(self, theta, k):
-        # the residual target, or a few ulps of tau0 amplified by the
-        # endpoint map's slope q where that is larger (theta near 0)
+        # the backward pass contracts, so the residual is zero at any
+        # conditioning of the forward map
         try:
             traj = shoot_theta(theta, k)
-        except NoBracket:
+        except AngleDomain:
             return
-        q = float(np.prod(np.sin(traj.y[:-1]) / np.sin(traj.x[1:])))
-        bound = refraction.SHOOT_RESIDUAL_TARGET + 32.0 * q * math.ulp(traj.tau0)
-        assert abs(traj.t[-1] - math.tan(theta)) <= bound
-
-    def test_root_above_start_value(self):
-        # near pi/2 the anchoring tau0 (about 358) lies above the start value,
-        # where the chain completes; Newton steps up to it
-        traj = shoot_theta(1.5707, 100)
-        assert traj.tau0 > refraction.SHOOT_TAU0_START
-        assert abs(traj.t[-1] - math.tan(1.5707)) <= refraction.SHOOT_RESIDUAL_TARGET
+        assert traj.t[-1] == math.tan(theta)
+        assert np.all(traj.t >= 0.0)
+        # stationary for the upper weights i/(k+1), t_0 included: the
+        # rounding floor is eps/d for the shortest segment d, as for the
+        # lower-bound program
+        p, u, _ = _chain_geometry(theta, k)
+        grad = _gradient(traj.t, p, u, np.arange(1, k + 1) / (k + 1.0))
+        d_min = float(np.min(traj.d[1:]))
+        assert np.max(np.abs(grad[:k])) <= max(1e-12, 64.0 * EPS / d_min)
 
     def test_verify_chains_take_few_runs(self, monkeypatch):
-        # the 20 chains of `--seed 1 verify`: the start run plus a step or two
-        run_chain = refraction._run_chain
+        # the 20 chains of `--seed 1 verify`: one angle pass each
+        angle_pass = refraction._angle_pass
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return run_chain(*args)
+            return angle_pass(*args)
 
-        monkeypatch.setattr(refraction, "_run_chain", counted)
+        monkeypatch.setattr(refraction, "_angle_pass", counted)
         rng = np.random.default_rng(1)
         for _ in range(20):
             theta = float(rng.uniform(0.45, 1.1))
             k = int(rng.integers(60, 400))
             calls.clear()
             shoot_theta(theta, k)
-            assert len(calls) <= 8
+            assert len(calls) == 1
 
     def test_local_fermat_optimality(self):
         traj = shoot_theta(0.6, 200)
@@ -179,8 +193,8 @@ class TestShootTheta:
 
     @pytest.mark.slow
     def test_small_instance_matches_coordinate_descent(self):
-        # smallest robust instance class: k=6 is infeasible (see above), so
-        # the brute-force cross-check runs at k=30
+        # k=6 cannot complete the angle recursion (see above), so the
+        # brute-force cross-check runs at k=30
         theta, k = 0.6, 30
         traj = shoot_theta(theta, k)
         target = discrete_cost(traj, "UPPER")
