@@ -29,6 +29,7 @@ from .continuum import (
 from .cost import CostBreakdown, full_cost_from_partial, inspection_integral, partial_cost, total_cost
 from .errors import (
     AngleDomain,
+    CostDiverges,
     DiskInspectError,
     EmptySweep,
     MaxIterations,

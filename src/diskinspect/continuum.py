@@ -50,7 +50,8 @@ with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
 
 Stepping and dense output.  ``_solve`` is DOP853, the Dormand-Prince
 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), with
-the tableau read off scipy's public ``scipy.integrate.DOP853``.  It repeats
+the tableau of scipy's ``scipy.integrate.DOP853`` written out as float
+literals in ``dop853`` (scipy is not imported at run time).  It repeats
 scipy's ``solve_ivp`` with ``first_step`` operation for operation: the same
 step control, every reduction by the same numpy call on arrays of the
 same layout and everything elementwise on Python floats, which IEEE
@@ -80,8 +81,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from . import dop853
 from .errors import OutOfRange, StepFailure
 
 #: Reference start abscissa anchoring the tau0 label.
@@ -308,13 +309,13 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # DOP853 step control, as scipy's RungeKutta solvers apply it
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / (dop853.error_estimator_order + 1)
 # (c, a[:s]) of stages 1..11 and of the dense-output stages 13..15, sliced
-# off scipy's own tableau arrays exactly as scipy slices them
+# off the tableau arrays exactly as scipy slices them
 _STAGES = [(float(c), a[:s]) for s, (a, c)
-           in enumerate(zip(DOP853.A[1:], DOP853.C[1:]), start=1)]
+           in enumerate(zip(dop853.A[1:], dop853.C[1:]), start=1)]
 _EXTRA = [(float(c), a[:s]) for s, (a, c)
-          in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
+          in enumerate(zip(dop853.A_EXTRA, dop853.C_EXTRA), start=dop853.n_stages + 1)]
 
 
 @dataclass
@@ -343,7 +344,7 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tol {tol!r} is below the floor {TOL_FLOOR:.3g}")
     t, y = x0, [float(v) for v in y0]
-    n = DOP853.n_stages
+    n = dop853.n_stages
     K = np.empty((n + 1 + len(_EXTRA), len(y)))
     Kt = [K[:s].T for s in range(len(K) + 1)]
     f = fun(t, y)
@@ -364,14 +365,14 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
             for s, (c, a) in enumerate(_STAGES, start=1):
                 dy = Kt[s].dot(a).tolist()
                 K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, dy)])
-            y_new = [v + h * d for v, d in zip(y, Kt[n].dot(DOP853.B).tolist())]
+            y_new = [v + h * d for v, d in zip(y, Kt[n].dot(dop853.B).tolist())]
             f_new = K[n] = fun(t + h, y_new)
             n_rhs += n
             # np.maximum's NaN propagation, on floats
             scale = np.array([tol + (p if p >= q or p != p else q) * tol
                               for p, q in zip(map(abs, y), map(abs, y_new))])
-            err5 = Kt[n + 1].dot(DOP853.E5) / scale
-            err3 = Kt[n + 1].dot(DOP853.E3) / scale
+            err5 = Kt[n + 1].dot(dop853.E5) / scale
+            err3 = Kt[n + 1].dot(dop853.E3) / scale
             e5, e3 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
             if e5 == 0 and e3 == 0:
                 error_norm = 0.0
@@ -399,7 +400,7 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
             K[s] = fun(t_old + c * h, [v + d * h for v, d in zip(y_old, dy)])
         n_rhs += len(_EXTRA)
         delta = [b - a for a, b in zip(y_old, y)]
-        F_hi.append(h * DOP853.D.dot(K))
+        F_hi.append(h * dop853.D.dot(K))
         F_lo.append([[2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f, f_old)],
                      [h * fo - d for d, fo in zip(delta, f_old)],
                      delta])

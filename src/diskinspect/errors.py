@@ -73,8 +73,16 @@ class XiOutOfRange(DiskInspectError):
     kind = "XiOutOfRange"
 
 
+class CostDiverges(DiskInspectError):
+    """The deployment sweep's log term is infinite in float64: 1 - sin(theta)
+    rounds to 0, for a deployment angle theta within about 1.5e-8 of pi/2
+    (xi as close to 1/2)."""
+
+    kind = "CostDiverges"
+
+
 class QuadratureNoConverge(DiskInspectError):
-    """Adaptive quadrature error estimate exceeds the requested tolerance."""
+    """Quadrature error estimate exceeds the requested tolerance."""
 
     kind = "QuadratureNoConverge"
 

@@ -18,7 +18,7 @@ from diskinspect.bounds import (
 )
 from diskinspect.cli import main
 from diskinspect.cost import full_cost_from_partial
-from diskinspect.errors import AngleDomain, WindowViolated
+from diskinspect.errors import AngleDomain, CostDiverges, WindowViolated
 
 PI = math.pi
 EPS = float(np.finfo(float).eps)
@@ -161,6 +161,14 @@ class TestNlpLowerBound:
         monkeypatch.setattr(bounds_mod, "anchored_chain", perturbed)
         with pytest.raises(WindowViolated, match="fails its certificate"):
             nlp_lower_bound(THETA_LO, 1000)
+
+    @pytest.mark.parametrize("theta", [1.57079632, math.nextafter(PI / 2, 0.0)])
+    def test_sin_theta_rounding_to_one_raises(self, theta):
+        # below pi/2, yet 1 - sin(theta) rounds to 0 in the composed cost
+        with pytest.raises(CostDiverges):
+            nlp_lower_bound(theta, 1000)
+        with pytest.raises(CostDiverges):
+            analytic_lower_bound(theta)
 
     def test_angle_recursion_boundary_at_theta_zero(self):
         assert nlp_lower_bound(0.0, 19).t[-1] == 0.0

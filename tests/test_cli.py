@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -153,6 +156,12 @@ class TestLowerBound:
         # k = 6 at theta = 0.6 cannot complete the angle recursion
         argv = ["lower-bound", "--theta", "0.6", "--k", "6"]
         assert failure_kind(argv, tmp_path, capsys) == (2, "AngleDomain", "")
+
+    @pytest.mark.parametrize("extra", [[], ["--grid", "3"]], ids=["single", "sweep"])
+    def test_theta_next_to_half_pi_exits_2(self, extra, tmp_path, capsys):
+        # below pi/2, as --theta demands, but sin(theta) rounds to 1
+        argv = ["lower-bound", "--theta", "1.5707963267948", "--k", "100", *extra]
+        assert failure_kind(argv, tmp_path, capsys) == (2, "CostDiverges", "")
 
 
 class TestAngleBounds:
@@ -411,6 +420,34 @@ def failure_kind(argv, tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "o"), *argv])
     captured = capsys.readouterr()
     return rc, json.loads(captured.out)["error"]["kind"], captured.err
+
+
+#: Commands that must run with every ``import scipy`` failing.
+NO_SCIPY_COMMANDS = [
+    ["trace", "--tau0", "1.6475"],
+    ["optimize", "--grid", "50"],
+    ["verify", "--samples", "20000", "--segments", "2000"],
+    ["angle-bounds"],
+    ["lower-bound", "--k", "200"],
+]
+NO_SCIPY_MAIN = (
+    "import sys; sys.modules['scipy'] = None; "
+    "from diskinspect.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+class TestNoScipy:
+    """scipy is a test dependency only: the commands run in an interpreter
+    where importing it fails."""
+
+    @pytest.mark.parametrize("argv", NO_SCIPY_COMMANDS, ids=lambda a: a[0])
+    def test_command_runs_without_scipy(self, argv, tmp_path):
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_MAIN, "--out", str(tmp_path / "o"), *argv],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestStructuredFailures:

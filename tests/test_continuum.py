@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 
-from diskinspect import continuum
+from diskinspect import continuum, dop853
 from diskinspect.artifacts import write_csv, write_json
 from diskinspect.continuum import (
     ODE_TOL,
@@ -280,6 +280,16 @@ class TestStepper:
                     continuum._solve(fun, x0, y0, tol, x0)
             else:
                 assert_same_run(continuum._solve(fun, x0, y0, tol, x0), ref)
+
+    def test_tableau_literals_are_scipys(self):
+        # the stepper's tableau is written out in dop853; scipy is the oracle
+        DOP853 = pytest.importorskip("scipy.integrate").DOP853
+        for name in ("A", "C", "B", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+            ours, theirs = getattr(dop853, name), getattr(DOP853, name)
+            assert ours.shape == theirs.shape, name
+            assert np.array_equal(ours, theirs), name
+        assert dop853.n_stages == DOP853.n_stages
+        assert dop853.error_estimator_order == DOP853.error_estimator_order
 
     def test_step_failure(self):
         # NaN past x = 0.5 rejects every step there until the step size

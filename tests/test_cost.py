@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from diskinspect import cost as cost_mod
 from diskinspect.artifacts import write_json
 from diskinspect.continuum import integrate
 from diskinspect.cost import (
+    QUAD_ATOL,
+    QUAD_RTOL,
     closed_form_slope,
     deployment_term,
     full_cost_from_partial,
@@ -17,12 +20,20 @@ from diskinspect.cost import (
     partial_cost,
     total_cost,
 )
-from diskinspect.errors import XiOutOfRange
-from diskinspect.feasibility import deployment_parameter
+from diskinspect.errors import QuadratureNoConverge, XiOutOfRange
+from diskinspect.feasibility import WINDOW_HI, WINDOW_LO, deployment_parameter
 
 from conftest import PUBLISHED_COST, PUBLISHED_TAU0
 
 PI = math.pi
+
+
+def adaptive_quadrature(sol, xi, **kwargs):
+    """scipy's adaptive Gauss-Kronrod quadrature of the inspection integrand,
+    an oracle independent of the library's rule."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    return quad(lambda x: 2.0 * PI * x * sol.tau_at(x) / math.sin(sol.psi_at(x)),
+                sol.x0, xi, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, **kwargs)[0]
 
 
 class TestInspectionIntegral:
@@ -52,6 +63,34 @@ class TestInspectionIntegral:
         xis = np.linspace(0.2, 0.81, 12)
         vals = [inspection_integral(sol_star, float(x)) for x in xis]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("tau0", [WINDOW_LO, PUBLISHED_TAU0, 1.6497, WINDOW_HI, 2.0])
+    def test_matches_adaptive_quadrature(self, tau0):
+        # across the window and at one wide label
+        sol = integrate(tau0)
+        xi, _ = deployment_parameter(sol)
+        ref = adaptive_quadrature(sol, xi, limit=200)
+        assert abs(inspection_integral(sol, xi) - ref) <= 1e-11
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-2])
+    def test_long_steps_are_halved(self, tol, monkeypatch):
+        # a coarse solve's longest step is too long for the rule pair alone;
+        # halving the segments meets the tolerance, here against the adaptive
+        # quadrature with a breakpoint at every step boundary
+        sol = integrate(1.6475, tol=tol)
+        xi, _ = deployment_parameter(sol)
+        ref = adaptive_quadrature(sol, xi, limit=500,
+                                  points=sol.grid[(sol.grid > sol.x0) & (sol.grid < xi)])
+        assert abs(inspection_integral(sol, xi) - ref) <= 1e-11
+        monkeypatch.setattr(cost_mod, "QUAD_HALVINGS", 0)
+        with pytest.raises(QuadratureNoConverge):
+            inspection_integral(sol, xi)
+
+    def test_unmeetable_tolerance_raises(self, sol_star):
+        # rounding alone puts the error estimate far above 1e-20 relative
+        xi, _ = deployment_parameter(sol_star)
+        with pytest.raises(QuadratureNoConverge, match="error estimate"):
+            inspection_integral(sol_star, xi, rtol=1e-20, atol=0.0)
 
 
 class TestTotalCost:
