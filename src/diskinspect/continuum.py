@@ -51,13 +51,14 @@ with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
 Stepping and dense output.  ``_solve`` is DOP853, the Dormand-Prince
 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), with
 the tableau of scipy's ``scipy.integrate.DOP853`` written out as float
-literals in ``dop853`` (scipy is not imported at run time).  It repeats
-scipy's ``solve_ivp`` with ``first_step`` operation for operation: the same
-step control, every reduction by the same numpy call on arrays of the
-same layout and everything elementwise on Python floats, which IEEE
-rounding makes equal to numpy's.  Steps, grid and interpolants are
-therefore bit-identical to scipy's, and the tests hold it to that; a
-scipy release that changes DOP853's arithmetic fails them by design.
+literals in ``dop853`` (scipy is not imported at run time).  Its step
+control is scipy's ``solve_ivp`` with ``first_step``; the stage sums, the
+8th-order update, the E5/E3 error estimate and the dense-output rows are
+straight-line Python-float code over the tableau's nonzero entries,
+generated once per state dimension on first use (``dop853.kernels``).
+They sum in another order than numpy's BLAS calls, so a solve agrees with
+scipy's to rounding, step by step, and the tests hold it to that; it does
+not depend on the BLAS kernel the CPU selects.
 Each accepted step's interpolant goes straight into the arrays of
 ``StackedDense``, read by one searchsorted-and-Horner evaluator (a plain
 loop for a single point) that repeats scipy's ``OdeSolution`` arithmetic,
@@ -68,9 +69,12 @@ sees almost no curvature and would step from x0 = 1e-6 to about 1e-2,
 across the region where psi's Jacobian -1/(x sin^2 psi) is near -1/x0,
 and lose up to 8x in tau at x = 0.8.
 A step that ends with psi outside (PSI_GUARD, pi - PSI_GUARD) raises
-StepFailure, so a solve that returns always reaches x = 1.  psi involves
-no label: at every start that solves and every tol up to 1e-3 it stays
-within [0.16, 1.61], and only far coarser tolerances step it out.
+StepFailure, and so does a step whose interpolant of psi may leave that
+band between its nodes (the Bernstein enclosure of ``_check_psi_band``),
+so a solve that returns always reaches x = 1 with psi inside the band at
+every x.  psi involves no label: at every start that solves and every tol
+up to 1e-3 it stays within [0.16, 1.61], and only far coarser tolerances
+step it out.
 """
 
 from __future__ import annotations
@@ -306,16 +310,13 @@ class OdeSolution:
 
 #: scipy's status -1 message, raised as StepFailure.
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+#: de Casteljau halvings of a step whose psi enclosure leaves the guard band
+#: before the step is taken to leave it.
+PSI_SPLITS = 4
 
 # DOP853 step control, as scipy's RungeKutta solvers apply it
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (dop853.error_estimator_order + 1)
-# (c, a[:s]) of stages 1..11 and of the dense-output stages 13..15, sliced
-# off the tableau arrays exactly as scipy slices them
-_STAGES = [(float(c), a[:s]) for s, (a, c)
-           in enumerate(zip(dop853.A[1:], dop853.C[1:]), start=1)]
-_EXTRA = [(float(c), a[:s]) for s, (a, c)
-          in enumerate(zip(dop853.A_EXTRA, dop853.C_EXTRA), start=dop853.n_stages + 1)]
 
 
 @dataclass
@@ -328,28 +329,25 @@ class _Run:
     n_rejected: int
 
 
-@np.errstate(all="ignore")
 def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
     """DOP853 (rtol = atol = tol) with dense output on [x0, 1].
 
-    The arithmetic of scipy's solve_ivp(method="DOP853", dense_output=True,
-    first_step=first_step), step for step; see the module docstring.
-    fun(x, y) gets y as a list of floats and returns a sequence of floats.
-    A tol below TOL_FLOOR raises ValueError; a step below 10 ulp of x, or
-    psi = y[0] outside (PSI_GUARD, pi - PSI_GUARD) after an accepted step
-    (NaN too), raises StepFailure.
-    numpy's floating-point warnings are silenced: an inf or NaN makes the
-    solve raise, never return, and the arithmetic stays scipy's.
+    scipy's solve_ivp(method="DOP853", dense_output=True,
+    first_step=first_step) in plain IEEE arithmetic: the same step control,
+    and each step's sums by ``dop853.kernels``; see the module docstring.
+    fun(x, y) gets y as a tuple of floats and returns a sequence of floats.
+    A tol below TOL_FLOOR raises ValueError.  A step below 10 ulp of x, psi
+    = y[0] outside (PSI_GUARD, pi - PSI_GUARD) after an accepted step (NaN
+    too), or an interpolant of psi that may leave that band
+    (``_check_psi_band``) raises StepFailure.
     """
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tol {tol!r} is below the floor {TOL_FLOOR:.3g}")
-    t, y = x0, [float(v) for v in y0]
-    n = dop853.n_stages
-    K = np.empty((n + 1 + len(_EXTRA), len(y)))
-    Kt = [K[:s].T for s in range(len(K) + 1)]
+    t, y = x0, tuple(float(v) for v in y0)
+    attempt, dense = dop853.kernels(len(y))
     f = fun(t, y)
     h_abs, n_rhs, n_rejected = first_step, 1, 0
-    ts, ys, F_hi, F_lo = [t], [y], [], []
+    ts, ys, F = [t], [y], []
     while t < 1.0:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -361,23 +359,8 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
             t_new = min(t + h_abs, 1.0)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s, (c, a) in enumerate(_STAGES, start=1):
-                dy = Kt[s].dot(a).tolist()
-                K[s] = fun(t + c * h, [v + d * h for v, d in zip(y, dy)])
-            y_new = [v + h * d for v, d in zip(y, Kt[n].dot(dop853.B).tolist())]
-            f_new = K[n] = fun(t + h, y_new)
-            n_rhs += n
-            # np.maximum's NaN propagation, on floats
-            scale = np.array([tol + (p if p >= q or p != p else q) * tol
-                              for p, q in zip(map(abs, y), map(abs, y_new))])
-            err5 = Kt[n + 1].dot(dop853.E5) / scale
-            err3 = Kt[n + 1].dot(dop853.E3) / scale
-            e5, e3 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
-            if e5 == 0 and e3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(y))
+            error_norm, y_new, f_new, K = attempt(fun, t, h, y, f, tol)
+            n_rhs += dop853.n_stages
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -385,42 +368,74 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
                     factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 if rejected:
                     factor = min(1, factor)
-                h_abs = float(h_abs * factor)
+                h_abs *= factor
                 break
-            h_abs = float(h_abs * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
             n_rejected += 1
-        t_old, y_old, f_old = t, y, f
-        t, y, f = t_new, y_new, f_new
-        if not PSI_GUARD < y[0] < math.pi - PSI_GUARD:
-            raise StepFailure(f"psi = {y[0]!r} at x = {t!r} left the guard band "
+        if not PSI_GUARD < y_new[0] < math.pi - PSI_GUARD:
+            raise StepFailure(f"psi = {y_new[0]!r} at x = {t_new!r} left the guard band "
                               f"({PSI_GUARD!r}, pi - {PSI_GUARD!r})")
-        for s, (c, a) in enumerate(_EXTRA, start=n + 1):
-            dy = Kt[s].dot(a).tolist()
-            K[s] = fun(t_old + c * h, [v + d * h for v, d in zip(y_old, dy)])
-        n_rhs += len(_EXTRA)
-        delta = [b - a for a, b in zip(y_old, y)]
-        F_hi.append(h * dop853.D.dot(K))
-        F_lo.append([[2 * d - h * (fn + fo) for d, fn, fo in zip(delta, f, f_old)],
-                     [h * fo - d for d, fo in zip(delta, f_old)],
-                     delta])
+        F += dense(fun, t, h, y, y_new, K)
+        n_rhs += len(dop853.A_EXTRA)
+        t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    F = np.concatenate([np.array(F_hi)[:, ::-1], np.array(F_lo)], axis=1)
     ys = np.array(ys)
+    F = np.array(F).reshape(len(ts) - 1, 7, len(y))
+    _check_psi_band(ts, ys[:-1, 0], F[:, :, 0])
     return _Run(y=ys.T, dense=StackedDense(ts, ys[:-1], F), n_rhs=n_rhs,
                 n_rejected=n_rejected)
+
+
+def _band_exit(b: list, s0: float, s1: float, splits: int):
+    """The first piece [s0, s1] of a step, at most `splits` halvings deep,
+    whose Bernstein coefficients b of psi do not all lie inside the guard
+    band, with b; None when every piece's do."""
+    if all(PSI_GUARD < v < math.pi - PSI_GUARD for v in b):
+        return None
+    if splits == 0:
+        return s0, s1, b
+    mid = (s0 + s1) / 2
+    left, right = dop853.halves(b)
+    return (_band_exit(left, s0, mid, splits - 1)
+            or _band_exit(right, mid, s1, splits - 1))
+
+
+def _check_psi_band(ts, psi_old, F_psi) -> None:
+    """StepFailure unless psi's interpolant stays in (PSI_GUARD, pi - PSI_GUARD)
+    on every step.
+
+    The convex hull of a polynomial's Bernstein coefficients contains its
+    graph (Farouki & Rajan, CAGD 4, 1987), so one (steps, 8) @ (8, 8)
+    product encloses psi on each step.  A step whose enclosure leaves the
+    band is halved by de Casteljau, up to PSI_SPLITS times, so that an
+    enclosure that is merely loose passes; a piece at that depth that still
+    leaves the band fails the solve.  NaN fails too.
+    """
+    bern = np.concatenate([F_psi, psi_old[:, None]], axis=1) @ dop853.BERNSTEIN
+    inside = (bern.min(axis=1) > PSI_GUARD) & (bern.max(axis=1) < math.pi - PSI_GUARD)
+    for k in np.flatnonzero(~inside).tolist():
+        t_old, h = ts[k], ts[k + 1] - ts[k]
+        exit_ = _band_exit(bern[k].tolist(), 0.0, 1.0, PSI_SPLITS)
+        if exit_ is not None:
+            s0, s1, b = exit_
+            raise StepFailure(
+                f"psi on x in [{t_old + s0 * h!r}, {t_old + s1 * h!r}] is enclosed by "
+                f"[{min(b)!r}, {max(b)!r}], which leaves the guard band "
+                f"({PSI_GUARD!r}, pi - {PSI_GUARD!r})")
 
 
 def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolution:
     """Integrate the pair on [x0, 1] with one adaptive DOP853 pass (``_solve``).
 
     Joint integration of the 2-vector field, eighth-order Dormand-Prince
-    with dense output and first step x0, bit-identical to scipy's
-    solve_ivp; tol is both the relative and the absolute error tolerance,
-    at least TOL_FLOOR (else ValueError).  psi leaving the guard band, or a
-    step size below the spacing of floats, raises StepFailure.  The
-    solution carries the solve's work counts n_rhs and n_rejected.
+    with dense output and first step x0: scipy's solve_ivp step control in
+    plain IEEE arithmetic, equal to it to rounding in every step; tol is
+    both the relative and the absolute error tolerance, at least TOL_FLOOR
+    (else ValueError).  psi leaving the guard band, at a node or between
+    nodes, or a step size below the spacing of floats, raises StepFailure.
+    The solution carries the solve's work counts n_rhs and n_rejected.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")

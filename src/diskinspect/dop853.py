@@ -1,4 +1,4 @@
-"""The Dormand-Prince 8(5,3) tableau of ``continuum._solve``, as literals.
+"""The Dormand-Prince 8(5,3) tableau of ``continuum._solve``, as literals; its kernels.
 
 DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and its Fortran
 code) with the names, shapes and float64 values of scipy's
@@ -9,9 +9,16 @@ and ``E5`` over the 13 stages, and the dense output's extra stages 13..15
 value's ``repr``, which round-trips float64 exactly; the tests compare
 every array with scipy's, shape included.  The rows of ``A`` and
 ``A_EXTRA`` are written up to the diagonal and padded with zeros.
+
+``kernels`` turns these literals into straight-line Python-float code for
+one step attempt and one step's dense output; ``BERNSTEIN`` and ``halves``
+bound a step's interpolant through its Bernstein coefficients.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -110,3 +117,107 @@ A_EXTRA = _padded([
 C_EXTRA = np.array([
     0.1, 0.2, 0.7777777777777778
 ])
+
+
+@functools.cache
+def kernels(d: int):
+    """DOP853's step attempt and dense output for states of d components.
+
+    Both are straight-line Python-float code over the nonzero entries of
+    the tableau above, generated once per d on first use.  Every sum
+    runs left to right over the stages, with scipy's grouping:
+    y + (a.K)*h for a stage, y + h*(b.K) for the update, h*(d.K) for a
+    dense row.
+
+    attempt(fun, t, h, y, f, tol) -> (error_norm, y_new, f_new, K) makes the
+        12 evaluations of one step from (t, y) with slope f.  error_norm is
+        scipy's DOP853 estimate from E5 and E3 at scale
+        tol + max(|y|, |y_new|)*tol; K holds the 13 stages, flat.
+    dense(fun, t, h, y, y_new, K) -> 7*d floats makes the 3 extra stages
+        and returns the step's interpolant rows in StackedDense's order,
+        flat: h*D[3].K .. h*D[0].K, 2*dy - h*(f_new + f), h*f - dy and dy,
+        with dy = y_new - y.
+    """
+    n = n_stages
+    comps = range(d)
+
+    def tup(names):
+        return ", ".join(names) + ","
+
+    def stage(s):
+        return [f"k{s}_{j}" for j in comps]
+
+    def combo(coefs, j):
+        # the left-to-right sum of c*K[i] over the nonzero c, component j
+        return " + ".join(f"{c!r}*k{i}_{j}" for i, c in enumerate(coefs.tolist()) if c != 0.0)
+
+    def call(s, c, a):
+        args = tup(f"y{j} + ({combo(a[:s], j)})*h" for j in comps)
+        return f"    {tup(stage(s))} = fun(t + {float(c)!r}*h, ({args}))"
+
+    y, y_new = [f"y{j}" for j in comps], [f"n{j}" for j in comps]
+    K = tup(k for s in range(n + 1) for k in stage(s))
+    src = ["def attempt(fun, t, h, y, f, tol):",
+           f"    {tup(y)} = y",
+           f"    {tup(stage(0))} = f"]
+    src += [call(s, C[s], A[s]) for s in range(1, n)]
+    src += [f"    n{j} = y{j} + h*({combo(B, j)})" for j in comps]
+    src.append(f"    {tup(stage(n))} = fun(t + h, ({tup(y_new)}))")
+    for j in comps:
+        src += [f"    a, b = abs(y{j}), abs(n{j})",
+                # np.maximum's NaN propagation, on floats
+                "    s = tol + (a if a >= b or a != a else b)*tol",
+                f"    e5_{j} = ({combo(E5, j)})/s",
+                f"    e3_{j} = ({combo(E3, j)})/s"]
+    src += [f"    e5 = {' + '.join(f'e5_{j}*e5_{j}' for j in comps)}",
+            f"    e3 = {' + '.join(f'e3_{j}*e3_{j}' for j in comps)}",
+            # the limit 0 also where 0.01*e3 underflows to 0 beside e5 = 0
+            f"    err = 0.0 if e5 == 0.0 else abs(h)*e5/sqrt((e5 + 0.01*e3)*{d})",
+            f"    return err, ({tup(y_new)}), ({tup(stage(n))}), ({K})",
+            "",
+            "def dense(fun, t, h, y, n, K):",
+            f"    {tup(y)} = y",
+            f"    {tup(y_new)} = n",
+            f"    {K} = K"]
+    src += [call(s, c, a) for s, (c, a)
+            in enumerate(zip(C_EXTRA, A_EXTRA), start=n + 1)]
+    src += [f"    dy{j} = n{j} - y{j}" for j in comps]
+    rows = [f"h*({combo(row, j)})" for row in D[::-1] for j in comps]
+    rows += [f"2*dy{j} - h*(k{n}_{j} + k0_{j})" for j in comps]
+    rows += [f"h*k0_{j} - dy{j}" for j in comps]
+    rows += [f"dy{j}" for j in comps]
+    src.append(f"    return ({tup(rows)})")
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(src), f"<DOP853 kernels, d={d}>", "exec"), namespace)
+    return namespace["attempt"], namespace["dense"]
+
+
+def _bernstein_matrix() -> np.ndarray:
+    """(8, 8) map from a step's interpolant terms (F rows 0..6, then y_old)
+    to its degree-7 Bernstein coefficients in s.
+
+    The dense output's Horner scheme (scipy's Dop853DenseOutput) multiplies
+    row r of F by s at each even and by 1 - s at each odd position p in
+    r..6, so the row is the coefficient of s^a (1 - s)^b, a and b the
+    numbers of such p; y_old's is a = b = 0.  s^a (1-s)^b (s + 1 - s)^(7-a-b)
+    has the coefficient C(7-a-b, i-a) / C(7, i) on s^i (1-s)^(7-i) C(7, i).
+    """
+    powers = [(sum(p % 2 == 0 for p in range(r, 7)), sum(p % 2 == 1 for p in range(r, 7)))
+              for r in range(7)] + [(0, 0)]
+    return np.array([[math.comb(7 - a - b, i - a) / math.comb(7, i) if a <= i <= 7 - b else 0.0
+                      for i in range(8)] for a, b in powers])
+
+
+#: Dense-output rows of one step (F rows 0..6 in StackedDense order, then
+#: y_old) to the degree-7 Bernstein coefficients of its interpolant.
+BERNSTEIN = _bernstein_matrix()
+
+
+def halves(b: list) -> tuple[list, list]:
+    """de Casteljau: the Bernstein coefficients of both halves of [0, 1]."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(p + q) / 2 for p, q in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]

@@ -151,16 +151,17 @@ def anchored_chain(theta: float, k: int, m: int) -> DiscreteTrajectory:
     if bad is not None:
         raise bad
     c = math.tan(alpha / 2.0)
+    sx, sy = list(map(math.sin, xs)), list(map(math.sin, ys))
     ts = [0.0] * (m + 1)
-    ds = [math.nan] * (m + 1)
     ts[m] = t = math.tan(theta)
     for i in range(m, 0, -1):
-        sy = math.sin(ys[i - 1])
-        ds[i] = (t + c) * math.sin(alpha) / sy
-        t = ts[i - 1] = (t + c) * math.sin(xs[i]) / sy + c
+        t = ts[i - 1] = (t + c) * sx[i] / sy[i - 1] + c
+    t_arr = np.array(ts)
+    # the loop's d_i = (t_i + c)*sin(alpha)/sin(y_{i-1}), elementwise
+    ds = np.concatenate([[math.nan], (t_arr[1:] + c) * math.sin(alpha) / np.array(sy[:-1])])
     return DiscreteTrajectory(
-        n=k, alpha=alpha, tau0=t, x=np.array(xs), y=np.array(ys), t=np.array(ts),
-        d=np.array(ds), theta=theta,
+        n=k, alpha=alpha, tau0=t, x=np.array(xs), y=np.array(ys), t=t_arr, d=ds,
+        theta=theta,
     )
 
 

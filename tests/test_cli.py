@@ -469,12 +469,10 @@ class TestStructuredFailures:
         argv = ["--x0", "1e-5", "--tol-ode", "1", "trace", "--tau0", "1.648"]
         assert failure_kind(argv, tmp_path, capsys)[:2] == (2, "StepFailure")
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="psi is checked against its band only at step nodes")
     def test_psi_band_between_nodes_exits_2(self, tmp_path, capsys):
-        # at tol 0.3 the window pencil's dense psi falls to -0.208 near
-        # x = 0.867, while every node psi is at least 0.163; the sweep exits 0
-        # with 4 of its 5 rows OutOfRange and reports the fifth row's cost
+        # at tol 0.3 the window pencil's dense psi falls below the band
+        # between nodes whose psi all lie inside it; a check at the nodes
+        # alone lets the sweep exit 0 with 4 of its 5 rows OutOfRange
         rc = main(["--out", str(tmp_path / "o"), "--x0", "3e-6", "--tol-ode", "0.3",
                    "sweep-cost", "--grid", "5"])
         assert rc == 2

@@ -130,6 +130,27 @@ class TestShootTheta:
         d_embed = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
         assert np.max(np.abs(d_embed - traj.d[1:])) <= 1e-14
 
+    def test_backward_pass_equals_the_plain_loop(self):
+        # the sines taken ahead of the backward pass and d_i formed after it
+        # as one array expression do the loop's arithmetic, number for number
+        for theta in np.linspace(0.0, 1.5, 14).tolist():
+            for k in (30, 200, 1000):
+                traj = refraction.anchored_chain(theta, k, k)
+                alpha = 2.0 * (math.pi - theta) / k
+                xs, ys, _ = refraction._angle_pass(alpha, k)
+                c = math.tan(alpha / 2.0)
+                ts, ds = [0.0] * (k + 1), [math.nan] * (k + 1)
+                ts[k] = t = math.tan(theta)
+                for i in range(k, 0, -1):
+                    sy = math.sin(ys[i - 1])
+                    ds[i] = (t + c) * math.sin(alpha) / sy
+                    t = ts[i - 1] = (t + c) * math.sin(xs[i]) / sy + c
+                assert np.array_equal(traj.x, xs, equal_nan=True)
+                assert np.array_equal(traj.y, ys)
+                assert np.array_equal(traj.t, ts)
+                assert np.array_equal(traj.d, ds, equal_nan=True)
+                assert traj.tau0 == t
+
     def test_too_coarse_chain_raises_angle_domain(self):
         # k=6 at theta=0.6 cannot complete the angle recursion
         with pytest.raises(AngleDomain):
