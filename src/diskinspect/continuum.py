@@ -51,18 +51,19 @@ with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
 Stepping and dense output.  ``_solve`` is DOP853, the Dormand-Prince
 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), with
 the tableau of scipy's ``scipy.integrate.DOP853`` written out as float
-literals in ``dop853`` (scipy is not imported at run time).  Its step
-control is scipy's ``solve_ivp`` with ``first_step``; the stage sums, the
-8th-order update, the E5/E3 error estimate and the dense-output rows are
-straight-line Python-float code over the tableau's nonzero entries,
-generated once per state dimension on first use (``dop853.kernels``).
-They sum in another order than numpy's BLAS calls, so a solve agrees with
-scipy's to rounding, step by step, and the tests hold it to that; it does
-not depend on the BLAS kernel the CPU selects.
-Each accepted step's interpolant goes straight into the arrays of
-``StackedDense``, read by one searchsorted-and-Horner evaluator (a plain
-loop for a single point) that repeats scipy's ``OdeSolution`` arithmetic,
-so an abscissa on a step boundary goes to the lower segment as there.
+literals in ``dop853`` (scipy is not imported at run time) and the step
+control of scipy's ``solve_ivp`` with ``first_step``.  Each field is
+declared once, as straight-line source (``rhs`` and ``_rhs_pencil`` are
+``dop853.Field``s): called, it is the Python function of (x, state), and
+``dop853.kernels`` inlines it at every stage of the step and dense-output
+code it generates per field on the first solve, so no step calls a
+Python function.  The kernels sum in another order than numpy's BLAS
+calls, so a solve agrees with scipy's to rounding, step by step, and does
+not depend on the BLAS kernel the CPU selects.  Each accepted step's
+interpolant goes into the arrays of ``StackedDense``, whose reads repeat
+scipy's ``OdeSolution`` arithmetic (an abscissa on a step boundary goes
+to the lower segment): vectorized, in Python floats at a single point
+(``point``), and for the scans only the columns they read (``sample``).
 Every solve takes x0 as its first step, not scipy's initial-step
 heuristic: the series start lies on the smooth solution, so the heuristic
 sees almost no curvature and would step from x0 = 1e-6 to about 1e-2,
@@ -81,12 +82,12 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dop853
+from .dop853 import StackedDense
 from .errors import OutOfRange, StepFailure
 
 #: Reference start abscissa anchoring the tau0 label.
@@ -105,11 +106,11 @@ SELF_CHECK_STARTS = (1e-6, 1e-7)
 SELF_CHECK_TOL = 1e-13
 
 
-def rhs(x: float, state) -> tuple[float, float]:
-    """Right-hand side of the (psi, tau) field."""
-    psi, tau = float(state[0]), float(state[1])
+#: Right-hand side of the (psi, tau) field: rhs(x, state) -> (psi', tau').
+rhs = dop853.Field(("psi", "tau"), """
     cot = math.cos(psi) / math.sin(psi)
     return (-math.tau + cot / x, math.tau * (tau * cot - 1.0))
+""")
 
 
 def psi_series(x0: float) -> float:
@@ -172,76 +173,6 @@ def _check_range(x, x0: float, x_end: float):
     return x
 
 
-class StackedDense:
-    """The DOP853 interpolants of one solve, stacked, and their evaluator.
-
-    Segment k covers [ts[k], ts[k+1]] and reads y_old[k] plus the Horner
-    polynomial in s = (x - t_old[k]) / h[k] whose coefficient rows are
-    F[k, 0..6], in the order scipy's Dop853DenseOutput adds them, with
-    t_old = ts[:-1] and h = diff(ts), the step's own subtraction.  Called
-    like scipy's OdeSolution: x -> (d,) for a float, 0-d or one-element
-    array (a plain-float loop), (d,) + x.shape for any other array.  Range
-    checks are the caller's.
-    """
-
-    def __init__(self, ts, y_old, F):
-        self.ts = np.asarray(ts, dtype=float)
-        self.t_old = self.ts[:-1]
-        self.h = np.diff(self.ts)
-        self.y_old = np.asarray(y_old, dtype=float)
-        self.F = np.array(F, dtype=float)
-        # scipy starts from zeros, so its first sum turns a -0.0 into +0.0
-        self.F[:, 0] += 0.0
-        # the single-point path: the same numbers as Python floats, and per
-        # segment one (7 coefficients, y_old) tuple per component
-        self._ts = self.ts.tolist()
-        coef = np.concatenate([self.F, self.y_old[:, None]], axis=1).tolist()
-        self._rows = list(zip(self.t_old.tolist(), self.h.tolist(),
-                              [list(zip(*c)) for c in coef]))
-        self._samples = {}
-
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """n uniform abscissae xs on [ts[0], ts[-1]], cos and sin of 2*pi*xs
-        and the components at xs, computed once per n."""
-        if n not in self._samples:
-            # the components first: their evaluation's temporaries are the
-            # largest, and then the only arrays alive are xs and the result
-            xs = np.linspace(self.ts[0], self.ts[-1], n)
-            values = self(xs)
-            self._samples[n] = xs, np.cos(math.tau * xs), np.sin(math.tau * xs), values
-        return self._samples[n]
-
-    def _point(self, x: float) -> np.ndarray:
-        k = min(max(bisect_left(self._ts, x) - 1, 0), len(self._rows) - 1)
-        t_old, h, comps = self._rows[k]
-        s = (x - t_old) / h
-        u = 1 - s
-        return np.array([
-            ((((((c0 * s + c1) * u + c2) * s + c3) * u + c4) * s + c5) * u + c6) * s + y0
-            for c0, c1, c2, c3, c4, c5, c6, y0 in comps
-        ])
-
-    def __call__(self, x):
-        if isinstance(x, float):
-            return self._point(x)
-        x = np.asarray(x, dtype=float)
-        if x.size == 1:
-            return self._point(x.item()).reshape(self.y_old.shape[1:] + x.shape)
-        k = np.searchsorted(self.ts, x, side="left") - 1
-        np.clip(k, 0, len(self.h) - 1, out=k)
-        s = ((x - self.t_old[k]) / self.h[k])[..., None]
-        u = 1 - s
-        # one (N, d) gather per term, never F[k] (N, 7, d); take is several
-        # times faster than fancy indexing here
-        y = self.F[:, 0].take(k, axis=0)
-        y *= s
-        for i in range(1, 7):
-            y += self.F[:, i].take(k, axis=0)
-            y *= u if i % 2 else s
-        y += self.y_old.take(k, axis=0)
-        return np.moveaxis(y, -1, 0)
-
-
 @dataclass
 class OdeSolution:
     """Dense-output solution of the pair on [x0, x_end] for one tau0 label.
@@ -272,15 +203,21 @@ class OdeSolution:
         """(psi, tau) from dense output; scalar or vectorized."""
         return self._dense(_check_range(x, self.x0, self.x_end))
 
+    def point(self, x) -> tuple[float, float]:
+        """(psi, tau) at one abscissa as floats, equal to values(x)."""
+        return self._dense.point(_check_range(float(x), self.x0, self.x_end))
+
     def sample(self, n: int):
-        """StackedDense.sample: xs, cos 2 pi xs, sin 2 pi xs and (psi, tau) at xs."""
-        return self._dense.sample(n)
+        """The scan arrays xs, cos 2 pi xs and sin 2 pi xs, and tau alone at
+        xs (see StackedDense.sample): the scans read no psi."""
+        xs, cos, sin, (tau,) = self._dense.sample(n, (1,))
+        return xs, cos, sin, tau
 
     def psi_at(self, x) -> float:
-        return float(self.values(float(x))[0])
+        return self.point(x)[0]
 
     def tau_at(self, x) -> float:
-        return float(self.values(float(x))[1])
+        return self.point(x)[1]
 
     def residual(self, x: float) -> tuple[float, float]:
         """Relative defect of both equations at x.
@@ -329,13 +266,12 @@ class _Run:
     n_rejected: int
 
 
-def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
+def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float) -> _Run:
     """DOP853 (rtol = atol = tol) with dense output on [x0, 1].
 
     scipy's solve_ivp(method="DOP853", dense_output=True,
     first_step=first_step) in plain IEEE arithmetic: the same step control,
-    and each step's sums by ``dop853.kernels``; see the module docstring.
-    fun(x, y) gets y as a tuple of floats and returns a sequence of floats.
+    and each step by ``dop853.kernels(field)``; see the module docstring.
     A tol below TOL_FLOOR raises ValueError.  A step below 10 ulp of x, psi
     = y[0] outside (PSI_GUARD, pi - PSI_GUARD) after an accepted step (NaN
     too), or an interpolant of psi that may leave that band
@@ -344,8 +280,8 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
     if not tol >= TOL_FLOOR:
         raise ValueError(f"tol {tol!r} is below the floor {TOL_FLOOR:.3g}")
     t, y = x0, tuple(float(v) for v in y0)
-    attempt, dense = dop853.kernels(len(y))
-    f = fun(t, y)
+    attempt, dense = dop853.kernels(field)
+    f = field(t, y)
     h_abs, n_rhs, n_rejected = first_step, 1, 0
     ts, ys, F = [t], [y], []
     while t < 1.0:
@@ -359,7 +295,7 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
             t_new = min(t + h_abs, 1.0)
             h = t_new - t
             h_abs = abs(h)
-            error_norm, y_new, f_new, K = attempt(fun, t, h, y, f, tol)
+            error_norm, y_new, f_new, K = attempt(t, h, y, f, tol)
             n_rhs += dop853.n_stages
             if error_norm < 1:
                 if error_norm == 0:
@@ -376,7 +312,7 @@ def _solve(fun, x0: float, y0, tol: float, first_step: float) -> _Run:
         if not PSI_GUARD < y_new[0] < math.pi - PSI_GUARD:
             raise StepFailure(f"psi = {y_new[0]!r} at x = {t_new!r} left the guard band "
                               f"({PSI_GUARD!r}, pi - {PSI_GUARD!r})")
-        F += dense(fun, t, h, y, y_new, K)
+        F += dense(t, h, y, y_new, K)
         n_rhs += len(dop853.A_EXTRA)
         t, y, f = t_new, y_new, f_new
         ts.append(t)
@@ -455,14 +391,14 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolut
     )
 
 
-def _rhs_pencil(x: float, state) -> tuple[float, ...]:
-    """Right-hand side of the pencil field (psi, Tbar, B, I_Tbar, I_B)."""
-    psi, t, b = float(state[0]), float(state[1]), float(state[2])
+#: Right-hand side of the pencil field (psi, Tbar, B, I_Tbar, I_B).
+_rhs_pencil = dop853.Field(("psi", "t", "b", "i_t", "i_b"), """
     sin = math.sin(psi)
     cot = math.cos(psi) / sin
     w = math.tau * x / sin
     return (-math.tau + cot / x, math.tau * (t * cot - 1.0), math.tau * b * cot,
             w * t, w * b)
+""")
 
 
 @dataclass
@@ -507,8 +443,9 @@ class Pencil:
         return psi, t + d * b, it + d * ib
 
     def sample(self, n: int):
-        """StackedDense.sample: xs, cos 2 pi xs, sin 2 pi xs and the columns at xs."""
-        return self._dense.sample(n)
+        """The scan arrays xs, cos 2 pi xs and sin 2 pi xs, and (Tbar, B) at
+        xs (see StackedDense.sample): the columns the window scans read."""
+        return self._dense.sample(n, (1, 2))
 
 
 def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -> Pencil:

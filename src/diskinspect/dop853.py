@@ -1,4 +1,4 @@
-"""The Dormand-Prince 8(5,3) tableau of ``continuum._solve``, as literals; its kernels.
+"""DOP853 for ``continuum._solve``: its tableau, its kernels, its dense output.
 
 DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and its Fortran
 code) with the names, shapes and float64 values of scipy's
@@ -10,15 +10,26 @@ value's ``repr``, which round-trips float64 exactly; the tests compare
 every array with scipy's, shape included.  The rows of ``A`` and
 ``A_EXTRA`` are written up to the diagonal and padded with zeros.
 
-``kernels`` turns these literals into straight-line Python-float code for
-one step attempt and one step's dense output; ``BERNSTEIN`` and ``halves``
-bound a step's interpolant through its Bernstein coefficients.
+A right-hand side is a ``Field``, declared once as straight-line source
+over x and the names of its state components.  Called, it runs as a
+Python function; ``kernels`` turns it and these literals into
+straight-line Python-float code for one step attempt and one step's dense
+output, with the field inlined at every stage, so a step makes no Python
+call.  ``StackedDense`` holds a solve's interpolants and reads them with
+scipy's arithmetic: vectorized, at one point in Python floats, or only
+the columns a scan reads on ``scan_grid``'s shared abscissae.
+``BERNSTEIN`` and ``halves`` bound a step's interpolant through its
+Bernstein coefficients.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import textwrap
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,76 +130,131 @@ C_EXTRA = np.array([
 ])
 
 
+@dataclass(frozen=True)
+class Field:
+    """A right-hand side y' = f(x, y), declared once as straight-line source.
+
+    state names the components of y, in order; source is the body of f
+    over x and those names, with ``math`` in scope: assignments, then one
+    ``return`` of one expression per component.  Calling the field runs
+    that body as a Python function of (x, y) on float(y[i]), compiled on
+    the first call; ``kernels`` inlines the same body at every stage of a
+    step.  Names that start with "_" are the kernels' own.
+    """
+
+    state: tuple[str, ...]
+    source: str
+
+    def _parts(self) -> tuple[set, list, str]:
+        """The names the body reads, its lines before the return, and the
+        returned expressions."""
+        src = textwrap.dedent(self.source).strip()
+        tree = ast.parse(src)
+        ret = tree.body[-1]
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if not (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
+                and len(ret.value.elts) == len(self.state)):
+            raise ValueError(f"a field of {len(self.state)} components must end "
+                             "in one return of as many expressions")
+        if any(name.startswith("_") for name in names | set(self.state)):
+            raise ValueError("a field's names must not start with '_'")
+        return names, src.splitlines()[:ret.lineno - 1], ast.get_source_segment(src, ret.value)
+
+    @functools.cached_property
+    def _function(self):
+        _, body, ret = self._parts()
+        src = ["def field(x, _y):", f"    {_tup(self.state)} = map(float, _y)"]
+        src += [f"    {line}" for line in body] + [f"    return ({ret})"]
+        return _compiled(src, f"<field {self.state}>")["field"]
+
+    def __call__(self, x, y) -> tuple:
+        return self._function(x, y)
+
+
+def _tup(names) -> str:
+    return ", ".join(names) + ","
+
+
+def _compiled(src: list, name: str) -> dict:
+    namespace = {"math": math, "_sqrt": math.sqrt}
+    exec(compile("\n".join(src), name, "exec"), namespace)
+    return namespace
+
+
 @functools.cache
-def kernels(d: int):
-    """DOP853's step attempt and dense output for states of d components.
+def kernels(field: Field):
+    """DOP853's step attempt and dense output for one field, (attempt, dense).
 
     Both are straight-line Python-float code over the nonzero entries of
-    the tableau above, generated once per d on first use.  Every sum
-    runs left to right over the stages, with scipy's grouping:
-    y + (a.K)*h for a stage, y + h*(b.K) for the update, h*(d.K) for a
-    dense row.
+    the tableau above, with the field's source inlined at every stage, so
+    a step calls no Python function; generated once per field on first
+    use.  Every sum runs left to right over the stages, with scipy's
+    grouping: y + (a.K)*h for a stage, y + h*(b.K) for the update, h*(d.K)
+    for a dense row.
 
-    attempt(fun, t, h, y, f, tol) -> (error_norm, y_new, f_new, K) makes the
+    attempt(t, h, y, f, tol) -> (error_norm, y_new, f_new, K) makes the
         12 evaluations of one step from (t, y) with slope f.  error_norm is
         scipy's DOP853 estimate from E5 and E3 at scale
         tol + max(|y|, |y_new|)*tol; K holds the 13 stages, flat.
-    dense(fun, t, h, y, y_new, K) -> 7*d floats makes the 3 extra stages
-        and returns the step's interpolant rows in StackedDense's order,
-        flat: h*D[3].K .. h*D[0].K, 2*dy - h*(f_new + f), h*f - dy and dy,
-        with dy = y_new - y.
+    dense(t, h, y, y_new, K) -> 7*d floats makes the 3 extra stages and
+        returns the step's interpolant rows in StackedDense's order, flat:
+        h*D[3].K .. h*D[0].K, 2*dy - h*(f_new + f), h*f - dy and dy, with
+        dy = y_new - y.
     """
-    n = n_stages
+    n, d = n_stages, len(field.state)
     comps = range(d)
-
-    def tup(names):
-        return ", ".join(names) + ","
+    names, body, ret = field._parts()
 
     def stage(s):
-        return [f"k{s}_{j}" for j in comps]
+        return [f"_k{s}_{j}" for j in comps]
 
     def combo(coefs, j):
         # the left-to-right sum of c*K[i] over the nonzero c, component j
-        return " + ".join(f"{c!r}*k{i}_{j}" for i, c in enumerate(coefs.tolist()) if c != 0.0)
+        return " + ".join(f"{c!r}*_k{i}_{j}" for i, c in enumerate(coefs.tolist()) if c != 0.0)
 
-    def call(s, c, a):
-        args = tup(f"y{j} + ({combo(a[:s], j)})*h" for j in comps)
-        return f"    {tup(stage(s))} = fun(t + {float(c)!r}*h, ({args}))"
+    def call(s, x, states):
+        # the field at abscissa x and the state expressions, into stage s
+        lines = [f"x = {x}"] if "x" in names else []
+        lines += [f"{v} = {e}" for v, e in zip(field.state, states) if v in names]
+        return [f"    {line}" for line in lines + body + [f"{_tup(stage(s))} = {ret}"]]
 
-    y, y_new = [f"y{j}" for j in comps], [f"n{j}" for j in comps]
-    K = tup(k for s in range(n + 1) for k in stage(s))
-    src = ["def attempt(fun, t, h, y, f, tol):",
-           f"    {tup(y)} = y",
-           f"    {tup(stage(0))} = f"]
-    src += [call(s, C[s], A[s]) for s in range(1, n)]
-    src += [f"    n{j} = y{j} + h*({combo(B, j)})" for j in comps]
-    src.append(f"    {tup(stage(n))} = fun(t + h, ({tup(y_new)}))")
+    def step_stage(s, c, a):
+        return call(s, f"_t + {float(c)!r}*_h", [f"_y{j} + ({combo(a[:s], j)})*_h" for j in comps])
+
+    y, y_new = [f"_y{j}" for j in comps], [f"_n{j}" for j in comps]
+    K = _tup(k for s in range(n + 1) for k in stage(s))
+    src = ["def attempt(_t, _h, _y, _f, _tol):",
+           f"    {_tup(y)} = _y",
+           f"    {_tup(stage(0))} = _f"]
+    for s in range(1, n):
+        src += step_stage(s, C[s], A[s])
+    src += [f"    _n{j} = _y{j} + _h*({combo(B, j)})" for j in comps]
+    src += call(n, "_t + _h", y_new)
     for j in comps:
-        src += [f"    a, b = abs(y{j}), abs(n{j})",
+        src += [f"    _a, _b = abs(_y{j}), abs(_n{j})",
                 # np.maximum's NaN propagation, on floats
-                "    s = tol + (a if a >= b or a != a else b)*tol",
-                f"    e5_{j} = ({combo(E5, j)})/s",
-                f"    e3_{j} = ({combo(E3, j)})/s"]
-    src += [f"    e5 = {' + '.join(f'e5_{j}*e5_{j}' for j in comps)}",
-            f"    e3 = {' + '.join(f'e3_{j}*e3_{j}' for j in comps)}",
+                "    _s = _tol + (_a if _a >= _b or _a != _a else _b)*_tol",
+                f"    _e5_{j} = ({combo(E5, j)})/_s",
+                f"    _e3_{j} = ({combo(E3, j)})/_s"]
+    src += [f"    _e5 = {' + '.join(f'_e5_{j}*_e5_{j}' for j in comps)}",
+            f"    _e3 = {' + '.join(f'_e3_{j}*_e3_{j}' for j in comps)}",
             # the limit 0 also where 0.01*e3 underflows to 0 beside e5 = 0
-            f"    err = 0.0 if e5 == 0.0 else abs(h)*e5/sqrt((e5 + 0.01*e3)*{d})",
-            f"    return err, ({tup(y_new)}), ({tup(stage(n))}), ({K})",
+            f"    _err = 0.0 if _e5 == 0.0 else abs(_h)*_e5/_sqrt((_e5 + 0.01*_e3)*{d})",
+            f"    return _err, ({_tup(y_new)}), ({_tup(stage(n))}), ({K})",
             "",
-            "def dense(fun, t, h, y, n, K):",
-            f"    {tup(y)} = y",
-            f"    {tup(y_new)} = n",
-            f"    {K} = K"]
-    src += [call(s, c, a) for s, (c, a)
-            in enumerate(zip(C_EXTRA, A_EXTRA), start=n + 1)]
-    src += [f"    dy{j} = n{j} - y{j}" for j in comps]
-    rows = [f"h*({combo(row, j)})" for row in D[::-1] for j in comps]
-    rows += [f"2*dy{j} - h*(k{n}_{j} + k0_{j})" for j in comps]
-    rows += [f"h*k0_{j} - dy{j}" for j in comps]
-    rows += [f"dy{j}" for j in comps]
-    src.append(f"    return ({tup(rows)})")
-    namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(src), f"<DOP853 kernels, d={d}>", "exec"), namespace)
+            "def dense(_t, _h, _y, _n, _K):",
+            f"    {_tup(y)} = _y",
+            f"    {_tup(y_new)} = _n",
+            f"    {K} = _K"]
+    for s, (c, a) in enumerate(zip(C_EXTRA, A_EXTRA), start=n + 1):
+        src += step_stage(s, c, a)
+    src += [f"    _dy{j} = _n{j} - _y{j}" for j in comps]
+    rows = [f"_h*({combo(row, j)})" for row in D[::-1] for j in comps]
+    rows += [f"2*_dy{j} - _h*(_k{n}_{j} + _k0_{j})" for j in comps]
+    rows += [f"_h*_k0_{j} - _dy{j}" for j in comps]
+    rows += [f"_dy{j}" for j in comps]
+    src.append(f"    return ({_tup(rows)})")
+    namespace = _compiled(src, f"<DOP853 kernels, field {field.state}>")
     return namespace["attempt"], namespace["dense"]
 
 
@@ -221,3 +287,93 @@ def halves(b: list) -> tuple[list, list]:
         left.append(b[0])
         right.append(b[-1])
     return left, right[::-1]
+
+
+class StackedDense:
+    """The DOP853 interpolants of one solve, stacked, and their evaluator.
+
+    Segment k covers [ts[k], ts[k+1]] and reads y_old[k] plus the Horner
+    polynomial in s = (x - t_old[k]) / h[k] whose coefficient rows are
+    F[k, 0..6], in the order scipy's Dop853DenseOutput adds them, with
+    t_old = ts[:-1] and h = diff(ts), the step's own subtraction.  Called
+    like scipy's OdeSolution: x -> (d,) for a float, 0-d or one-element
+    array (a plain-float loop), (d,) + x.shape for any other array.  Range
+    checks are the caller's.
+    """
+
+    def __init__(self, ts, y_old, F):
+        self.ts = np.asarray(ts, dtype=float)
+        self.t_old = self.ts[:-1]
+        self.h = np.diff(self.ts)
+        self.y_old = np.asarray(y_old, dtype=float)
+        self.F = np.array(F, dtype=float)
+        # scipy starts from zeros, so its first sum turns a -0.0 into +0.0
+        self.F[:, 0] += 0.0
+        # the single-point path reads the same numbers as Python floats:
+        # segment k's (7 coefficients, y_old) per component, on its first read
+        self._ts = self.ts.tolist()
+        self._rows = [None] * len(self.h)
+        self._samples = {}
+
+    def sample(self, n: int, cols) -> tuple:
+        """Scan arrays: n uniform abscissae xs on [ts[0], ts[-1]], cos and sin
+        of 2*pi*xs (``scan_grid``'s read-only arrays, shared by every solve
+        from the same ts[0]) and the components cols at xs, (len(cols), n),
+        equal to those rows of self(xs).  Computed once per n and cols."""
+        key = n, tuple(cols)
+        if key not in self._samples:
+            xs, cos, sin = scan_grid(float(self.ts[0]), float(self.ts[-1]), n)
+            cols = list(cols)
+            values = self._horner(xs, self.F[:, :, cols], self.y_old[:, cols])
+            self._samples[key] = xs, cos, sin, values
+        return self._samples[key]
+
+    def point(self, x: float) -> tuple:
+        """The components at one abscissa, as Python floats."""
+        k = min(max(bisect_left(self._ts, x) - 1, 0), len(self._rows) - 1)
+        if self._rows[k] is None:
+            comps = list(zip(*self.F[k].tolist(), self.y_old[k].tolist()))
+            self._rows[k] = self._ts[k], float(self.h[k]), comps
+        t_old, h, comps = self._rows[k]
+        s = (x - t_old) / h
+        u = 1 - s
+        return tuple(
+            ((((((c0 * s + c1) * u + c2) * s + c3) * u + c4) * s + c5) * u + c6) * s + y0
+            for c0, c1, c2, c3, c4, c5, c6, y0 in comps
+        )
+
+    def __call__(self, x):
+        if isinstance(x, float):
+            return np.array(self.point(x))
+        x = np.asarray(x, dtype=float)
+        if x.size == 1:
+            return np.array(self.point(x.item())).reshape(self.y_old.shape[1:] + x.shape)
+        return self._horner(x, self.F, self.y_old)
+
+    def _horner(self, x: np.ndarray, F: np.ndarray, y_old: np.ndarray) -> np.ndarray:
+        """The interpolants with rows F and y_old at abscissae x, stacked first."""
+        k = np.searchsorted(self.ts, x, side="left") - 1
+        np.clip(k, 0, len(self.h) - 1, out=k)
+        s = ((x - self.t_old[k]) / self.h[k])[..., None]
+        u = 1 - s
+        # one (N, d) gather per term, never F[k] (N, 7, d); take is several
+        # times faster than fancy indexing here
+        y = F[:, 0].take(k, axis=0)
+        y *= s
+        for i in range(1, 7):
+            y += F[:, i].take(k, axis=0)
+            y *= u if i % 2 else s
+        y += y_old.take(k, axis=0)
+        return np.moveaxis(y, -1, 0)
+
+
+@functools.lru_cache(maxsize=4)
+def scan_grid(x0: float, x_end: float, n: int) -> tuple:
+    """n uniform abscissae on [x0, x_end] and cos, sin of 2*pi times them,
+    the factors of the curve the scans read; read-only, and kept for a few
+    (x0, x_end, n) only, since callers may sweep x0."""
+    xs = np.linspace(x0, x_end, n)
+    arrays = xs, np.cos(math.tau * xs), np.sin(math.tau * xs)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

@@ -69,8 +69,8 @@ def _first_coord_minus_one(sol: OdeSolution, x: float) -> float:
 
 def _tau_slope(sol: OdeSolution, x: float) -> float:
     """tau cot psi - 1 = tau' / (2 pi) at x."""
-    psi, tau = sol.values(x)
-    return float(tau * math.cos(psi) / math.sin(psi) - 1.0)
+    psi, tau = sol.point(x)
+    return tau * math.cos(psi) / math.sin(psi) - 1.0
 
 
 def g_and_slope(tau, cot_psi, s, c):
@@ -96,11 +96,13 @@ def _bisect_root(f, a: float, b: float) -> float:
 def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     """Smallest root xi > x0 of T1(x) = 1, plus the self-check gap.
 
-    Scan the solve's SCAN_GRID abscissae (``OdeSolution.sample``, shared
-    with clearance_certificate) for the first sign change of g = T1 - 1
-    from strictly negative (g < CROSSING_FLOOR) to nonnegative; bisect the
-    bracket to BISECT_TOL; finish with three Newton steps on the dense
-    output so the returned root is smooth in tau0 (the optimizer
+    Scan the solve's SCAN_GRID abscissae (``OdeSolution.sample``: tau
+    alone, shared with clearance_certificate, on the cos and sin of 2 pi x
+    that every solve from the same x0 shares) for the first sign change
+    of g = T1 - 1 from strictly negative (g < CROSSING_FLOOR) to
+    nonnegative; bisect the bracket to BISECT_TOL; finish with three
+    Newton steps on single-point reads of the dense output in plain
+    floats (``OdeSolution.point``) so the returned root is smooth in tau0 (the optimizer
     differentiates through it; a bisection staircase of height 5e-10 would
     contaminate the minimum through dT1/dxi ~ O(1)).  The gap is
     |xi - bisection root|, the two root finders checked against each
@@ -110,7 +112,7 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     bracket, or when |g| at the last iterate it evaluates exceeds |g| at
     the bisection root by more than NEWTON_G_SLACK.
     """
-    xs, cos, sin, (_, tau) = sol.sample(SCAN_GRID)
+    xs, cos, sin, tau = sol.sample(SCAN_GRID)
     g = cos - tau * sin - 1.0
     hits = np.where((g[:-1] < CROSSING_FLOOR) & (g[1:] >= 0.0))[0]
     if len(hits) == 0:
@@ -122,7 +124,7 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     gvals = []
     for _ in range(3):
         _check_polish_bracket(sol, xi, a, b)
-        psi, tau = sol.values(xi)
+        psi, tau = sol.point(xi)
         gval, gprime = g_and_slope(tau, math.cos(psi) / math.sin(psi),
                                    math.sin(math.tau * xi), math.cos(math.tau * xi))
         gvals.append(abs(gval))
@@ -152,7 +154,7 @@ def clearance_certificate(sol: OdeSolution, xi: float) -> float:
     - 1 = tau' / (2 pi), which the bisection finds.  A bracket end with
     smaller tau is the minimum: tau(xi) for a curve that dives to the crossing.
     """
-    xs, _, _, (_, tau) = sol.sample(SCAN_GRID)
+    xs, _, _, tau = sol.sample(SCAN_GRID)
     j = int(np.argmin(tau[: np.searchsorted(xs, xi, side="right")]))
     lo, hi = float(xs[max(j - 1, 0)]), min(float(xs[min(j + 1, len(xs) - 1)]), xi)
     x = _bisect_root(lambda x: _tau_slope(sol, x), lo, hi)
@@ -184,10 +186,10 @@ def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
     """Per label, the first scan index i with g[i] < CROSSING_FLOOR and g[i+1] >= 0.
 
     -1 marks a label without such a crossing.  Also returns the scan
-    abscissae, deployment_parameter's grid; tau and the trigonometric
-    factors there are the pencil's, sampled once per pencil.
+    abscissae, deployment_parameter's grid; Tbar and B there are the
+    pencil's, sampled once per pencil, on the shared trigonometric factors.
     """
-    xs, cos, sin, (_, t, b, _, _) = pencil.sample(SCAN_GRID)
+    xs, cos, sin, (t, b) = pencil.sample(SCAN_GRID)
     d = tau0s - pencil.tau_bar
     first = np.full(tau0s.shape, -1)
     for lo in range(0, len(xs) - 1, SCAN_CHUNK):
@@ -260,7 +262,7 @@ def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray) -> np.nd
     the same bisection of tau cot psi - 1 for all labels at once and the
     same bracket-end values.
     """
-    xs, _, _, (_, t, b, _, _) = pencil.sample(SCAN_GRID)
+    xs, _, _, (t, b) = pencil.sample(SCAN_GRID)
     d = tau0s - pencil.tau_bar
     n = np.searchsorted(xs, xi, side="right")
     k = np.arange(len(tau0s))

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diskinspect import cli, continuum, feasibility
+from diskinspect import cli, continuum, dop853, feasibility
 from diskinspect.cli import main
 
 from conftest import PUBLISHED_TAU0
@@ -52,8 +51,8 @@ class TestTrace:
     def test_step_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # a field that turns NaN past x = 0.5 drives the step size below
         # the spacing of floats: a structured numerical failure, exit 2
-        monkeypatch.setattr(continuum, "rhs",
-                            lambda x, y: (1.0 if x < 0.5 else math.nan, y[0]))
+        monkeypatch.setattr(continuum, "rhs", dop853.Field(
+            ("psi", "tau"), "return (1.0 if x < 0.5 else math.nan, psi)"))
         rc = main(["--out", str(tmp_path / "o"), "trace", "--tau0", "1.648"])
         assert rc == 2
         payload = json.loads(capsys.readouterr().out)

@@ -232,6 +232,53 @@ class TestStackedDense:
             assert_same_bits(pencil.columns(np.array([x])), ref(np.array([x])))
         assert pencil.columns(np.empty((0, 3))).shape == (5, 0, 3)
 
+    def test_point_reads_are_the_vectorized_reads(self):
+        # segment rows are built on a segment's first single-point read;
+        # before and after a sample, on both fields, a point read is the
+        # vectorized read to the last bit
+        rng = np.random.default_rng(9)
+        for run in (integrate(1.648), integrate_pencil(1.649)):
+            dense = run._dense
+            assert all(row is None for row in dense._rows)
+            for _ in range(2):
+                xs = np.concatenate([rng.uniform(run.x0, run.x_end, 200), run.grid[::7]])
+                ref = dense(xs)
+                for i, x in enumerate(xs.tolist()):
+                    assert_same_bits(dense.point(x), ref[:, i])
+                run.sample(1001)
+            assert any(row is None for row in dense._rows)
+
+    def test_point_is_values_as_floats(self, solved):
+        sol, _ = solved
+        for x in np.random.default_rng(10).uniform(sol.x0, sol.x_end, 300).tolist():
+            for arg in (x, np.float64(x)):
+                point = sol.point(arg)
+                assert type(point) is tuple and all(type(v) is float for v in point)
+                assert_same_bits(point, sol.values(x))
+                assert (sol.psi_at(arg), sol.tau_at(arg)) == point
+        for x in (sol.x0 - 1e-9, 1.5, math.nan):
+            with pytest.raises(OutOfRange):
+                sol.point(x)
+
+    def test_sample_reads_only_the_scanned_columns(self):
+        # tau alone, or (Tbar, B), equal to those rows of the full read, on
+        # scan arrays that every solve from the same x0 shares read-only
+        n = 1001
+        sol, pencil = integrate(1.648, x0=2e-6), integrate_pencil(1.649, x0=2e-6)
+        xs, cos, sin, tau = sol.sample(n)
+        assert np.array_equal(xs, np.linspace(2e-6, 1.0, n))
+        assert np.array_equal(cos, np.cos(math.tau * xs))
+        assert np.array_equal(sin, np.sin(math.tau * xs))
+        assert_same_bits(tau, sol._dense(xs)[1])
+        assert np.shares_memory(sol.sample(n)[3], tau)
+        xs_p, cos_p, sin_p, columns = pencil.sample(n)
+        assert_same_bits(columns, pencil._dense(xs)[1:3])
+        again = integrate(1.7, x0=2e-6).sample(n)
+        for shared in (again[:3], (xs_p, cos_p, sin_p)):
+            assert all(a is b for a, b in zip(shared, (xs, cos, sin)))
+        for a in (xs, cos, sin):
+            assert not a.flags.writeable
+
 
 def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(
@@ -245,20 +292,20 @@ def _fields(tau0, x0):
             (continuum._rhs_pencil, (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0)))
 
 
-def recorded_solve(fun, x0, y0, tol):
-    """continuum._solve(fun, x0, y0, tol, x0), or the StepFailure it raises,
+def recorded_solve(field, x0, y0, tol):
+    """continuum._solve(field, x0, y0, tol, x0), or the StepFailure it raises,
     and every step attempt it made, as (t, h, y, f, attempt's result)."""
     attempts = []
-    attempt, dense = dop853.kernels(len(y0))
+    attempt, dense = dop853.kernels(field)
 
     def recording(*args):
         out = attempt(*args)
-        attempts.append(args[1:5] + (out,))
+        attempts.append(args[:4] + (out,))
         return out
 
-    with mock.patch.object(dop853, "kernels", lambda d: (recording, dense)):
+    with mock.patch.object(dop853, "kernels", lambda field: (recording, dense)):
         try:
-            run = continuum._solve(fun, x0, y0, tol, x0)
+            run = continuum._solve(field, x0, y0, tol, x0)
         except StepFailure as exc:
             run = exc
     return run, attempts
@@ -365,6 +412,25 @@ class TestStepper:
             assert np.all(np.abs(run.dense(xs) - ref.sol(xs))
                           <= 200 * tol * (1 + np.abs(ref.sol(xs))))
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.05, 10.0), _log_uniform(1e-9, X0_MAX), _log_uniform(1e-13, 1e-6))
+    def test_inlined_field_is_the_callable(self, tau0, x0, tol):
+        # the kernels inline the field's source: every attempt's last stage
+        # is the field called at (t + h, y_new), to the last bit
+        for field, y0 in _fields(tau0, x0):
+            _, attempts = recorded_solve(field, x0, y0, tol)
+            assert attempts
+            for t, h, y, f, (_, y_new, f_new, K) in attempts:
+                assert_same_bits(f_new, field(t + h, y_new))
+                assert_same_bits(K[:len(y)], f)
+
+    def test_field_source_form(self):
+        assert continuum.rhs(0.25, np.array([1.0, 2.0])) == continuum.rhs(0.25, (1.0, 2.0))
+        for state, source in [(("a",), "return a, a"), (("a",), "b = a"),
+                              (("_a",), "return (_a,)"), (("a",), "_b = a\nreturn (_b,)")]:
+            with pytest.raises(ValueError):
+                dop853.kernels(dop853.Field(state, source))
+
     def test_tableau_literals_are_scipys(self):
         # the stepper's tableau is written out in dop853; scipy is the oracle
         DOP853 = pytest.importorskip("scipy.integrate").DOP853
@@ -378,8 +444,7 @@ class TestStepper:
     def test_step_failure(self):
         # NaN past x = 0.5 rejects every step there until the step size
         # falls below the spacing of floats: scipy's status -1
-        def fun(x, y):
-            return (1.0 if x < 0.5 else math.nan, y[0])
+        fun = dop853.Field(("a", "b"), "return (1.0 if x < 0.5 else math.nan, a)")
 
         ref = scipy_solve(fun, 0.0, (1.0, 2.0), ODE_TOL, 1e-3)
         assert ref.status == -1
@@ -430,12 +495,13 @@ class TestPsiGuard:
 
     @pytest.mark.parametrize("fun, y0", [
         # drives y[0] down through the guard near x = 0.4
-        (lambda x, y: (-(2.0 + y[1] * y[1]), math.cos(3.0 * x) * y[0]), (1.0, 0.2)),
+        (dop853.Field(("p", "q"), "return (-(2.0 + q * q), math.cos(3.0 * x) * p)"),
+         (1.0, 0.2)),
         # on the guard from the start: the first step already fails
-        (lambda x, y: (0.0, 1.0), (continuum.PSI_GUARD, 0.0)),
-        (lambda x, y: (-1.0, 1.0), (continuum.PSI_GUARD + 0.5, 0.0)),
+        (dop853.Field(("p", "q"), "return (0.0, 1.0)"), (continuum.PSI_GUARD, 0.0)),
+        (dop853.Field(("p", "q"), "return (-1.0, 1.0)"), (continuum.PSI_GUARD + 0.5, 0.0)),
         # the upper edge of the band
-        (lambda x, y: (4.0, 1.0), (PI - 1.0, 0.0)),
+        (dop853.Field(("p", "q"), "return (4.0, 1.0)"), (PI - 1.0, 0.0)),
     ], ids=["toy-dive", "starts-on-guard", "linear-dive", "upper-edge"])
     def test_leaving_the_band_raises(self, fun, y0):
         with pytest.raises(StepFailure, match=r"^psi = \S+ at x = \S+ left the guard band"):

@@ -54,9 +54,9 @@ class TestDeploymentParameter:
 
 
 class _DriftingPolish:
-    """sol, except that each scalar values() call after the first reads tau
-    1e-7 higher: the Newton polish's residual grows while it stays inside
-    the scan bracket.  The scan and the bisections are untouched."""
+    """sol, except that each point() read after the first reads tau 1e-7
+    higher: the Newton polish's residual grows while it stays inside the
+    scan bracket.  The scan and the bisections are untouched."""
 
     def __init__(self, sol):
         self.sol = sol
@@ -65,12 +65,11 @@ class _DriftingPolish:
     def __getattr__(self, name):
         return getattr(self.sol, name)
 
-    def values(self, x):
-        vals = self.sol.values(x)
-        if np.ndim(x) == 0:
-            vals = vals + np.array([0.0, 1e-7 * self.calls])
-            self.calls += 1
-        return vals
+    def point(self, x):
+        psi, tau = self.sol.point(x)
+        tau += 1e-7 * self.calls
+        self.calls += 1
+        return psi, tau
 
 
 class TestNewtonPolishGuard:
