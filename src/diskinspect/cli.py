@@ -88,7 +88,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", default="json,csv",
                    help="comma subset of json,csv,svg")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", default=0,
+                   type=_ranged(int, lambda n: n >= 0, "[0, inf)"),
                    help="seed for randomized verification draws")
     p.add_argument("--tol-ode", default=ODE_TOL,
                    type=_ranged(float, lambda x: TOL_FLOOR <= x < math.inf,

@@ -10,6 +10,11 @@ Clearance is sqrt(1 + tau_min^2) - 1 with tau_min the minimum of tau on
 Both come from the solve's one uniform scan and one bisection: xi from
 the first sign change of g = T1 - 1 on the scan, tau_min from the root of
 tau' = 2*pi*(tau cot psi - 1) next to the scan's smallest tau before xi.
+That sign change, the crossing, is the first scan index i with
+g[i] < 0 <= g[i+1]; NoCrossing means that g never rises on the scan.
+g ~ -2 pi x (tau + pi x) < 0 at the start while tau > 0, so the first
+rise is the first return to x = 1; a small tau0, whose tau falls below
+-pi x just past the start, crosses there and is infeasible.
 
 ``assess`` certifies one solved trajectory, so its report always names
 the start value that trajectory was solved for.
@@ -38,9 +43,6 @@ from .errors import NoCrossing, OutOfRange
 #: Root scan and refinement tolerances.
 SCAN_GRID = 10_000
 BISECT_TOL = 5e-10
-#: A crossing starts where g = T1 - 1 is below this floor, which excludes
-#: the trivial near-root at x0 where g ~ -2*pi*tau0*x0.
-CROSSING_FLOOR = -1e-9
 #: The Newton polish may leave |T1 - 1| above its value at the bisection
 #: root by at most a few ulps of the O(1) terms that make it up.
 NEWTON_G_SLACK = 8 * np.finfo(float).eps
@@ -62,21 +64,21 @@ def deployment_angle(xi: float) -> float:
     return (1.0 - xi) * math.pi
 
 
-def _first_coord_minus_one(sol: OdeSolution, x: float) -> float:
-    tau = sol.tau_at(x)
-    return math.cos(math.tau * x) - tau * math.sin(math.tau * x) - 1.0
-
-
 def _tau_slope(sol: OdeSolution, x: float) -> float:
     """tau cot psi - 1 = tau' / (2 pi) at x."""
     psi, tau = sol.point(x)
     return tau * math.cos(psi) / math.sin(psi) - 1.0
 
 
+def _g(tau, c, s):
+    """g = T1 - 1 from tau, c = cos 2 pi x and s = sin 2 pi x; floats or arrays alike."""
+    return c - tau * s - 1.0
+
+
 def g_and_slope(tau, cot_psi, s, c):
     """g = T1 - 1 and dg/dx from tau, cot psi, s = sin 2 pi x and c = cos 2 pi x
     (dtau/dx = 2 pi (tau cot psi - 1)); floats or arrays alike."""
-    return c - tau * s - 1.0, -math.tau * (s + (tau * cot_psi - 1.0) * s + tau * c)
+    return _g(tau, c, s), -math.tau * (s + (tau * cot_psi - 1.0) * s + tau * c)
 
 
 def _bisect_root(f, a: float, b: float) -> float:
@@ -98,9 +100,8 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
 
     Scan the solve's SCAN_GRID abscissae (``OdeSolution.sample``: tau
     alone, shared with clearance_certificate, on the cos and sin of 2 pi x
-    that every solve from the same x0 shares) for the first sign change
-    of g = T1 - 1 from strictly negative (g < CROSSING_FLOOR) to
-    nonnegative; bisect the bracket to BISECT_TOL; finish with three
+    that every solve from the same x0 shares) for the crossing (see the
+    module docstring); bisect its bracket to BISECT_TOL; finish with three
     Newton steps on single-point reads of the dense output in plain
     floats (``OdeSolution.point``) so the returned root is smooth in tau0 (the optimizer
     differentiates through it; a bisection staircase of height 5e-10 would
@@ -113,14 +114,15 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
     the bisection root by more than NEWTON_G_SLACK.
     """
     xs, cos, sin, tau = sol.sample(SCAN_GRID)
-    g = cos - tau * sin - 1.0
-    hits = np.where((g[:-1] < CROSSING_FLOOR) & (g[1:] >= 0.0))[0]
+    g = _g(tau, cos, sin)
+    hits = np.where((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
     if len(hits) == 0:
         raise NoCrossing(
             f"curve with tau0={sol.tau0!r} never returns to the line x=1"
         )
     a, b = xs[hits[0]], xs[hits[0] + 1]
-    xi = root = _bisect_root(lambda x: _first_coord_minus_one(sol, x), a, b)
+    xi = root = _bisect_root(
+        lambda x: _g(sol.tau_at(x), math.cos(math.tau * x), math.sin(math.tau * x)), a, b)
     gvals = []
     for _ in range(3):
         _check_polish_bracket(sol, xi, a, b)
@@ -170,12 +172,6 @@ def clearance_from_tau(tau_min: float) -> float:
     return math.sqrt(1.0 + tau_min * tau_min) - 1.0
 
 
-def _g_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
-    """T1 - 1 of the labels tau0s at abscissae x (see Pencil.state)."""
-    tau = pencil.state(x, tau0s)[1]
-    return np.cos(math.tau * x) - tau * np.sin(math.tau * x) - 1.0
-
-
 def _tau_slope_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
     """tau cot psi - 1 of the labels tau0s at abscissae x (see Pencil.state)."""
     psi, tau, _ = pencil.state(x, tau0s)
@@ -183,9 +179,8 @@ def _tau_slope_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndar
 
 
 def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
-    """Per label, the first scan index i with g[i] < CROSSING_FLOOR and g[i+1] >= 0.
-
-    -1 marks a label without such a crossing.  Also returns the scan
+    """Per label, the scan index that starts its crossing (see the module
+    docstring), or -1 where g never rises.  Also returns the scan
     abscissae, deployment_parameter's grid; Tbar and B there are the
     pencil's, sampled once per pencil, on the shared trigonometric factors.
     """
@@ -195,8 +190,8 @@ def _first_crossings(pencil: Pencil, tau0s: np.ndarray):
     for lo in range(0, len(xs) - 1, SCAN_CHUNK):
         rows = slice(lo, lo + SCAN_CHUNK + 1)
         tau = t[rows, None] + d * b[rows, None]
-        g = cos[rows, None] - tau * sin[rows, None] - 1.0
-        hit = (g[:-1] < CROSSING_FLOOR) & (g[1:] >= 0.0)
+        g = _g(tau, cos[rows, None], sin[rows, None])
+        hit = (g[:-1] < 0.0) & (g[1:] >= 0.0)
         new = (first < 0) & hit.any(axis=0)
         first[new] = lo + np.argmax(hit[:, new], axis=0)
         if np.all(first >= 0):
@@ -237,7 +232,8 @@ def deployment_parameters(pencil: Pencil, tau0s):
     found = first >= 0
     taus = tau0s[found]
     a, b = xs[first[found]], xs[first[found] + 1]
-    xi = root = _bisect_many(lambda x: _g_many(pencil, x, taus), a, b)
+    xi = root = _bisect_many(lambda x: _g(
+        pencil.state(x, taus)[1], np.cos(math.tau * x), np.sin(math.tau * x)), a, b)
     abs_g = np.full((3, len(taus)), math.nan)
     for step in range(3):
         inside = (xi >= a) & (xi <= b)

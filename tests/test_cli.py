@@ -118,16 +118,18 @@ class TestSweeps:
         assert len(read(out / "cost_sweep.csv").splitlines()) == 4
 
     def test_sweep_cost_xi_out_of_range_rows_exit_2(self, tmp_path, capsys):
-        # these curves recross x = 1 before xi = 1/2, where the cost is undefined
-        out = tmp_path / "o"
-        rc = main(["--out", str(out), "sweep-cost",
-                   "--tau0-lo", "0.05", "--tau0-hi", "1.0", "--grid", "5"])
-        assert rc == 2
-        payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
-        assert payload["error"]["kind"] == "EmptySweep"
-        rows = read(out / "cost_sweep.csv").splitlines()[1:]
-        assert len(rows) == 5
-        assert all(r.endswith(",nan,XiOutOfRange") for r in rows)
+        # these curves recross x = 1 before xi = 1/2, where the cost is
+        # undefined; tau0 = 1e-12 does so just past the start
+        for lo, hi, grid in (("0.05", "1.0", 5), ("1e-12", "1e-3", 4)):
+            out = tmp_path / lo
+            rc = main(["--out", str(out), "sweep-cost",
+                       "--tau0-lo", lo, "--tau0-hi", hi, "--grid", str(grid)])
+            assert rc == 2
+            payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+            assert payload["error"]["kind"] == "EmptySweep"
+            rows = read(out / "cost_sweep.csv").splitlines()[1:]
+            assert len(rows) == grid
+            assert all(r.endswith(",nan,XiOutOfRange") for r in rows)
 
 
 class TestLowerBound:
@@ -237,6 +239,13 @@ class TestOptimize:
         assert "edge" in payload["error"]["message"]
         assert not (out / "optimum.json").exists()
 
+    def test_label_next_to_a_scan_abscissa_exits_0(self, tmp_path):
+        # the middle label's root lies 1.5e-11 right of a scan abscissa; as
+        # an error row between valid rows it would read NotUnimodal
+        rc = main(["--out", str(tmp_path / "o"), "optimize", "--grid", "3",
+                   "--tau0-lo", "1.64697", "--tau0-hi", "1.6490313295000128"])
+        assert rc == 0
+
     def test_all_error_rows_exits_2(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "o"), "optimize", "--grid", "3",
                    "--tau0-lo", "1.62", "--tau0-hi", "1.64"])
@@ -308,10 +317,11 @@ class TestUsage:
         ["verify", "--samples", "200", "--segments", "1"],
         ["converge", "--tau0", "-1"],
         ["converge", "--grid", "4"],
+        ["--seed", "-1", "verify"],
     ], ids=["sweep-cost", "optimize", "sweep-feasibility", "tau0-lo", "trace",
             "verify", "x0-above", "x0-zero", "x0-subnormal", "tol-ode",
             "tol-ode-below-floor", "trace-tau0", "trace-tau0-inf", "verify-tau0",
-            "verify-segments", "converge-tau0", "converge-grid"])
+            "verify-segments", "converge-tau0", "converge-grid", "seed"])
     def test_bad_numeric_flag_exits_1(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(["--out", str(tmp_path), *argv])
@@ -408,9 +418,13 @@ class TestExitCodeContract:
     def test_exit_code_in_contract(self, argv):
         assert exit_code(argv) in {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("tau0, code", [("1.6469", 2), ("1.64697", 0)])
+    @pytest.mark.parametrize("tau0, code", [
+        ("1.6469", 2), ("1.64697", 0), ("1.6480006647500065", 0),
+    ])
     def test_window_cliff_codes(self, tau0, code):
-        # NoCrossing just left of the window's lower edge, feasible on it
+        # NoCrossing just left of the window's lower edge, feasible on it and
+        # inside it; the last label's scan sample left of its root reads
+        # g = -5.9e-10, and that sample starts the crossing
         assert exit_code(["trace", "--tau0", tau0]) == code
 
 

@@ -46,6 +46,14 @@ class TestDeploymentParameter:
         with pytest.raises(NoCrossing):
             deployment_parameter(sol)
 
+    @pytest.mark.parametrize("tau0", [1e-12, 1e-6, 1e-4])
+    def test_tiny_tau0_crosses_near_the_start(self, tau0):
+        # tau falls below -pi x just past x0: g rises through 0 in the scan's
+        # first cell, and the curve has passed through the disk
+        for r in (assess(integrate(tau0)), feasibility_sweep(tau0, 2.0 * tau0, 2)[0]):
+            assert r.tau0 == tau0 and r.error is None
+            assert r.xi < 1e-3 and r.tau_min < 0.0 and not r.feasible
+
     def test_deployment_identity(self, sol_star):
         # T2(xi) = tan((1-xi)*pi)
         xi, _ = deployment_parameter(sol_star)
@@ -123,6 +131,40 @@ class TestSelfCheckGap:
         for r, m in zip(reports, moved):
             assert abs(m.xi - r.xi) <= 1e-12
             assert m.xi_selfcheck_gap > 2e-8
+
+
+class TestCrossingNextToScanAbscissa:
+    """Labels whose root lies 1e-11 right of a scan abscissa, where g reads
+    about -1e-10 on the sample left of it: that sample starts the crossing."""
+
+    @staticmethod
+    def secant(xi_of, t0, t1, target):
+        """The label whose xi is target to 2e-12, by a secant on tau0."""
+        f0, f1 = xi_of(t0) - target, xi_of(t1) - target
+        for _ in range(30):
+            if abs(f1) <= 2e-12:
+                return t1
+            t0, t1, f0 = t1, t1 - f1 * (t1 - t0) / (f1 - f0), f1
+            f1 = xi_of(t1) - target
+        raise AssertionError(f"no label with xi = {target!r}")
+
+    def test_both_paths_find_the_crossing(self, window_reports):
+        pencil, _ = feasibility.window_pencil(WINDOW_LO, WINDOW_HI, 2)
+        xs = pencil.sample(feasibility.SCAN_GRID)[0]
+        assert (integrate(WINDOW_LO).sample(feasibility.SCAN_GRID)[0] == xs).all()
+        paths = {
+            "scalar": lambda t: deployment_parameter(integrate(t))[0],
+            # an error row's xi is NaN, inside no cell
+            "pencil": lambda t: feasibility.deployment_parameters(pencil, [t])[0][0],
+        }
+        xis = np.array([r.xi for r in window_reports])  # falling in tau0
+        for i in np.searchsorted(xs, np.linspace(0.66, 0.84, 5)):
+            target = xs[i] + 1e-11
+            k = np.flatnonzero(xis >= target)[-1]
+            t0, t1 = window_reports[k].tau0, window_reports[k + 1].tau0
+            for name, xi_of in paths.items():
+                tau0 = self.secant(xi_of, t0, t1, target)
+                assert xs[i] < xi_of(tau0) < xs[i + 1], (name, tau0)
 
 
 def dense_minimum(tau_of, x0, xi):
