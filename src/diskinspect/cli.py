@@ -258,7 +258,6 @@ def cmd_verify(args, out: Path, formats) -> int:
     report = feas_mod.assess(sol)
     breakdown = cost_mod.total_cost(sol, report.xi)
     traj = oracle_mod.assemble_trajectory(sol, report.xi, segments=args.segments)
-    del sol  # and with it the cached scan, before the oracle's peak
     res = oracle_mod.average_cost_full(traj, args.samples)
     checks["oracle_vs_analytic"] = {
         "oracle_mean": res.mean_cost,

@@ -62,8 +62,10 @@ calls, so a solve agrees with scipy's to rounding, step by step, and does
 not depend on the BLAS kernel the CPU selects.  Each accepted step's
 interpolant goes into the arrays of ``StackedDense``, whose reads repeat
 scipy's ``OdeSolution`` arithmetic (an abscissa on a step boundary goes
-to the lower segment): vectorized, in Python floats at a single point
-(``point``), and for the scans only the columns they read (``sample``).
+to the lower segment): vectorized, and in Python floats at a single point
+(``point``).  Each is a degree-7 polynomial that its Bernstein
+coefficients enclose (``StackedDense.bernstein``), read by the psi band
+check below and by ``feasibility``'s certificates.
 Every solve takes x0 as its first step, not scipy's initial-step
 heuristic: the series start lies on the smooth solution, so the heuristic
 sees almost no curvature and would step from x0 = 1e-6 to about 1e-2,
@@ -207,11 +209,9 @@ class OdeSolution:
         """(psi, tau) at one abscissa as floats, equal to values(x)."""
         return self._dense.point(_check_range(float(x), self.x0, self.x_end))
 
-    def sample(self, n: int):
-        """The scan arrays xs, cos 2 pi xs and sin 2 pi xs, and tau alone at
-        xs (see StackedDense.sample): the scans read no psi."""
-        xs, cos, sin, (tau,) = self._dense.sample(n, (1,))
-        return xs, cos, sin, tau
+    def bernstein(self) -> np.ndarray:
+        """tau's Bernstein coefficients on every step (StackedDense.bernstein)."""
+        return self._dense.bernstein(1)
 
     def psi_at(self, x) -> float:
         return self.point(x)[0]
@@ -247,9 +247,6 @@ class OdeSolution:
 
 #: scipy's status -1 message, raised as StepFailure.
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-#: de Casteljau halvings of a step whose psi enclosure leaves the guard band
-#: before the step is taken to leave it.
-PSI_SPLITS = 4
 
 # DOP853 step control, as scipy's RungeKutta solvers apply it
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
@@ -318,47 +315,45 @@ def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float) ->
         ts.append(t)
         ys.append(y)
     ys = np.array(ys)
-    F = np.array(F).reshape(len(ts) - 1, 7, len(y))
-    _check_psi_band(ts, ys[:-1, 0], F[:, :, 0])
-    return _Run(y=ys.T, dense=StackedDense(ts, ys[:-1], F), n_rhs=n_rhs,
-                n_rejected=n_rejected)
+    dense = StackedDense(ts, ys[:-1], np.array(F).reshape(len(ts) - 1, 7, len(y)))
+    _check_psi_band(dense)
+    return _Run(y=ys.T, dense=dense, n_rhs=n_rhs, n_rejected=n_rejected)
 
 
-def _band_exit(b: list, s0: float, s1: float, splits: int):
+def _band_exit(b: np.ndarray, s0: float, s1: float, splits: int):
     """The first piece [s0, s1] of a step, at most `splits` halvings deep,
     whose Bernstein coefficients b of psi do not all lie inside the guard
     band, with b; None when every piece's do."""
-    if all(PSI_GUARD < v < math.pi - PSI_GUARD for v in b):
+    if np.all((b > PSI_GUARD) & (b < math.pi - PSI_GUARD)):
         return None
     if splits == 0:
         return s0, s1, b
     mid = (s0 + s1) / 2
-    left, right = dop853.halves(b)
+    left, right = dop853.split(b, 0.5)
     return (_band_exit(left, s0, mid, splits - 1)
             or _band_exit(right, mid, s1, splits - 1))
 
 
-def _check_psi_band(ts, psi_old, F_psi) -> None:
+def _check_psi_band(dense: StackedDense) -> None:
     """StepFailure unless psi's interpolant stays in (PSI_GUARD, pi - PSI_GUARD)
     on every step.
 
-    The convex hull of a polynomial's Bernstein coefficients contains its
-    graph (Farouki & Rajan, CAGD 4, 1987), so one (steps, 8) @ (8, 8)
-    product encloses psi on each step.  A step whose enclosure leaves the
-    band is halved by de Casteljau, up to PSI_SPLITS times, so that an
-    enclosure that is merely loose passes; a piece at that depth that still
-    leaves the band fails the solve.  NaN fails too.
+    psi's Bernstein coefficients (``StackedDense.bernstein``) enclose it on
+    each step.  A step whose enclosure leaves the band is halved by de
+    Casteljau, up to dop853.HALVINGS times, so that an enclosure that is
+    merely loose passes; a piece at that depth that still leaves the band
+    fails the solve.  NaN fails too.
     """
-    bern = np.concatenate([F_psi, psi_old[:, None]], axis=1) @ dop853.BERNSTEIN
+    bern = dense.bernstein(0)
     inside = (bern.min(axis=1) > PSI_GUARD) & (bern.max(axis=1) < math.pi - PSI_GUARD)
     for k in np.flatnonzero(~inside).tolist():
-        t_old, h = ts[k], ts[k + 1] - ts[k]
-        exit_ = _band_exit(bern[k].tolist(), 0.0, 1.0, PSI_SPLITS)
+        t_old, h = float(dense.t_old[k]), float(dense.h[k])
+        exit_ = _band_exit(bern[k], 0.0, 1.0, dop853.HALVINGS)
         if exit_ is not None:
             s0, s1, b = exit_
             raise StepFailure(
                 f"psi on x in [{t_old + s0 * h!r}, {t_old + s1 * h!r}] is enclosed by "
-                f"[{min(b)!r}, {max(b)!r}], which leaves the guard band "
+                f"[{float(b.min())!r}, {float(b.max())!r}], which leaves the guard band "
                 f"({PSI_GUARD!r}, pi - {PSI_GUARD!r})")
 
 
@@ -442,10 +437,10 @@ class Pencil:
         d = np.asarray(tau0, dtype=float) - self.tau_bar
         return psi, t + d * b, it + d * ib
 
-    def sample(self, n: int):
-        """The scan arrays xs, cos 2 pi xs and sin 2 pi xs, and (Tbar, B) at
-        xs (see StackedDense.sample): the columns the window scans read."""
-        return self._dense.sample(n, (1, 2))
+    def bernstein(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tbar's and B's Bernstein coefficients on every step
+        (StackedDense.bernstein): a label's are Tbar_c + (tau0 - tau_bar) * B_c."""
+        return self._dense.bernstein(1), self._dense.bernstein(2)
 
 
 def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -> Pencil:

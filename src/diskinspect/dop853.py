@@ -16,10 +16,10 @@ Python function; ``kernels`` turns it and these literals into
 straight-line Python-float code for one step attempt and one step's dense
 output, with the field inlined at every stage, so a step makes no Python
 call.  ``StackedDense`` holds a solve's interpolants and reads them with
-scipy's arithmetic: vectorized, at one point in Python floats, or only
-the columns a scan reads on ``scan_grid``'s shared abscissae.
-``BERNSTEIN`` and ``halves`` bound a step's interpolant through its
-Bernstein coefficients.
+scipy's arithmetic: vectorized, or at one point in Python floats.  Its
+``bernstein`` turns each step's interpolant into its degree-7 Bernstein
+coefficients (``BERNSTEIN``), whose hull encloses the interpolant on the
+step, and ``split`` cuts an enclosure at any s by de Casteljau.
 """
 
 from __future__ import annotations
@@ -279,14 +279,22 @@ def _bernstein_matrix() -> np.ndarray:
 BERNSTEIN = _bernstein_matrix()
 
 
-def halves(b: list) -> tuple[list, list]:
-    """de Casteljau: the Bernstein coefficients of both halves of [0, 1]."""
+#: de Casteljau halvings of a step before an enclosure that cannot decide
+#: is taken as it stands, by the psi band check and the crossing search.
+HALVINGS = 4
+
+
+def split(b, s) -> tuple[np.ndarray, np.ndarray]:
+    """de Casteljau: Bernstein coefficients b (along the first axis) of
+    [0, 1] cut at s, as those of [0, s] and of [s, 1]; s broadcasts against
+    b[0], one cut per label."""
+    b, u = np.asarray(b, dtype=float), 1 - s
     left, right = [b[0]], [b[-1]]
     while len(b) > 1:
-        b = [(p + q) / 2 for p, q in zip(b, b[1:])]
+        b = u * b[:-1] + s * b[1:]
         left.append(b[0])
         right.append(b[-1])
-    return left, right[::-1]
+    return np.array(left), np.array(right[::-1])
 
 
 class StackedDense:
@@ -313,20 +321,14 @@ class StackedDense:
         # segment k's (7 coefficients, y_old) per component, on its first read
         self._ts = self.ts.tolist()
         self._rows = [None] * len(self.h)
-        self._samples = {}
 
-    def sample(self, n: int, cols) -> tuple:
-        """Scan arrays: n uniform abscissae xs on [ts[0], ts[-1]], cos and sin
-        of 2*pi*xs (``scan_grid``'s read-only arrays, shared by every solve
-        from the same ts[0]) and the components cols at xs, (len(cols), n),
-        equal to those rows of self(xs).  Computed once per n and cols."""
-        key = n, tuple(cols)
-        if key not in self._samples:
-            xs, cos, sin = scan_grid(float(self.ts[0]), float(self.ts[-1]), n)
-            cols = list(cols)
-            values = self._horner(xs, self.F[:, :, cols], self.y_old[:, cols])
-            self._samples[key] = xs, cos, sin, values
-        return self._samples[key]
+    def bernstein(self, col: int) -> np.ndarray:
+        """The degree-7 Bernstein coefficients in s of component col on every
+        step, (steps, 8): one (steps, 8) @ (8, 8) product.  The convex hull
+        of a polynomial's Bernstein coefficients contains its graph (Farouki
+        & Rajan, CAGD 4, 1987), so a step's coefficients enclose its
+        interpolant."""
+        return np.column_stack([self.F[:, :, col], self.y_old[:, col]]) @ BERNSTEIN
 
     def point(self, x: float) -> tuple:
         """The components at one abscissa, as Python floats."""
@@ -348,32 +350,17 @@ class StackedDense:
         x = np.asarray(x, dtype=float)
         if x.size == 1:
             return np.array(self.point(x.item())).reshape(self.y_old.shape[1:] + x.shape)
-        return self._horner(x, self.F, self.y_old)
-
-    def _horner(self, x: np.ndarray, F: np.ndarray, y_old: np.ndarray) -> np.ndarray:
-        """The interpolants with rows F and y_old at abscissae x, stacked first."""
         k = np.searchsorted(self.ts, x, side="left") - 1
         np.clip(k, 0, len(self.h) - 1, out=k)
         s = ((x - self.t_old[k]) / self.h[k])[..., None]
         u = 1 - s
         # one (N, d) gather per term, never F[k] (N, 7, d); take is several
         # times faster than fancy indexing here
-        y = F[:, 0].take(k, axis=0)
+        y = self.F[:, 0].take(k, axis=0)
         y *= s
         for i in range(1, 7):
-            y += F[:, i].take(k, axis=0)
+            y += self.F[:, i].take(k, axis=0)
             y *= u if i % 2 else s
-        y += y_old.take(k, axis=0)
+        y += self.y_old.take(k, axis=0)
         return np.moveaxis(y, -1, 0)
 
-
-@functools.lru_cache(maxsize=4)
-def scan_grid(x0: float, x_end: float, n: int) -> tuple:
-    """n uniform abscissae on [x0, x_end] and cos, sin of 2*pi times them,
-    the factors of the curve the scans read; read-only, and kept for a few
-    (x0, x_end, n) only, since callers may sweep x0."""
-    xs = np.linspace(x0, x_end, n)
-    arrays = xs, np.cos(math.tau * xs), np.sin(math.tau * xs)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays

@@ -131,24 +131,26 @@ def _check_unimodal(costs: np.ndarray, noise_tol: float) -> int:
     return first + j
 
 
-def _probe(pencil: Pencil, tau0: float, xi: float, scanned: bool = False):
-    """(dcost/dtau0, xi) of the label tau0: Newton from xi, else the scan's xi as is."""
+def _probe(pencil: Pencil, tau0: float, xi: float, polished: bool = False):
+    """(dcost/dtau0, xi) of the label tau0: Newton from xi, else the xi of
+    deployment_parameters as is."""
     d = tau0 - pencil.tau_bar
     for _ in range(PROBE_NEWTON_STEPS):
         if not pencil.x0 <= xi <= pencil.x_end:
             break
         psi, t, b, _, i_b = pencil.columns(xi).tolist()
         tau, s = t + d * b, math.sin(math.tau * xi)
-        g, g_x = g_and_slope(tau, math.cos(psi) / math.sin(psi), s, math.cos(math.tau * xi))
+        g, g_x = g_and_slope(tau, math.cos(psi) / math.sin(psi), math.sin(math.pi * xi),
+                             math.cos(math.pi * xi))
         step = g / g_x
-        if scanned or abs(step) <= PROBE_XI_STEP:
+        if polished or abs(step) <= PROBE_XI_STEP:
             dcost_dxi = cost_mod.closed_form_slope(xi) + math.tau * xi * tau / math.sin(psi)
             return dcost_dxi * b * s / g_x + i_b, xi
         xi -= step
     (xi,), _, (kind,) = deployment_parameters(pencil, np.array([tau0]))
     if kind == OutOfRange.kind:
         raise OutOfRange(f"the Newton polish of the label tau0={tau0!r} fails")
-    return (-math.inf, math.nan) if kind else _probe(pencil, tau0, float(xi), scanned=True)
+    return (-math.inf, math.nan) if kind else _probe(pencil, tau0, float(xi), polished=True)
 
 
 def refine_minimum(
@@ -166,15 +168,16 @@ def refine_minimum(
         dcost/dtau0 = (sec(pi xi) + D'(xi) + 2 pi xi tau / sin psi) dxi/dtau0 + I_B.
 
     A probe polishes xi by Newton's method from the nearer bracket end's (the
-    ends from the sweep's), else by the one-label scan when Newton does not
-    converge or leaves [x0, x_end]; a label past the cliff has slope < 0.  The
-    same sign at both ends puts the minimum on the window's edge or beyond
-    (WindowViolated); else a safeguarded Illinois regula falsi shrinks the
-    bracket below REFINE_XATOL, or raises MaxIterations.  tau0* is its last
-    probe, certified on the scalar path (integrate -> assess -> total_cost):
-    OutOfRange when the certificate's xi is not the probe's (a probe followed
-    a non-first root), WindowViolated when theta* leaves [THETA_LO, THETA_HI]
-    or the clearance certificate fails.
+    ends from the sweep's), else by deployment_parameters on that one label
+    when Newton does not converge or leaves [x0, x_end]; a label past the
+    cliff has slope < 0.  The same sign at both ends puts the minimum on the
+    window's edge or beyond (WindowViolated); else a safeguarded Illinois
+    regula falsi shrinks the bracket below REFINE_XATOL, or raises
+    MaxIterations.  tau0* is its last probe, certified on the scalar path
+    (integrate -> assess -> total_cost): OutOfRange when the certificate's xi
+    is not the probe's (a probe followed a non-first root), WindowViolated
+    when theta* leaves [THETA_LO, THETA_HI] or the clearance certificate
+    fails.
     """
     pencil, taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
     rows, xis = _cost_rows(pencil, taus)

@@ -102,14 +102,6 @@ class TestRowsMatchScalar:
         assert_costs_match(sweep_cost(WINDOW_LO, WINDOW_HI, 2),
                            WINDOW_LO, WINDOW_HI, 2)
 
-    def test_grid_not_a_multiple_of_the_block(self, monkeypatch):
-        # a scan block of 7 divides neither the 9999 cells of the crossing
-        # scan nor the clearance scan's abscissae up to the largest xi
-        monkeypatch.setattr(feasibility, "SCAN_CHUNK", 7)
-        lo, hi, grid = 1.6469764, 1.6469774, 10
-        assert_reports_match(feasibility_sweep(lo, hi, grid), lo, hi, grid)
-        assert_costs_match(sweep_cost(lo, hi, grid), lo, hi, grid)
-
     @pytest.mark.parametrize("kwargs", [
         {"x0": 1e-7},
         {"tol": 1e-11},
@@ -120,10 +112,12 @@ class TestRowsMatchScalar:
         assert_costs_match(sweep_cost(WINDOW_LO, WINDOW_HI, 3, **kwargs),
                            WINDOW_LO, WINDOW_HI, 3, **kwargs)
 
-    @pytest.mark.parametrize("lo, hi, grid", [(1.7, 2.5, 9), (0.05, 10.0, 12)])
+    @pytest.mark.parametrize("lo, hi, grid", [(1.7, 2.5, 9), (0.05, 10.0, 12),
+                                              (1.6469764, 1.6469774, 10)])
     def test_wide_windows(self, lo, hi, grid):
         # |tau0 - tau_bar| reaches 0.4 and 5 here, but so does |tau| where
-        # (tau0 - tau_bar) * B is large, so the rows lose no digits
+        # (tau0 - tau_bar) * B is large, so the rows lose no digits; the
+        # third window is 1e-6 wide, at tau0*
         assert_reports_match(feasibility_sweep(lo, hi, grid), lo, hi, grid)
         assert_costs_match(sweep_cost(lo, hi, grid), lo, hi, grid)
 

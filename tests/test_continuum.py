@@ -234,8 +234,8 @@ class TestStackedDense:
 
     def test_point_reads_are_the_vectorized_reads(self):
         # segment rows are built on a segment's first single-point read;
-        # before and after a sample, on both fields, a point read is the
-        # vectorized read to the last bit
+        # before and after, on both fields, a point read is the vectorized
+        # read to the last bit
         rng = np.random.default_rng(9)
         for run in (integrate(1.648), integrate_pencil(1.649)):
             dense = run._dense
@@ -245,7 +245,6 @@ class TestStackedDense:
                 ref = dense(xs)
                 for i, x in enumerate(xs.tolist()):
                     assert_same_bits(dense.point(x), ref[:, i])
-                run.sample(1001)
             assert any(row is None for row in dense._rows)
 
     def test_point_is_values_as_floats(self, solved):
@@ -260,24 +259,43 @@ class TestStackedDense:
             with pytest.raises(OutOfRange):
                 sol.point(x)
 
-    def test_sample_reads_only_the_scanned_columns(self):
-        # tau alone, or (Tbar, B), equal to those rows of the full read, on
-        # scan arrays that every solve from the same x0 shares read-only
-        n = 1001
-        sol, pencil = integrate(1.648, x0=2e-6), integrate_pencil(1.649, x0=2e-6)
-        xs, cos, sin, tau = sol.sample(n)
-        assert np.array_equal(xs, np.linspace(2e-6, 1.0, n))
-        assert np.array_equal(cos, np.cos(math.tau * xs))
-        assert np.array_equal(sin, np.sin(math.tau * xs))
-        assert_same_bits(tau, sol._dense(xs)[1])
-        assert np.shares_memory(sol.sample(n)[3], tau)
-        xs_p, cos_p, sin_p, columns = pencil.sample(n)
-        assert_same_bits(columns, pencil._dense(xs)[1:3])
-        again = integrate(1.7, x0=2e-6).sample(n)
-        for shared in (again[:3], (xs_p, cos_p, sin_p)):
-            assert all(a is b for a, b in zip(shared, (xs, cos, sin)))
-        for a in (xs, cos, sin):
-            assert not a.flags.writeable
+    def test_bernstein_is_the_interpolant(self):
+        # every column of both fields, in the Bernstein basis of each step,
+        # at 9 points per step; its end coefficients are the node reads
+        s = np.linspace(0.0, 1.0, 9)
+        basis = np.array([[math.comb(7, i) * v**i * (1 - v)**(7 - i) for i in range(8)]
+                          for v in s])
+        for run in (integrate(1.648), integrate_pencil(1.649)):
+            dense = run._dense
+            xs = dense.t_old[:, None] + s * dense.h[:, None]
+            for col, ref in enumerate(dense(xs)):
+                bern = dense.bernstein(col)
+                scale = np.abs(bern).max(axis=1, keepdims=True)
+                assert np.all(np.abs(bern @ basis.T - ref) <= 1e-13 * (1.0 + scale))
+                assert_same_bits(np.append(bern[0, 0], bern[:, 7]), dense(run.grid)[col])
+
+    @settings(max_examples=25)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8), st.floats(0.0, 1.0))
+    def test_split_at_any_s(self, b, s):
+        # the two pieces are the polynomial on [0, s] and on [s, 1]
+        t = np.linspace(0.0, 1.0, 7)
+
+        def value(coefs, v):
+            return sum(c * math.comb(7, i) * v**i * (1 - v)**(7 - i)
+                       for i, c in enumerate(coefs))
+
+        left, right = dop853.split(b, s)
+        for v in t:
+            assert value(left, v) == pytest.approx(value(b, s * v), abs=1e-12)
+            assert value(right, v) == pytest.approx(value(b, s + (1 - s) * v), abs=1e-12)
+        # at s = 1/2 each level is the halving (p + q) / 2, to the bit
+        halves, level = ([b[0]], [b[-1]]), b
+        while len(level) > 1:
+            level = [(p + q) / 2 for p, q in zip(level, level[1:])]
+            halves[0].append(level[0])
+            halves[1].insert(0, level[-1])
+        for ours, ref in zip(dop853.split(b, 0.5), halves):
+            assert_same_bits(ours, ref)
 
 
 def _log_uniform(lo, hi):
@@ -522,7 +540,7 @@ class TestPsiGuard:
         assert np.all(psi > continuum.PSI_GUARD)
         assert np.all(psi < PI - continuum.PSI_GUARD)
         dense = sol._dense
-        bern = np.column_stack([dense.F[:, :, 0], dense.y_old[:, 0]]) @ dop853.BERNSTEIN
+        bern = dense.bernstein(0)
         basis = np.array([[math.comb(7, i) * v**i * (1 - v)**(7 - i) for i in range(8)]
                           for v in ((xs - dense.t_old[:, None]) / dense.h[:, None]).ravel()])
         bern_psi = np.sum(basis.reshape(*xs.shape, 8) * bern[:, None, :], axis=2)
@@ -534,9 +552,9 @@ class TestPsiGuard:
     def check_one_step(a):
         """_check_psi_band on one step [0, 1] where psi = 1 - a*s*(1 - s):
         F's row 5 multiplies s*(1 - s); psi is 1 at both nodes."""
-        F_psi = np.zeros((1, 7))
-        F_psi[0, 5] = -a
-        continuum._check_psi_band([0.0, 1.0], np.array([1.0]), F_psi)
+        F = np.zeros((1, 7, 1))
+        F[0, 5, 0] = -a
+        continuum._check_psi_band(dop853.StackedDense([0.0, 1.0], [[1.0]], F))
 
     def test_dip_between_nodes_raises(self):
         # psi(1/2) = 1 - 4.8/4 = -0.2, and psi < PSI_GUARD on (0.295, 0.705):

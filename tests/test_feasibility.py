@@ -1,13 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from diskinspect import feasibility
 from diskinspect.cli import main
 from diskinspect.continuum import curve_points, integrate
 from diskinspect.errors import NoCrossing, OutOfRange
 from diskinspect.feasibility import (
+    ENCLOSURE_SLACK,
     WINDOW_HI,
     WINDOW_LO,
     assess,
@@ -19,6 +22,7 @@ from diskinspect.feasibility import (
 from diskinspect.optimizer import refine_minimum, sweep_cost
 
 from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0, crossing_only
+from scan_oracle import scan_crossing, scan_tau_min
 
 PI = math.pi
 
@@ -48,8 +52,8 @@ class TestDeploymentParameter:
 
     @pytest.mark.parametrize("tau0", [1e-12, 1e-6, 1e-4])
     def test_tiny_tau0_crosses_near_the_start(self, tau0):
-        # tau falls below -pi x just past x0: g rises through 0 in the scan's
-        # first cell, and the curve has passed through the disk
+        # tau falls below -pi x just past x0: g rises through 0 next to the
+        # node 2 x0, and the curve has passed through the disk
         for r in (assess(integrate(tau0)), feasibility_sweep(tau0, 2.0 * tau0, 2)[0]):
             assert r.tau0 == tau0 and r.error is None
             assert r.xi < 1e-3 and r.tau_min < 0.0 and not r.feasible
@@ -90,7 +94,7 @@ class TestNewtonPolishGuard:
 
     def test_iterate_outside_bracket_raises(self, sol_star, monkeypatch):
         self.astray(monkeypatch)
-        with pytest.raises(OutOfRange, match="left the scan bracket"):
+        with pytest.raises(OutOfRange, match="left the crossing bracket"):
             deployment_parameter(sol_star)
 
     def test_growing_residual_raises(self, sol_star):
@@ -134,37 +138,31 @@ class TestSelfCheckGap:
 
 
 class TestCrossingNextToScanAbscissa:
-    """Labels whose root lies 1e-11 right of a scan abscissa, where g reads
-    about -1e-10 on the sample left of it: that sample starts the crossing."""
+    """Labels whose root lies 1e-11 right of an abscissa of the 10,000-point
+    scan that once found the crossing, where g read about -1e-10 on the
+    sample left of it.  Each path has its own labels, found by a secant on
+    tau0 and kept with their xi as the scan-based code computed them."""
 
-    @staticmethod
-    def secant(xi_of, t0, t1, target):
-        """The label whose xi is target to 2e-12, by a secant on tau0."""
-        f0, f1 = xi_of(t0) - target, xi_of(t1) - target
-        for _ in range(30):
-            if abs(f1) <= 2e-12:
-                return t1
-            t0, t1, f0 = t1, t1 - f1 * (t1 - t0) / (f1 - f0), f1
-            f1 = xi_of(t1) - target
-        raise AssertionError(f"no label with xi = {target!r}")
+    #: (scalar label, its xi, pencil label, its xi) per scan abscissa.
+    LABELS = (
+        (1.6491068945004959, 0.6600663465445725, 1.6491068945004963, 0.6600663465446547),
+        (1.647449783845541, 0.7050708019902322, 1.6474497838455546, 0.7050708019902024),
+        (1.6470683202885357, 0.7500752574362829, 1.647068320288562, 0.7500752574350847),
+        (1.646986104371242, 0.7950797128816582, 1.6469861043712708, 0.7950797128812975),
+        (1.6469700507569074, 0.8400841683287038, 1.646970050756939, 0.8400841683267464),
+    )
 
-    def test_both_paths_find_the_crossing(self, window_reports):
+    def test_both_paths_find_the_crossing(self):
         pencil, _ = feasibility.window_pencil(WINDOW_LO, WINDOW_HI, 2)
-        xs = pencil.sample(feasibility.SCAN_GRID)[0]
-        assert (integrate(WINDOW_LO).sample(feasibility.SCAN_GRID)[0] == xs).all()
-        paths = {
-            "scalar": lambda t: deployment_parameter(integrate(t))[0],
-            # an error row's xi is NaN, inside no cell
-            "pencil": lambda t: feasibility.deployment_parameters(pencil, [t])[0][0],
-        }
-        xis = np.array([r.xi for r in window_reports])  # falling in tau0
-        for i in np.searchsorted(xs, np.linspace(0.66, 0.84, 5)):
-            target = xs[i] + 1e-11
-            k = np.flatnonzero(xis >= target)[-1]
-            t0, t1 = window_reports[k].tau0, window_reports[k + 1].tau0
-            for name, xi_of in paths.items():
-                tau0 = self.secant(xi_of, t0, t1, target)
-                assert xs[i] < xi_of(tau0) < xs[i + 1], (name, tau0)
+        for scalar, xi_scalar, label, xi_pencil in self.LABELS:
+            assert deployment_parameter(integrate(scalar))[0] == pytest.approx(
+                xi_scalar, abs=1e-15)
+            xi, _, error = feasibility.deployment_parameters(pencil, [label])
+            # the pencil's tau cancels to ~250 eps near x = 0.84, and three
+            # Newton steps from 41 starts within 2.5e-10 of that root end in
+            # a band 7e-15 wide; at the other four labels xi moves by <= 1 ulp
+            assert error[0] is None
+            assert xi[0] == pytest.approx(xi_pencil, abs=5e-15)
 
 
 def dense_minimum(tau_of, x0, xi):
@@ -189,10 +187,76 @@ CLEARING = (WINDOW_LO, 1.6475, 1.65, WINDOW_HI)
 DIVING = (0.525, 1.1)
 
 
+#: Labels of the crossing oracle: wide, in the cliff band below the window,
+#: and three whose curves cross just past the start.
+LABELS = st.one_of(st.floats(0.05, 10.0), st.floats(1.6469, 1.64697),
+                   st.sampled_from([1e-12, 1e-6, 1e-4]))
+
+
+class TestStepEnclosure:
+    @given(st.floats(0.0, 1.0), st.floats(1e-6, 0.2), st.floats(-50.0, 50.0),
+           st.floats(0.0, 10.0))
+    @example(0.7, 0.1, 1.0, 0.0)  # sin's minimum at x = 3/4 is inside
+    @example(0.95, 0.05, -5.0, 1.0)  # g(1) = 0 exactly, and tau < 0 there
+    def test_bound_encloses_g(self, x_lo, width, t_lo, t_width):
+        # g at the abscissae where it is known exactly (x = 1/4, 1/2, 3/4
+        # and 1), and within 8 eps (1 + |tau|) of its float value elsewhere
+        x_hi, t_hi = min(x_lo + width, 1.0), t_lo + t_width
+        slack = ENCLOSURE_SLACK * (1.0 + max(abs(t_lo), abs(t_hi)))
+        bound = feasibility._g_bound(t_lo, t_hi, x_lo, x_hi, slack)
+        exact = {0.25: lambda t: -t - 1.0, 0.5: lambda t: -2.0, 0.75: lambda t: t - 1.0,
+                 1.0: lambda t: 0.0}
+        for t in (t_lo, t_hi):
+            for x, g in exact.items():
+                if x_lo <= x <= x_hi:
+                    assert bound >= g(t), (x, t)
+            for x in np.linspace(x_lo, x_hi, 33):
+                g = math.cos(math.tau * x) - t * math.sin(math.tau * x) - 1.0
+                assert bound >= g - 8 * sys.float_info.epsilon * (1.0 + abs(t)), (x, t)
+
+    @given(LABELS)
+    @example(1e-12)
+    @example(1.6469)
+    @example(WINDOW_LO)
+    def test_brackets_hold_the_scan_crossing(self, tau0):
+        # both paths: the bracket holds the root of the first sign change on
+        # the 10,000-point scan, and there is no bracket where the scan finds
+        # no sign change
+        sol = integrate(tau0)
+        pencil, (label, _) = feasibility.window_pencil(tau0, 2.0 * tau0, 2)
+        T, B = pencil.bernstein()
+        tau = sol.bernstein()
+        paths = {
+            "scalar": (feasibility._brackets(
+                sol.grid, tau, np.zeros_like(tau), np.zeros(1),
+                lambda x, i: sol.values(x)[1]), lambda x: sol.values(x)[1]),
+            "pencil": (feasibility._brackets(
+                pencil.grid, T, B, np.array([label - pencil.tau_bar]),
+                lambda x, i: pencil.state(x, label)[1]),
+                lambda x: pencil.state(x, label)[1]),
+        }
+        for name, (((a,), (b,), (found,)), tau_of) in paths.items():
+            root = scan_crossing(pencil.x0, tau_of)
+            assert found == (root is not None), name
+            if found:
+                tol = feasibility.BISECT_TOL
+                assert a - tol <= root <= b + tol, (name, a, root, b)
+
+    @pytest.mark.parametrize("tau0", [1.6, 1.64696])
+    def test_curve_below_the_line_at_x1_has_no_crossing(self, tau0):
+        # tau(1) < 0: g(1) = T1(1) - 1 is exactly 0 but reads -|tau| 2.4e-16,
+        # so the last step's end is no bracket, and no earlier step rises
+        sol = integrate(tau0)
+        assert sol.tau_at(1.0) < 0.0
+        with pytest.raises(NoCrossing):
+            deployment_parameter(sol)
+        assert feasibility_sweep(tau0, tau0 + 1e-3, 2)[0].error == "NoCrossing"
+
+
 class TestClearance:
     def test_tau_min_at_published_tau0(self, sol_star):
         xi, _ = deployment_parameter(sol_star)
-        tau_min = clearance_certificate(sol_star, xi)
+        tau_min, _ = clearance_certificate(sol_star, xi)
         assert tau_min == pytest.approx(0.24774522, abs=1e-4)
         assert clearance_from_tau(tau_min) == pytest.approx(0.0302318, abs=1e-4)
 
@@ -204,30 +268,38 @@ class TestClearance:
         # bracket end gives tau(xi) itself
         sol = integrate(tau0)
         xi, _ = deployment_parameter(sol)
-        tau_min = clearance_certificate(sol, xi)
+        tau_min, _ = clearance_certificate(sol, xi)
         assert tau_min == sol.tau_at(xi)
         assert tau_min <= sol.values(np.linspace(sol.x0, xi, 200_001))[1].min()
+
+    @staticmethod
+    def check(tau_min, tau_lower, tau_of, slope_of, x0, xi):
+        """tau_min against the dense minimum and the scan's prefix argmin, and
+        tau_lower below both, by at most 2e-3 (a step's enclosure is loose by
+        ~1e-4 near an interior minimum, and tight at an end)."""
+        refined, sampled = dense_minimum(tau_of, x0, xi)
+        assert abs(tau_min - refined) <= 1e-12
+        assert tau_min <= sampled
+        assert tau_min == pytest.approx(scan_tau_min(x0, xi, tau_of, slope_of),
+                                        rel=1e-14, abs=1e-15)
+        assert min(refined, sampled) >= tau_lower >= tau_min - 2e-3
 
     @pytest.mark.parametrize("tau0", CLEARING + DIVING)
     def test_scalar_matches_dense_minimum(self, tau0):
         sol = integrate(tau0)
         xi, _ = deployment_parameter(sol)
-        tau_min = clearance_certificate(sol, xi)
-        refined, sampled = dense_minimum(lambda x: sol.values(x)[1], sol.x0, xi)
-        assert abs(tau_min - refined) <= 1e-12
-        assert tau_min <= sampled
+        self.check(*clearance_certificate(sol, xi), lambda x: sol.values(x)[1],
+                   lambda x: feasibility._tau_slope(sol, x), sol.x0, xi)
 
     @pytest.mark.parametrize("lo, hi, grid", [(WINDOW_LO, WINDOW_HI, 5), (*DIVING, 2)],
                              ids=["window", "diving"])
     def test_pencil_matches_dense_minimum(self, lo, hi, grid):
         pencil, tau0s = feasibility.window_pencil(lo, hi, grid)
         xi, _, _ = feasibility.deployment_parameters(pencil, tau0s)
-        tau_min = feasibility.clearance_minima(pencil, xi, tau0s)
-        for tau0, x, m in zip(tau0s, xi, tau_min):
-            refined, sampled = dense_minimum(lambda y: pencil.state(y, tau0)[1],
-                                             pencil.x0, x)
-            assert abs(m - refined) <= 1e-12
-            assert m <= sampled
+        for tau0, x, m, lower in zip(tau0s, xi, *feasibility.clearance_minima(pencil, xi, tau0s)):
+            self.check(m, lower, lambda y: pencil.state(y, tau0)[1],
+                       lambda y: float(feasibility._tau_slope_many(pencil, y, tau0)),
+                       pencil.x0, x)
             if tau0 in DIVING:
                 assert m == pencil.state(x, tau0)[1]
 
