@@ -62,10 +62,11 @@ calls, so a solve agrees with scipy's to rounding, step by step, and does
 not depend on the BLAS kernel the CPU selects.  Each accepted step's
 interpolant goes into the arrays of ``StackedDense``, whose reads repeat
 scipy's ``OdeSolution`` arithmetic (an abscissa on a step boundary goes
-to the lower segment): vectorized, and in Python floats at a single point
-(``point``).  Each is a degree-7 polynomial that its Bernstein
-coefficients enclose (``StackedDense.bernstein``), read by the psi band
-check below and by ``feasibility``'s certificates.
+to the lower segment): vectorized, in Python floats at a single point
+(``point``), and on a few steps gathered per label (``Pencil.reader``).
+Each is a degree-7 polynomial that its Bernstein coefficients enclose
+(``StackedDense.bernstein``), read by the psi band check below and by
+``feasibility``'s certificates.
 Every solve takes x0 as its first step, not scipy's initial-step
 heuristic: the series start lies on the smooth solution, so the heuristic
 sees almost no curvature and would step from x0 = 1e-6 to about 1e-2,
@@ -74,10 +75,13 @@ and lose up to 8x in tau at x = 0.8.
 A step that ends with psi outside (PSI_GUARD, pi - PSI_GUARD) raises
 StepFailure, and so does a step whose interpolant of psi may leave that
 band between its nodes (the Bernstein enclosure of ``_check_psi_band``),
-so a solve that returns always reaches x = 1 with psi inside the band at
-every x.  psi involves no label: at every start that solves and every tol
-up to 1e-3 it stays within [0.16, 1.61], and only far coarser tolerances
-step it out.
+so a solve that returns reaches x = 1, or the node where its stop test
+first holds, with psi inside the band at every x.  Only the readers that
+read nothing past the crossing stop early: the window pencil and the
+certificate solves of ``optimizer``; ``trace``, ``verify`` (with
+``self_check_init``) and ``converge`` solve on [x0, 1].  psi involves
+no label: at every start that solves and every tol up to 1e-3 it stays
+within [0.16, 1.61], and only far coarser tolerances step it out.
 """
 
 from __future__ import annotations
@@ -263,12 +267,17 @@ class _Run:
     n_rejected: int
 
 
-def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float) -> _Run:
-    """DOP853 (rtol = atol = tol) with dense output on [x0, 1].
+def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float,
+           stop=None) -> _Run:
+    """DOP853 (rtol = atol = tol) with dense output on [x0, 1], or on [x0,
+    x_end] with x_end the first accepted node where stop(x_end, state)
+    holds.
 
     scipy's solve_ivp(method="DOP853", dense_output=True,
     first_step=first_step) in plain IEEE arithmetic: the same step control,
     and each step by ``dop853.kernels(field)``; see the module docstring.
+    A stop test only ends the step sequence early: the steps up to x_end
+    are those of the solve to 1.
     A tol below TOL_FLOOR raises ValueError.  A step below 10 ulp of x, psi
     = y[0] outside (PSI_GUARD, pi - PSI_GUARD) after an accepted step (NaN
     too), or an interpolant of psi that may leave that band
@@ -314,6 +323,8 @@ def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float) ->
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
+        if stop is not None and stop(t, y):
+            break
     ys = np.array(ys)
     dense = StackedDense(ts, ys[:-1], np.array(F).reshape(len(ts) - 1, 7, len(y)))
     _check_psi_band(dense)
@@ -357,8 +368,10 @@ def _check_psi_band(dense: StackedDense) -> None:
                 f"({PSI_GUARD!r}, pi - {PSI_GUARD!r})")
 
 
-def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolution:
-    """Integrate the pair on [x0, 1] with one adaptive DOP853 pass (``_solve``).
+def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL, *,
+              stop=None) -> OdeSolution:
+    """Integrate the pair on [x0, 1] with one adaptive DOP853 pass (``_solve``),
+    or only up to the first accepted node where stop(x, (psi, tau)) holds.
 
     Joint integration of the 2-vector field, eighth-order Dormand-Prince
     with dense output and first step x0: scipy's solve_ivp step control in
@@ -371,7 +384,7 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> OdeSolut
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau0, x0)
-    run = _solve(rhs, x0, (init.psi0, init.tau_start), tol, first_step=x0)
+    run = _solve(rhs, x0, (init.psi0, init.tau_start), tol, first_step=x0, stop=stop)
     psi, tau = run.y
     return OdeSolution(
         tau0=tau0,
@@ -426,6 +439,10 @@ class Pencil:
         """(psi, Tbar, B, I_Tbar, I_B) at abscissae x of any shape, stacked first."""
         return self._dense(_check_range(x, self.x0, self.x_end))
 
+    def point(self, x) -> tuple:
+        """(psi, Tbar, B, I_Tbar, I_B) at one abscissa as floats, equal to columns(x)."""
+        return self._dense.point(_check_range(float(x), self.x0, self.x_end))
+
     def state(self, x, tau0):
         """(psi, tau, I) at abscissae x for labels tau0.
 
@@ -437,14 +454,31 @@ class Pencil:
         d = np.asarray(tau0, dtype=float) - self.tau_bar
         return psi, t + d * b, it + d * ib
 
+    def reader(self, a, b, tau0):
+        """x -> (psi, tau) of the labels tau0, one abscissa x[i] in [a[i],
+        b[i]] each: state(x, tau0) to the last bit, read on each label's own
+        steps there, whose rows are gathered once (``dop853.StepReads``)."""
+        reads = dop853.StepReads(self._dense, _check_range(a, self.x0, self.x_end),
+                                 _check_range(b, self.x0, self.x_end), slice(0, 3))
+        d = np.asarray(tau0, dtype=float) - self.tau_bar
+
+        def read(x):
+            y = reads(x)
+            return y[:, 0], y[:, 1] + d * y[:, 2]
+
+        return read
+
     def bernstein(self) -> tuple[np.ndarray, np.ndarray]:
         """Tbar's and B's Bernstein coefficients on every step
         (StackedDense.bernstein): a label's are Tbar_c + (tau0 - tau_bar) * B_c."""
         return self._dense.bernstein(1), self._dense.bernstein(2)
 
 
-def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -> Pencil:
-    """Solve the pencil centred at the label tau_bar with one DOP853 pass.
+def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL, *,
+                     stop=None) -> Pencil:
+    """Solve the pencil centred at the label tau_bar with one DOP853 pass on
+    [x0, 1], or only up to the first accepted node where stop(x, (psi,
+    Tbar, B, I_Tbar, I_B)) holds.
 
     Same solver, first step, tolerance and psi guard as ``integrate``.
     """
@@ -452,7 +486,7 @@ def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL) -
         raise ValueError("tau0 must be positive")
     init = SeriesInit.for_label(tau_bar, x0)
     y0 = (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0)
-    run = _solve(_rhs_pencil, x0, y0, tol, first_step=x0)
+    run = _solve(_rhs_pencil, x0, y0, tol, first_step=x0, stop=stop)
     return Pencil(
         tau_bar=tau_bar,
         x0=x0,

@@ -31,13 +31,21 @@ tau(xi) for a curve that dives to the crossing.  tau_lower, the smallest
 coefficient of the steps up to xi, the last one cut at xi, rounded down,
 bounds tau on [x0, xi]: feasible means tau_lower > FEASIBLE_TAU_MIN.
 
+Nothing here reads past the step that holds xi, so a solve may end at
+its first node with g >= 0 (``crossed``); one that never crosses runs on
+to x = 1, and NoCrossing still means that the solve reached 1.
+
 ``assess`` certifies one solved trajectory, so its report always names
 the start value that trajectory was solved for.  Window sweeps run the
-same pipeline on every label of one tau0 pencil (``window_pencil``): a
-label's coefficients are the lines Tbar_c + (tau0 - tau_bar) B_c, bounded
-for all labels and steps at once (one solve is the pencil B = 0), and
-the bisections and Newton steps read every label at once.  The scalar
-functions stay the reference the sweeps are tested against.
+same pipeline on every label of one tau0 pencil (``window_pencil``),
+solved until both end labels have crossed: g is affine in the label, so
+every label between them has crossed by then.  A label's coefficients
+are the lines Tbar_c + (tau0 - tau_bar) B_c, bounded for all labels and
+steps at once (``_Lines``, one solve is the pencil B = 0) and shared by
+the crossing and the clearance.  The bisections and Newton steps read
+every label at once, each on the one to three steps that hold its
+bracket, gathered once (``Pencil.reader``).  The scalar functions stay
+the reference the sweeps are tested against.
 """
 
 from __future__ import annotations
@@ -112,6 +120,12 @@ def _g_bound(t_lo, t_hi, x_lo, x_hi, slack):
     return np.maximum(np.cos(a), np.cos(b)) - ts_min - 1.0 + slack
 
 
+def crossed(x: float, state) -> bool:
+    """Whether g >= 0 at the node x of a solve, state (psi, tau): the stop
+    test of a solve that nothing reads past its crossing."""
+    return _g(state[1], math.sin(math.pi * x), math.cos(math.pi * x)) >= 0.0
+
+
 def _ranges(T: np.ndarray, B: np.ndarray, d: np.ndarray):
     """The coefficient range of tau = T + d B per label and step, and its
     slack, (labels, steps) each: T and B are (steps, 8), and the range is
@@ -123,6 +137,40 @@ def _ranges(T: np.ndarray, B: np.ndarray, d: np.ndarray):
         lo, hi = np.minimum(lo, line), np.maximum(hi, line)
     scale = np.abs(T).max(axis=1) + np.abs(d) * np.abs(B).max(axis=1)
     return lo, hi, ENCLOSURE_SLACK * (1.0 + scale)
+
+
+@dataclass
+class _Lines:
+    """The labels tau = T + d B on the steps ts, T and B (steps, 8) and d
+    (labels,), with the range lo, hi of each label's coefficients per step
+    and its slack (``_ranges``), computed once for every reader.  One
+    solve is the pencil B = 0 of its one label d = 0."""
+
+    ts: np.ndarray
+    T: np.ndarray
+    B: np.ndarray
+    d: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    slack: np.ndarray
+
+    @classmethod
+    def of(cls, ts, T, B, d) -> "_Lines":
+        return cls(ts, T, B, d, *_ranges(T, B, d))
+
+    @classmethod
+    def of_solution(cls, sol: OdeSolution) -> "_Lines":
+        T = sol.bernstein()
+        return cls.of(sol.grid, T, np.zeros_like(T), np.zeros(1))
+
+    @classmethod
+    def of_pencil(cls, pencil: Pencil, tau0s: np.ndarray) -> "_Lines":
+        return cls.of(pencil.grid, *pencil.bernstein(), tau0s - pencil.tau_bar)
+
+    def labels(self, which) -> "_Lines":
+        """The lines of the labels d[which]."""
+        return _Lines(self.ts, self.T, self.B, self.d[which], self.lo[which],
+                      self.hi[which], self.slack[which])
 
 
 def _open_piece(b: np.ndarray, x_lo, x_hi, slack, g_at, depth: int):
@@ -141,17 +189,17 @@ def _open_piece(b: np.ndarray, x_lo, x_hi, slack, g_at, depth: int):
             or _open_piece(right, mid, x_hi, slack, g_at, depth - 1))
 
 
-def _brackets(ts: np.ndarray, T, B, d, tau_at):
-    """The crossing bracket of every label of tau = T + d B on the steps ts:
-    (a, b, found) arrays.  tau_at(x, i) reads label i's tau at the float x,
-    and tau_at(x, slice(None)) every label's, one abscissa each.
+def _brackets(lines: _Lines, tau_at):
+    """The crossing bracket of every label of lines: (a, b, found) arrays.
+    tau_at(x, i) reads label i's tau at the float x, and tau_at(x,
+    slice(None)) every label's, one abscissa each.
 
     The bound comes for every label and step at once.  A label whose first
     step that it cannot exclude ends with g >= 0 has that step as its
     bracket; any other walks its steps on its own coefficients.
     """
-    lo, hi, slack = _ranges(T, B, d)
-    open_ = _g_bound(lo, hi, ts[:-1], ts[1:], slack) >= 0.0
+    ts, T, B, d, slack = lines.ts, lines.T, lines.B, lines.d, lines.slack
+    open_ = _g_bound(lines.lo, lines.hi, ts[:-1], ts[1:], slack) >= 0.0
     first = np.argmax(open_, axis=1)
     a, b = ts[first], ts[first + 1]
     closed = _g(tau_at(b, slice(None)), np.sin(math.pi * b), np.cos(math.pi * b)) >= 0.0
@@ -168,11 +216,12 @@ def _brackets(ts: np.ndarray, T, B, d, tau_at):
     return a, b, found
 
 
-def _clearance_brackets(ts: np.ndarray, T, B, d, tau_xi, xi):
-    """Per label of tau = T + d B, the neighbours (lo, hi) of the smallest tau
-    among the nodes ts up to xi and xi itself.  A node's tau is the last
-    coefficient of the step it ends (x0's the first of step 0), bit for bit
-    the dense output's read there."""
+def _clearance_brackets(lines: _Lines, tau_xi, xi):
+    """Per label of lines, the neighbours (lo, hi) of the smallest tau among
+    the nodes up to xi and xi itself.  A node's tau is the last coefficient
+    of the step it ends (x0's the first of step 0), bit for bit the dense
+    output's read there."""
+    ts, T, B, d = lines.ts, lines.T, lines.B, lines.d
     n = np.searchsorted(ts, xi, side="right")
     nodes = np.append(T[:1, 0], T[:, 7])[:, None] + d * np.append(B[:1, 0], B[:, 7])[:, None]
     tau = np.where(np.arange(len(ts))[:, None] < n, nodes, np.inf)
@@ -181,9 +230,9 @@ def _clearance_brackets(ts: np.ndarray, T, B, d, tau_xi, xi):
     return ts[np.maximum(j - 1, 0)], np.where(j + 1 < n, ts[np.minimum(j + 1, len(ts) - 1)], xi)
 
 
-def _tau_lower(ts: np.ndarray, T, B, d, xi):
-    """tau_lower of every label of tau = T + d B on [x0, xi]."""
-    lo, _, slack = _ranges(T, B, d)
+def _tau_lower(lines: _Lines, xi):
+    """tau_lower of every label of lines on [x0, xi]."""
+    ts, T, B, d, lo, slack = lines.ts, lines.T, lines.B, lines.d, lines.lo, lines.slack
     k = np.clip(np.searchsorted(ts, xi, side="left") - 1, 0, len(ts) - 2)
     whole = np.where(np.arange(lo.shape[1]) < k[:, None], lo - slack, np.inf).min(axis=1)
     cut = dop853.split((T[k] + d[:, None] * B[k]).T, (xi - ts[k]) / (ts[k + 1] - ts[k]))[0]
@@ -204,7 +253,7 @@ def _bisect_root(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
+def deployment_parameter(sol: OdeSolution, lines: _Lines | None = None) -> tuple[float, float]:
     """Smallest root xi > x0 of T1(x) = 1, plus the self-check gap.
 
     Bisect the crossing bracket (see the module docstring) to BISECT_TOL;
@@ -218,11 +267,11 @@ def deployment_parameter(sol: OdeSolution) -> tuple[float, float]:
 
     The polish is guarded: OutOfRange when an iterate leaves the crossing
     bracket, or when |g| at the last iterate it evaluates exceeds |g| at
-    the bisection root by more than NEWTON_G_SLACK.
+    the bisection root by more than NEWTON_G_SLACK.  lines, when given, are
+    the solve's (``_Lines.of_solution``).
     """
-    T = sol.bernstein()
-    (a,), (b,), (found,) = _brackets(sol.grid, T, np.zeros_like(T), np.zeros(1),
-                                     lambda x, i: sol.values(x)[1])
+    lines = _Lines.of_solution(sol) if lines is None else lines
+    (a,), (b,), (found,) = _brackets(lines, lambda x, i: sol.values(x)[1])
     if not found:
         raise NoCrossing(
             f"curve with tau0={sol.tau0!r} never returns to the line x=1"
@@ -255,16 +304,17 @@ def _check_polish_bracket(sol: OdeSolution, xi: float, a: float, b: float) -> No
         )
 
 
-def clearance_certificate(sol: OdeSolution, xi: float) -> tuple[float, float]:
+def clearance_certificate(sol: OdeSolution, xi: float,
+                          lines: _Lines | None = None) -> tuple[float, float]:
     """(tau_min, tau_lower) on [x0, xi]; see the module docstring and
-    clearance_from_tau."""
-    T, xis = sol.bernstein(), np.array([xi])
-    lines = sol.grid, T, np.zeros_like(T), np.zeros(1)
-    (lo,), (hi,) = _clearance_brackets(*lines, sol.tau_at(xi), xis)
+    clearance_from_tau.  lines as for deployment_parameter."""
+    lines = _Lines.of_solution(sol) if lines is None else lines
+    xis = np.array([xi])
+    (lo,), (hi,) = _clearance_brackets(lines, sol.tau_at(xi), xis)
     lo, hi = float(lo), float(hi)
     x = _bisect_root(lambda x: _tau_slope(sol, x), lo, hi)
     return (min(sol.tau_at(x), sol.tau_at(lo), sol.tau_at(hi)),
-            float(_tau_lower(*lines, xis)[0]))
+            float(_tau_lower(lines, xis)[0]))
 
 
 def clearance_from_tau(tau_min: float) -> float:
@@ -274,12 +324,6 @@ def clearance_from_tau(tau_min: float) -> float:
     if tau_min <= 0.0:
         return 0.0
     return math.sqrt(1.0 + tau_min * tau_min) - 1.0
-
-
-def _tau_slope_many(pencil: Pencil, x: np.ndarray, tau0s: np.ndarray) -> np.ndarray:
-    """tau cot psi - 1 of the labels tau0s at abscissae x (see Pencil.state)."""
-    psi, tau, _ = pencil.state(x, tau0s)
-    return tau * np.cos(psi) / np.sin(psi) - 1.0
 
 
 def _bisect_many(f, a, b) -> np.ndarray:
@@ -299,11 +343,14 @@ def _bisect_many(f, a, b) -> np.ndarray:
         fa = np.where(move, fm, fa)
 
 
-def deployment_parameters(pencil: Pencil, tau0s):
+def deployment_parameters(pencil: Pencil, tau0s, lines: _Lines | None = None):
     """deployment_parameter for every label: (xi, self-check gap, error) arrays.
 
     The same bracket, bisection and three guarded Newton steps, vectorized
-    across labels.  Where the scalar version raises, xi and gap are NaN and
+    across labels; the bisection and the Newton steps read each label on
+    the steps that hold its bracket (``Pencil.reader``).  lines, when given,
+    are those of the pencil and tau0s (``_Lines.of_pencil``).  Where the
+    scalar version raises, xi and gap are NaN and
     the error entry holds the kind: NoCrossing where there is no crossing
     bracket, OutOfRange where a Newton iterate leaves the label's bracket
     (which lies inside the solved range) or where |g| at the last Newton
@@ -311,20 +358,21 @@ def deployment_parameters(pencil: Pencil, tau0s):
     NEWTON_G_SLACK.  The other entries of error are None.
     """
     tau0s = np.asarray(tau0s, dtype=float)
-    a, b, found = _brackets(pencil.grid, *pencil.bernstein(), tau0s - pencil.tau_bar,
-                            lambda x, i: pencil.state(x, tau0s[i])[1])
+    lines = _Lines.of_pencil(pencil, tau0s) if lines is None else lines
+    a, b, found = _brackets(lines, lambda x, i: pencil.state(x, tau0s[i])[1])
     taus, a, b = tau0s[found], a[found], b[found]
+    read = pencil.reader(a, b, taus)
     xi = root = _bisect_many(lambda x: _g(
-        pencil.state(x, taus)[1], np.sin(math.pi * x), np.cos(math.pi * x)), a, b)
-    abs_g = np.full((3, len(taus)), math.nan)
+        read(x)[1], np.sin(math.pi * x), np.cos(math.pi * x)), a, b)
+    abs_g = np.empty((3, len(taus)))
     for step in range(3):
-        inside = (xi >= a) & (xi <= b)
-        xi = np.where(inside, xi, math.nan)  # a copy: root stays as it is
-        psi, tau, _ = pencil.state(xi[inside], taus[inside])
-        x = math.pi * xi[inside]
+        # NaN outside the bracket, and a copy: root stays as it is
+        xi = np.where((xi >= a) & (xi <= b), xi, math.nan)
+        psi, tau = read(xi)
+        x = math.pi * xi
         g, g_x = g_and_slope(tau, np.cos(psi) / np.sin(psi), np.sin(x), np.cos(x))
-        abs_g[step, inside] = np.abs(g)
-        xi[inside] -= g / g_x
+        abs_g[step] = np.abs(g)
+        xi = xi - g / g_x
     ok = (xi >= a) & (xi <= b) & ~(abs_g[-1] > abs_g[0] + NEWTON_G_SLACK)
     out = np.full((2, len(tau0s)), math.nan)
     out[:, found] = np.where(ok, [xi, np.abs(xi - root)], math.nan)
@@ -333,16 +381,24 @@ def deployment_parameters(pencil: Pencil, tau0s):
     return out[0], out[1], error
 
 
-def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray):
+def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray,
+                     lines: _Lines | None = None):
     """clearance_certificate's (tau_min, tau_lower) for each label tau0s[k]
     on [x0, xi[k]], as two arrays: the same brackets, the same bisection of
-    tau cot psi - 1 for all labels at once, the same bracket-end values and
-    the same enclosure."""
-    lines = pencil.grid, *pencil.bernstein(), tau0s - pencil.tau_bar
-    lo, hi = _clearance_brackets(*lines, pencil.state(xi, tau0s)[1], xi)
-    x = _bisect_many(lambda x: _tau_slope_many(pencil, x, tau0s), lo, hi)
-    tau_min = np.min([pencil.state(e, tau0s)[1] for e in (x, lo, hi)], axis=0)
-    return tau_min, _tau_lower(*lines, xi)
+    tau cot psi - 1 for all labels at once, each on the steps that hold its
+    bracket (``Pencil.reader``), the same bracket-end values and the same
+    enclosure.  lines as for deployment_parameters."""
+    lines = _Lines.of_pencil(pencil, tau0s) if lines is None else lines
+    lo, hi = _clearance_brackets(lines, pencil.state(xi, tau0s)[1], xi)
+    read = pencil.reader(lo, hi, tau0s)
+
+    def slope(x):
+        psi, tau = read(x)
+        return tau * np.cos(psi) / np.sin(psi) - 1.0
+
+    x = _bisect_many(slope, lo, hi)
+    tau_min = pencil.state(np.stack([x, lo, hi]), tau0s)[1].min(axis=0)
+    return tau_min, _tau_lower(lines, xi)
 
 
 @dataclass
@@ -377,17 +433,32 @@ def _report(tau0, xi, tau_min, tau_lower, gap, error=None) -> FeasibilityReport:
 
 def assess(sol: OdeSolution) -> FeasibilityReport:
     """Full feasibility report for the start value sol.tau0 that sol solves."""
-    xi, gap = deployment_parameter(sol)
-    return _report(sol.tau0, xi, *clearance_certificate(sol, xi), gap)
+    lines = _Lines.of_solution(sol)
+    xi, gap = deployment_parameter(sol, lines)
+    return _report(sol.tau0, xi, *clearance_certificate(sol, xi, lines), gap)
 
 
 def window_pencil(
     lo: float, hi: float, grid: int, x0: float = X0_REF, tol: float = ODE_TOL
 ) -> tuple[Pencil, np.ndarray]:
-    """The pencil centred at the window midpoint and the uniform grid of labels on it."""
+    """The pencil centred at the window midpoint and the uniform grid of labels on it.
+
+    The solve ends at the first node where g >= 0 for both end labels: g is
+    affine in the label, so every label between them has crossed by then.
+    Where an end label never crosses, it runs on to x = 1.
+    """
     if not (0.0 < lo < hi and grid >= 2):
         raise ValueError("need 0 < lo < hi and grid >= 2")
-    return integrate_pencil(0.5 * (lo + hi), x0=x0, tol=tol), np.linspace(lo, hi, grid)
+    tau_bar = 0.5 * (lo + hi)
+    d_lo, d_hi = lo - tau_bar, hi - tau_bar
+
+    def both_crossed(x, state):
+        _, t, b, _, _ = state
+        h, k = math.sin(math.pi * x), math.cos(math.pi * x)
+        return _g(t + d_lo * b, h, k) >= 0.0 and _g(t + d_hi * b, h, k) >= 0.0
+
+    pencil = integrate_pencil(tau_bar, x0=x0, tol=tol, stop=both_crossed)
+    return pencil, np.linspace(lo, hi, grid)
 
 
 def feasibility_sweep(
@@ -400,8 +471,10 @@ def feasibility_sweep(
     error row of that kind.
     """
     pencil, tau0s = window_pencil(tau0_lo, tau0_hi, grid, x0=x0, tol=tol)
-    xi, gap, error = deployment_parameters(pencil, tau0s)
+    lines = _Lines.of_pencil(pencil, tau0s)
+    xi, gap, error = deployment_parameters(pencil, tau0s, lines)
     found = ~np.isnan(xi)
     tau_min, tau_lower = np.full((2, len(xi)), math.nan)
-    tau_min[found], tau_lower[found] = clearance_minima(pencil, xi[found], tau0s[found])
+    tau_min[found], tau_lower[found] = clearance_minima(pencil, xi[found], tau0s[found],
+                                                        lines.labels(found))
     return [_report(*row) for row in zip(tau0s, xi, tau_min, tau_lower, gap, error)]

@@ -10,8 +10,9 @@ tau0 pencil solve per window (``window_pencil``), with the inspection
 integral and its tau0-derivative carried by the ODE, so the choice of tau0*
 makes no further ODE solve or quadrature call.  The optimum itself is
 certified on the scalar path: integrate, assess and total_cost with adaptive
-quadrature.  Every solve, pencil or scalar, takes the same series start x0
-and ODE tolerance tol.
+quadrature, on a solve that ends at its crossing, past which none of them
+reads.  Every solve, pencil or scalar, takes the same series start x0 and
+ODE tolerance tol.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (MaxIterations, NoCrossing, NotUnimodal, OutOfRange,
 from .feasibility import (
     FeasibilityReport,
     assess,
+    crossed,
     deployment_parameter,
     deployment_parameters,
     g_and_slope,
@@ -65,8 +67,8 @@ class OptimalSolution:
 
 
 def cost_at(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL) -> float:
-    """Total cost of the trajectory labeled tau0."""
-    sol = integrate(tau0, x0=x0, tol=tol)
+    """Total cost of the trajectory labeled tau0, solved up to its crossing."""
+    sol = integrate(tau0, x0=x0, tol=tol, stop=crossed)
     xi, _ = deployment_parameter(sol)
     return cost_mod.total_cost(sol, xi).total
 
@@ -138,7 +140,7 @@ def _probe(pencil: Pencil, tau0: float, xi: float, polished: bool = False):
     for _ in range(PROBE_NEWTON_STEPS):
         if not pencil.x0 <= xi <= pencil.x_end:
             break
-        psi, t, b, _, i_b = pencil.columns(xi).tolist()
+        psi, t, b, _, i_b = pencil.point(xi)
         tau, s = t + d * b, math.sin(math.tau * xi)
         g, g_x = g_and_slope(tau, math.cos(psi) / math.sin(psi), math.sin(math.pi * xi),
                              math.cos(math.pi * xi))
@@ -200,7 +202,7 @@ def refine_minimum(
             a, fa, xa, fb, side = m, fm, xm, fb * (0.5 if side < 0 else 1.0), -1
         else:
             b, fb, xb, fa, side = m, fm, xm, fa * (0.5 if side > 0 else 1.0), 1
-    sol = integrate(m, x0=x0, tol=tol)
+    sol = integrate(m, x0=x0, tol=tol, stop=crossed)
     certificate = assess(sol)
     if abs(certificate.xi - xm) > PROBE_XI_TOL:
         raise OutOfRange(f"xi={certificate.xi!r} at tau0*={m!r} is not the last probe's "

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from diskinspect import continuum, feasibility, optimizer
 from diskinspect.continuum import OdeSolution, integrate, integrate_pencil
@@ -141,7 +142,7 @@ class TestNewtonLeavesRange:
 
         def astray(f, a, b):
             xi = bisect(f, a, b)
-            xi[1] = 1.5  # past the solved range [x0, 1]
+            xi[1] = 1.5  # past the solved range [x0, x_end], x_end <= 1
             return xi
 
         monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, astray))
@@ -160,12 +161,13 @@ class TestNewtonLeavesRange:
         # solved range: the Newton iterate is out of its bracket
         lo, hi, grid = WINDOW_LO, WINDOW_HI, 4
         reports = feasibility_sweep(lo, hi, grid)
+        x_end = feasibility.window_pencil(lo, hi, grid)[0].x_end
         bisect = feasibility._bisect_many
 
         def astray(f, a, b):
             xi = bisect(f, a, b)
             xi[2] = b[2] + 1e-3
-            assert xi[2] < 1.0  # inside the solved range [x0, 1]
+            assert xi[2] < x_end  # inside the solved range [x0, x_end]
             return xi
 
         monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, astray))
@@ -176,9 +178,10 @@ class TestNewtonLeavesRange:
 
 
 class _DriftingPencil:
-    """pencil, except that once armed each state() call reads the label
-    tau0's tau 1e-7 higher than the call before: that row's Newton residual
-    grows while its iterates stay inside the scan bracket."""
+    """pencil, except that once armed each read, through state() or through
+    a reader(), reads the label tau0's tau 1e-7 higher than the read before:
+    that row's Newton residual grows while its iterates stay inside the
+    scan bracket."""
 
     def __init__(self, pencil, tau0):
         self.pencil = pencil
@@ -189,12 +192,24 @@ class _DriftingPencil:
     def __getattr__(self, name):
         return getattr(self.pencil, name)
 
-    def state(self, x, tau0):
-        psi, tau, integral = self.pencil.state(x, tau0)
+    def _drift(self, tau, tau0):
         if self.armed:
             tau = tau + np.where(np.asarray(tau0) == self.tau0, 1e-7 * self.calls, 0.0)
             self.calls += 1
-        return psi, tau, integral
+        return tau
+
+    def state(self, x, tau0):
+        psi, tau, integral = self.pencil.state(x, tau0)
+        return psi, self._drift(tau, tau0), integral
+
+    def reader(self, a, b, tau0):
+        read = self.pencil.reader(a, b, tau0)
+
+        def drifting(x):
+            psi, tau = read(x)
+            return psi, self._drift(tau, tau0)
+
+        return drifting
 
 
 class TestNewtonResidualGuard:
@@ -263,6 +278,82 @@ class TestGuard:
         psi = pencil.columns(xs)[0]
         assert np.all(psi > continuum.PSI_GUARD)
         assert np.all(psi < math.pi - continuum.PSI_GUARD)
+
+
+def state_rows(pencil, tau0s):
+    """(xi, gap, error, tau_min, tau_lower) of the labels tau0s as the sweeps
+    read them before the step reads: every bisection level and Newton step
+    reads through Pencil.state.  The oracle of the step reads."""
+    lines = feasibility._Lines.of_pencil(pencil, tau0s)
+    a, b, found = feasibility._brackets(lines, lambda x, i: pencil.state(x, tau0s[i])[1])
+    taus, a, b = tau0s[found], a[found], b[found]
+    xi = root = feasibility._bisect_many(lambda x: feasibility._g(
+        pencil.state(x, taus)[1], np.sin(math.pi * x), np.cos(math.pi * x)), a, b)
+    abs_g = np.full((3, len(taus)), math.nan)
+    for step in range(3):
+        inside = (xi >= a) & (xi <= b)
+        xi = np.where(inside, xi, math.nan)
+        psi, tau, _ = pencil.state(xi[inside], taus[inside])
+        x = math.pi * xi[inside]
+        g, g_x = feasibility.g_and_slope(tau, np.cos(psi) / np.sin(psi), np.sin(x), np.cos(x))
+        abs_g[step, inside] = np.abs(g)
+        xi[inside] -= g / g_x
+    ok = (xi >= a) & (xi <= b) & ~(abs_g[-1] > abs_g[0] + feasibility.NEWTON_G_SLACK)
+    out = np.full((4, len(tau0s)), math.nan)
+    out[:2, found] = np.where(ok, [xi, np.abs(xi - root)], math.nan)
+    error = np.full(tau0s.shape, "NoCrossing", dtype=object)
+    error[found] = np.where(ok, None, "OutOfRange")
+
+    xi, taus = out[0, ~np.isnan(out[0])], tau0s[~np.isnan(out[0])]
+    lines = lines.labels(~np.isnan(out[0]))
+    lo, hi = feasibility._clearance_brackets(lines, pencil.state(xi, taus)[1], xi)
+
+    def slope(x):
+        psi, tau, _ = pencil.state(x, taus)
+        return tau * np.cos(psi) / np.sin(psi) - 1.0
+
+    x = feasibility._bisect_many(slope, lo, hi)
+    out[2:, ~np.isnan(out[0])] = (np.min([pencil.state(e, taus)[1] for e in (x, lo, hi)], axis=0),
+                                  feasibility._tau_lower(lines, xi))
+    return out[0], out[1], list(error), out[2], out[3]
+
+
+def _windows(lo, hi):
+    """(lo, hi) pairs inside [lo, hi]."""
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted).filter(
+        lambda w: w[0] < w[1])
+
+
+class TestTruncatedPencil:
+    """The window pencil ends once both end labels have crossed, and the
+    sweeps read each label on its own steps: every row is the one that a
+    pencil solved to x = 1 gives when read through Pencil.state."""
+
+    @given(st.one_of(_windows(WINDOW_LO, WINDOW_HI),
+                     st.tuples(st.floats(1.6469, 1.64697), st.floats(1.64697, 1.6471)),
+                     _windows(0.5, 3.0), _windows(1e-12, 1e-3)),
+           st.integers(2, 12))
+    @example((WINDOW_LO, WINDOW_HI), 50)
+    @example((1.6469, 1.64697), 8)
+    @example((0.5, 3.0), 9)
+    @example((1e-12, 1e-3), 4)
+    def test_rows_are_the_full_pencil_rows(self, window, grid):
+        lo, hi = window
+        assume(lo < hi)
+        pencil, tau0s = feasibility.window_pencil(lo, hi, grid)
+        xi, gap, error = deployment_parameters(pencil, tau0s)
+        found = ~np.isnan(xi)
+        tau_min, tau_lower = np.full((2, grid), math.nan)
+        tau_min[found], tau_lower[found] = feasibility.clearance_minima(
+            pencil, xi[found], tau0s[found])
+        full = integrate_pencil(pencil.tau_bar)
+        ref = state_rows(full, tau0s)
+        assert list(error) == ref[2]
+        for ours, theirs in zip((xi, gap, tau_min, tau_lower), ref[:2] + ref[3:]):
+            assert np.array_equal(ours, theirs, equal_nan=True)
+        assert pencil.grid.tolist() == full.grid[:len(pencil.grid)].tolist()
+        if "NoCrossing" in ref[2]:
+            assert pencil.x_end == 1.0
 
 
 class TestQuadratureTolerances:

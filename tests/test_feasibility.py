@@ -7,8 +7,9 @@ from hypothesis import example, given, strategies as st
 
 from diskinspect import feasibility
 from diskinspect.cli import main
-from diskinspect.continuum import curve_points, integrate
-from diskinspect.errors import NoCrossing, OutOfRange
+from diskinspect.continuum import curve_points, integrate, integrate_pencil
+from diskinspect.cost import total_cost
+from diskinspect.errors import DiskInspectError, NoCrossing, OutOfRange
 from diskinspect.feasibility import (
     ENCLOSURE_SLACK,
     WINDOW_HI,
@@ -21,7 +22,7 @@ from diskinspect.feasibility import (
 )
 from diskinspect.optimizer import refine_minimum, sweep_cost
 
-from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0, crossing_only
+from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0, PUBLISHED_TAU0, crossing_only
 from scan_oracle import scan_crossing, scan_tau_min
 
 PI = math.pi
@@ -219,21 +220,22 @@ class TestStepEnclosure:
     @example(1.6469)
     @example(WINDOW_LO)
     def test_brackets_hold_the_scan_crossing(self, tau0):
-        # both paths: the bracket holds the root of the first sign change on
-        # the 10,000-point scan, and there is no bracket where the scan finds
-        # no sign change
-        sol = integrate(tau0)
+        # both paths, each solved up to its crossing: the bracket holds the
+        # root of the first sign change on the 10,000-point scan of [x0, 1],
+        # and there is no bracket where the scan finds no sign change.  The
+        # scans read solves to x = 1, whose steps up to the crossing are the
+        # same
+        sol = integrate(tau0, stop=feasibility.crossed)
         pencil, (label, _) = feasibility.window_pencil(tau0, 2.0 * tau0, 2)
-        T, B = pencil.bernstein()
-        tau = sol.bernstein()
+        full_sol, full_pencil = integrate(tau0), integrate_pencil(pencil.tau_bar)
         paths = {
             "scalar": (feasibility._brackets(
-                sol.grid, tau, np.zeros_like(tau), np.zeros(1),
-                lambda x, i: sol.values(x)[1]), lambda x: sol.values(x)[1]),
+                feasibility._Lines.of_solution(sol), lambda x, i: sol.values(x)[1]),
+                lambda x: full_sol.values(x)[1]),
             "pencil": (feasibility._brackets(
-                pencil.grid, T, B, np.array([label - pencil.tau_bar]),
+                feasibility._Lines.of_pencil(pencil, np.array([label])),
                 lambda x, i: pencil.state(x, label)[1]),
-                lambda x: pencil.state(x, label)[1]),
+                lambda x: full_pencil.state(x, label)[1]),
         }
         for name, (((a,), (b,), (found,)), tau_of) in paths.items():
             root = scan_crossing(pencil.x0, tau_of)
@@ -251,6 +253,30 @@ class TestStepEnclosure:
         with pytest.raises(NoCrossing):
             deployment_parameter(sol)
         assert feasibility_sweep(tau0, tau0 + 1e-3, 2)[0].error == "NoCrossing"
+
+
+class TestSolveToTheCrossing:
+    @given(LABELS)
+    @example(PUBLISHED_TAU0)
+    @example(1.6)  # tau(1) < 0: no crossing, so the solve runs on to x = 1
+    def test_certificate_and_cost_are_the_full_solve_ones(self, tau0):
+        # the solve that refine_minimum certifies and cost_at prices ends at
+        # its first node with g >= 0; nothing they read lies past it
+        def certify(sol):
+            # the report, then the cost; the kind of the first that raises
+            done = []
+            try:
+                done.append(assess(sol))
+                done.append(total_cost(sol, done[0].xi))
+            except DiskInspectError as exc:
+                done.append(exc.kind)
+            return done
+
+        sol, full = integrate(tau0, stop=feasibility.crossed), integrate(tau0)
+        assert certify(sol) == certify(full)
+        assert sol.grid.tolist() == full.grid[:len(sol.grid)].tolist()
+        if certify(full) == ["NoCrossing"]:
+            assert sol.x_end == 1.0
 
 
 class TestClearance:
@@ -294,12 +320,17 @@ class TestClearance:
     @pytest.mark.parametrize("lo, hi, grid", [(WINDOW_LO, WINDOW_HI, 5), (*DIVING, 2)],
                              ids=["window", "diving"])
     def test_pencil_matches_dense_minimum(self, lo, hi, grid):
+        # the oracles scan [x0, 1] on the pencil solved to x = 1, whose steps
+        # up to the window pencil's end are the same
         pencil, tau0s = feasibility.window_pencil(lo, hi, grid)
+        full = integrate_pencil(pencil.tau_bar)
         xi, _, _ = feasibility.deployment_parameters(pencil, tau0s)
         for tau0, x, m, lower in zip(tau0s, xi, *feasibility.clearance_minima(pencil, xi, tau0s)):
-            self.check(m, lower, lambda y: pencil.state(y, tau0)[1],
-                       lambda y: float(feasibility._tau_slope_many(pencil, y, tau0)),
-                       pencil.x0, x)
+            def slope_of(y, tau0=tau0):
+                psi, tau, _ = full.state(y, tau0)
+                return float(tau * np.cos(psi) / np.sin(psi) - 1.0)
+
+            self.check(m, lower, lambda y: full.state(y, tau0)[1], slope_of, pencil.x0, x)
             if tau0 in DIVING:
                 assert m == pencil.state(x, tau0)[1]
 
