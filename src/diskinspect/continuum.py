@@ -76,12 +76,13 @@ A step that ends with psi outside (PSI_GUARD, pi - PSI_GUARD) raises
 StepFailure, and so does a step whose interpolant of psi may leave that
 band between its nodes (the Bernstein enclosure of ``_check_psi_band``),
 so a solve that returns reaches x = 1, or the node where its stop test
-first holds, with psi inside the band at every x.  Only the readers that
-read nothing past the crossing stop early: the window pencil and the
-certificate solves of ``optimizer``; ``trace``, ``verify`` (with
-``self_check_init``) and ``converge`` solve on [x0, 1].  psi involves
-no label: at every start that solves and every tol up to 1e-3 it stays
-within [0.16, 1.61], and only far coarser tolerances step it out.
+first holds, with psi inside the band at every x.  Each reader stops
+where its reads end: the window pencil, the certificate solves of
+``optimizer`` and ``verify``'s solve at the crossing, ``self_check_init``'s
+two solves and ``converge``'s at their last read, x = 0.8; only ``trace``
+solves on [x0, 1].  psi involves no label: at every start that solves
+and every tol up to 1e-3 it stays within [0.16, 1.61], and only far
+coarser tolerances step it out.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ PSI_GUARD = 1e-3
 #: Series starts and integration tolerance of the two-start self-check.
 SELF_CHECK_STARTS = (1e-6, 1e-7)
 SELF_CHECK_TOL = 1e-13
+#: Abscissae the self-check compares its two solves at, ascending; each
+#: solve stops at its first node at or past the last.
+SELF_CHECK_READS = (0.1, 0.5, 0.8)
 
 
 #: Right-hand side of the (psi, tau) field: rhs(x, state) -> (psi', tau').
@@ -506,20 +510,23 @@ def curve_points(sol: OdeSolution, xs) -> np.ndarray:
 
 
 def self_check_init(tau0: float) -> float:
-    """Two-start consistency gap: max over {0.1, 0.5, 0.8} of |dpsi| + |dtau|.
+    """Two-start consistency gap: max over SELF_CHECK_READS of |dpsi| + |dtau|.
 
     Both runs integrate the SAME labeled trajectory from the series starts
     SELF_CHECK_STARTS; the gap isolates start-truncation plus solver noise.
     Run at SELF_CHECK_TOL, tighter than the production 1e-12: the tau
     equation amplifies per-step noise by ~5e4 at x=0.8, and 1e-12-tolerance
     runs differ at the 1e-6 level for reasons unrelated to initialization.
+    Each run stops at its first node at or past the last read, x = 0.8; its
+    steps up to there are those of the solve to x = 1, so the gap is too.
     """
+    last = SELF_CHECK_READS[-1]
     sol_a, sol_b = (
-        integrate(tau0, x0=x0, tol=SELF_CHECK_TOL)
+        integrate(tau0, x0=x0, tol=SELF_CHECK_TOL, stop=lambda x, _: x >= last)
         for x0 in SELF_CHECK_STARTS
     )
     gap = 0.0
-    for x in (0.1, 0.5, 0.8):
+    for x in SELF_CHECK_READS:
         va = sol_a.values(x)
         vb = sol_b.values(x)
         gap = max(gap, float(abs(va[0] - vb[0]) + abs(va[1] - vb[1])))

@@ -131,8 +131,12 @@ def first_inspection_arclengths(traj: Polyline, phis: np.ndarray) -> np.ndarray:
     per arc end bounds every arc at shifts of -2*pi, 0 and 2*pi (an arc
     that crosses the seam phi = 0 becomes two slices), and a min segment
     tree labels each angle with the smallest j whose arc covers it (see
-    _arc_labels).  In blocks of CONFIRM_BLOCK angles, that candidate is
-    confirmed with the exact dot test at the original angle and
+    _arc_labels).  The reduction is one ``np.fmod`` pass, equal to
+    ``np.mod`` bit for bit (``_reduce_angles``), and angles already in
+    ascending order once reduced, such as the midpoint grids of
+    ``oracle.average_cost_full`` and ``oracle.is_inspective``, are neither
+    argsorted nor gathered.  In blocks of CONFIRM_BLOCK angles, that
+    candidate is confirmed with the exact dot test at the original angle and
     interpolated on segment j-1 -> j as in the scalar function; where the
     test fails, j steps forward through the later vertices.  No
     vertices-by-angles matrix is built.
@@ -158,17 +162,33 @@ def first_inspection_arclengths(traj: Polyline, phis: np.ndarray) -> np.ndarray:
         return np.full(0, NEVER)
     thresh = 1.0 - VISIBILITY_SLACK
     reach = np.max(np.abs(phis), where=np.isfinite(phis), initial=0.0)
-    order = np.argsort(np.mod(phis, math.tau))
-    # reduced again, not kept from the argsort: one angle-sized array fewer
-    labels = _arc_labels(traj.vertices, np.mod(phis[order], math.tau),
-                         thresh, ARC_ANGLE_SLACK + EPS * reach)
+    red = _reduce_angles(phis)
+    # a midpoint grid is ascending once reduced: angle k sits at position k
+    order = None if np.all(red[1:] >= red[:-1]) else np.argsort(red)
+    if order is not None:
+        red = red[order]
+    labels = _arc_labels(traj.vertices, red, thresh, ARC_ANGLE_SLACK + EPS * reach)
+    del red  # the confirmation reads the original angles: free it before `out`
     out = np.full(len(phis), NEVER)
     for lo in range(0, len(phis), CONFIRM_BLOCK):
         j = labels[lo : lo + CONFIRM_BLOCK]
         covered = j < len(traj.vertices)
-        idx = order[lo : lo + CONFIRM_BLOCK][covered]
+        if order is None:
+            idx = lo + np.flatnonzero(covered)
+        else:
+            idx = order[lo : lo + CONFIRM_BLOCK][covered]
         out[idx] = _confirmed_arclengths(traj, phis[idx], j[covered], thresh)
     return out
+
+
+def _reduce_angles(phis: np.ndarray) -> np.ndarray:
+    """np.mod(phis, 2*pi) bit for bit, in one pass of np.fmod: numpy's own
+    float remainder adds the divisor to a negative fmod and turns a zero
+    remainder into +0.0."""
+    red = np.fmod(phis, math.tau)
+    red[red < 0.0] += math.tau
+    red += 0.0  # -0.0 -> +0.0
+    return red
 
 
 def _arc_labels(v: np.ndarray, red: np.ndarray, thresh: float, slack: float) -> np.ndarray:

@@ -7,11 +7,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskinspect import cli, continuum, dop853, feasibility
 from diskinspect.cli import main
+from diskinspect.refraction import forward_recursion
 
 from conftest import PUBLISHED_TAU0
 
@@ -263,6 +265,25 @@ class TestConverge:
         assert 1.6 <= data["ratio_psi"] <= 2.4
         assert 1.6 <= data["ratio_tau"] <= 2.4
 
+    def test_stopped_solve_gives_the_full_table(self, tmp_path):
+        # the solve stops at its first node past x = 0.8; the table, read on
+        # [0.1, 0.8], is the one a solve to x = 1 gives
+        assert main(["--out", str(tmp_path), "converge", "--grid", "1000"]) == 0
+        sol, rows = continuum.integrate(PUBLISHED_TAU0), []
+        for n in (1000, 2000):
+            chain = forward_recursion(PUBLISHED_TAU0, n, m=int(0.85 * n))
+            grid = np.arange(chain.m + 1) / n
+            mask = (grid >= 0.1) & (grid <= 0.8)
+            psi, tau = sol.values(grid[mask])
+            rows.append({"n": n,
+                         "sup_err_psi": float(np.max(np.abs(chain.y[mask] - psi))),
+                         "sup_err_tau": float(np.max(np.abs(chain.t[mask] - tau)))})
+        assert json.loads(read(tmp_path / "convergence.json")) == {
+            "rows": rows,
+            "ratio_psi": rows[0]["sup_err_psi"] / rows[1]["sup_err_psi"],
+            "ratio_tau": rows[0]["sup_err_tau"] / rows[1]["sup_err_tau"],
+        }
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -418,6 +439,23 @@ class TestExitCodeContract:
     def test_exit_code_in_contract(self, argv):
         assert exit_code(argv) in {0, 1, 2, 3}
 
+    @settings(max_examples=40)
+    @given(
+        st.floats(-1.0, 4.0) | st.floats(1.64697, 1.6525),
+        st.floats(-12.0, -5.0).map(lambda e: 10.0**e)
+        | st.floats(0.0, continuum.X0_MAX, exclude_min=True),
+        st.floats(-14.0, 1.0).map(lambda e: 10.0**e),
+        st.sampled_from([["verify", "--samples", "100", "--segments", "2"],
+                         ["converge", "--grid", "50"]]),
+    )
+    @example(1.648, 1e-5, 1.0, ["verify", "--samples", "100", "--segments", "2"])
+    @example(1.648, 1e-5, 1.0, ["converge", "--grid", "50"])
+    @example(1.6469, 1e-6, 1e-12, ["verify", "--samples", "100", "--segments", "2"])
+    def test_verify_and_converge_exit_codes_in_contract(self, tau0, x0, tol, command):
+        argv = ["--x0", repr(x0), "--tol-ode", repr(tol), command[0], "--tau0", repr(tau0),
+                *command[1:]]
+        assert exit_code(argv) in {0, 1, 2, 3}
+
     @pytest.mark.parametrize("tau0, code", [
         ("1.6469", 2), ("1.64697", 0), ("1.6480006647500065", 0),
     ])
@@ -443,10 +481,23 @@ NO_SCIPY_COMMANDS = [
     ["angle-bounds"],
     ["lower-bound", "--k", "200"],
 ]
-NO_SCIPY_MAIN = (
-    "import sys; sys.modules['scipy'] = None; "
-    "from diskinspect.cli import main; sys.exit(main(sys.argv[1:]))"
-)
+#: Commands that must run with every ``import numpy.random`` failing.
+NO_NUMPY_RANDOM_COMMANDS = [
+    ["verify", "--samples", "2000", "--segments", "500"],
+    ["converge"],
+]
+
+
+def run_without(module, argv, tmp_path):
+    """Run one command in a fresh interpreter where importing module fails."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (f"import sys; sys.modules[{module!r}] = None; "
+            "from diskinspect.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--out", str(tmp_path / "o"), *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestNoScipy:
@@ -455,12 +506,16 @@ class TestNoScipy:
 
     @pytest.mark.parametrize("argv", NO_SCIPY_COMMANDS, ids=lambda a: a[0])
     def test_command_runs_without_scipy(self, argv, tmp_path):
-        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        proc = subprocess.run(
-            [sys.executable, "-c", NO_SCIPY_MAIN, "--out", str(tmp_path / "o"), *argv],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        run_without("scipy", argv, tmp_path)
+
+
+class TestNoNumpyRandom:
+    """verify draws its chains with the standard library's random: no
+    command imports numpy.random."""
+
+    @pytest.mark.parametrize("argv", NO_NUMPY_RANDOM_COMMANDS, ids=lambda a: a[0])
+    def test_command_runs_without_numpy_random(self, argv, tmp_path):
+        run_without("numpy.random", argv, tmp_path)
 
 
 class TestStructuredFailures:

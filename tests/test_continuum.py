@@ -625,10 +625,42 @@ class TestPsiGuard:
             integrate_pencil(1.6497, x0=3e-6, tol=0.3)
 
 
+def full_self_check_init(tau0):
+    """self_check_init with both solves run on to x = 1: its oracle."""
+    sol_a, sol_b = (integrate(tau0, x0=x0, tol=continuum.SELF_CHECK_TOL)
+                    for x0 in continuum.SELF_CHECK_STARTS)
+    gap = 0.0
+    for x in (0.1, 0.5, 0.8):
+        va, vb = sol_a.values(x), sol_b.values(x)
+        gap = max(gap, float(abs(va[0] - vb[0]) + abs(va[1] - vb[1])))
+    return gap
+
+
 class TestSelfCheck:
     def test_two_start_gap_window(self):
         assert self_check_init(1.647) <= 1e-9
         assert self_check_init(1.6525) <= 1e-9
+
+    @pytest.mark.parametrize("tau0", [1.64697, PUBLISHED_TAU0, 1.648, 1.6497, 1.651, 1.6525, 2.0])
+    def test_stopped_solves_give_the_full_gap(self, tau0):
+        # each solve stops at its first node at or past x = 0.8, and every
+        # read lies on steps the full solve shares
+        assert self_check_init(tau0) == full_self_check_init(tau0)
+
+    def test_solves_stop_at_the_last_read(self):
+        solves = []
+        real = continuum.integrate
+
+        def spy(*args, **kwargs):
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
+
+        with mock.patch.object(continuum, "integrate", spy):
+            self_check_init(PUBLISHED_TAU0)
+        last = continuum.SELF_CHECK_READS[-1]
+        assert len(solves) == 2
+        for sol in solves:
+            assert sol.grid[-2] < last <= sol.x_end < 1.0
 
 
 class TestCurve:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from diskinspect.artifacts import write_csv
 from diskinspect.geometry import (
@@ -13,6 +13,7 @@ from diskinspect.geometry import (
     VISIBILITY_SLACK,
     Polyline,
     _arc_labels,
+    _reduce_angles,
     first_inspection_arclength,
     first_inspection_arclengths,
     inspects,
@@ -299,6 +300,42 @@ def test_arc_labels_match_painting_on_a_long_spiral():
     thresh = 1.0 - VISIBILITY_SLACK
     assert np.array_equal(_arc_labels(v, red, thresh, ARC_ANGLE_SLACK),
                           painted_labels(v, red, thresh, ARC_ANGLE_SLACK))
+
+
+#: Angles next to the reduction's edges: signed zeros, negative multiples
+#: of 2*pi and a few ulps below 0 and below 2*pi.
+REDUCTION_EDGES = [-0.0, 0.0, -math.tau, -2 * math.tau, -7 * math.tau, math.tau]
+REDUCTION_EDGES += [
+    x for edge in (0.0, math.tau, -math.tau)
+    for x in (edge, np.nextafter(edge, -math.inf), np.nextafter(np.nextafter(edge, -math.inf),
+                                                                 -math.inf))
+]
+
+
+@given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from(REDUCTION_EDGES),
+                min_size=1, max_size=40))
+@example(REDUCTION_EDGES)
+@example([-0.0, 0.0, math.tau, -1e-300, 7.0])
+def test_reduction_is_np_mod_bit_for_bit(phis):
+    phis = np.array(phis)
+    got = _reduce_angles(phis)
+    assert got.view(np.int64).tolist() == np.mod(phis, math.tau).view(np.int64).tolist()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 97, 2 * 8192 + 3]))
+def test_ascending_and_permuted_angles_agree(seed, n):
+    # an ascending array skips the sort, a permutation of it takes it; each
+    # angle's arclength is the same either way
+    rng = np.random.default_rng(seed)
+    s = np.linspace(0.0, 12.0, 400)
+    poly = Polyline((0.3 + 0.1 * s)[:, None] * np.column_stack([np.cos(s), np.sin(s)]))
+    phis = np.sort(rng.uniform(0.0, math.tau, n))
+    perm = rng.permutation(n)
+    ascending = first_inspection_arclengths(poly, phis)
+    assert first_inspection_arclengths(poly, phis[perm]).tolist() == ascending[perm].tolist()
+    some = phis[:: max(1, n // 50)].tolist()
+    assert ascending[:: max(1, n // 50)] == pytest.approx(
+        [first_inspection_arclength(poly, phi) for phi in some], abs=1e-12)
 
 
 def test_csv_round_trip(tmp_path):

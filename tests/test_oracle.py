@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from diskinspect.artifacts import write_json
-from diskinspect.feasibility import deployment_parameter
+from diskinspect.continuum import integrate
+from diskinspect.feasibility import crossed, deployment_parameter
 from diskinspect.geometry import Polyline
 from diskinspect.oracle import (
     HEURISTIC_UPPER_BOUND,
@@ -18,7 +19,7 @@ from diskinspect.oracle import (
 )
 from diskinspect.refraction import discrete_cost, shoot_theta
 
-from conftest import PUBLISHED_COST
+from conftest import PUBLISHED_COST, PUBLISHED_TAU0
 
 PI = math.pi
 
@@ -150,6 +151,17 @@ class TestAssembly:
         assert np.allclose(poly.vertices[1], [1.0, math.tan(theta)], atol=1e-9)
         # path ends near the tangent anchor below the disk
         assert np.allclose(poly.vertices[-1], [1.0, -sol_star.tau0], atol=1e-4)
+
+    @pytest.mark.parametrize("tau0", [1.64697, PUBLISHED_TAU0, 1.6497, 1.6525])
+    def test_crossing_stopped_solve_gives_the_full_path(self, tau0):
+        # verify's solve ends at its first node with g >= 0: the polyline
+        # reads the curve on [x0, xi] only, on steps the full solve shares
+        sol, full = integrate(tau0, stop=crossed), integrate(tau0)
+        assert sol.x_end < 1.0
+        xi, _ = deployment_parameter(sol)
+        assert xi == deployment_parameter(full)[0]
+        assert np.array_equal(assemble_trajectory(sol, xi, segments=997).vertices,
+                              assemble_trajectory(full, xi, segments=997).vertices)
 
     def test_json_output(self, sol_star, tmp_path):
         xi, _ = deployment_parameter(sol_star)
