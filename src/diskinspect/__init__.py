@@ -21,10 +21,10 @@ from .bounds import (
 from .continuum import (
     OdeSolution,
     Pencil,
-    SeriesInit,
     integrate,
     integrate_pencil,
     self_check_init,
+    series_start,
 )
 from .cost import CostBreakdown, full_cost_from_partial, inspection_integral, partial_cost, total_cost
 from .errors import (

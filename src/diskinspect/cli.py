@@ -139,8 +139,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("converge", help="chain-vs-ODE convergence rates")
     sp.add_argument("--tau0", type=_POSITIVE, default=HEADLINE_TAU0)
+    # below 16 the chain's angle pass, which never reads tau0, reaches an
+    # incidence angle <= 0 (AngleDomain) whatever tau0 is
     sp.add_argument("--grid", default=1000,
-                    type=_ranged(int, lambda n: n >= 5, "[5, inf)"),
+                    type=_ranged(int, lambda n: n >= 16, "[16, inf)"),
                     help="base chain resolution; the table doubles it")
     return p
 

@@ -62,8 +62,9 @@ calls, so a solve agrees with scipy's to rounding, step by step, and does
 not depend on the BLAS kernel the CPU selects.  Each accepted step's
 interpolant goes into the arrays of ``StackedDense``, whose reads repeat
 scipy's ``OdeSolution`` arithmetic (an abscissa on a step boundary goes
-to the lower segment): vectorized, in Python floats at a single point
-(``point``), and on a few steps gathered per label (``Pencil.reader``).
+to the lower segment).  ``OdeSolution`` and ``Pencil`` hold one each and
+read it alike: vectorized (``values``), in Python floats at a single
+point (``point``), and on a few steps gathered per label (``Pencil.reader``).
 Each is a degree-7 polynomial that its Bernstein coefficients enclose
 (``StackedDense.bernstein``), read by the psi band check below and by
 ``feasibility``'s certificates.
@@ -142,9 +143,8 @@ def tau_center_from_label(tau0: float) -> float:
     )
 
 
-@dataclass
-class SeriesInit:
-    """Start state at abscissa x0 for the trajectory labeled tau0.
+def series_start(tau0: float, x0: float = X0_REF) -> tuple[float, float, float]:
+    """(psi0, tau_start, tau_slope) at abscissa x0 for the trajectory labeled tau0.
 
     psi0 = psi_series(x0) is the same for every label.  At the reference
     start the tau initialization is flat (tau_start equals the label);
@@ -152,22 +152,13 @@ class SeriesInit:
     trajectory.  The transport is affine in the label, with slope
     tau_slope = d tau_start / d tau0.
     """
-
-    x0: float
-    psi0: float
-    tau_start: float
-    tau_slope: float
-
-    @classmethod
-    def for_label(cls, tau0: float, x0: float = X0_REF) -> "SeriesInit":
-        if not 0.0 < x0 <= X0_MAX:
-            raise ValueError(f"series start x0 must lie in (0, {X0_MAX:g}]")
-        if x0 == X0_REF:
-            tau_start, tau_slope = tau0, 1.0
-        else:
-            tau_start = tau_series_from_center(tau_center_from_label(tau0), x0)
-            tau_slope = (1.0 + math.pi**2 * x0 * x0) / (1.0 + math.pi**2 * X0_REF * X0_REF)
-        return cls(x0=x0, psi0=psi_series(x0), tau_start=tau_start, tau_slope=tau_slope)
+    if not 0.0 < x0 <= X0_MAX:
+        raise ValueError(f"series start x0 must lie in (0, {X0_MAX:g}]")
+    if x0 == X0_REF:
+        return psi_series(x0), tau0, 1.0
+    tau_start = tau_series_from_center(tau_center_from_label(tau0), x0)
+    tau_slope = (1.0 + math.pi**2 * x0 * x0) / (1.0 + math.pi**2 * X0_REF * X0_REF)
+    return psi_series(x0), tau_start, tau_slope
 
 
 def _check_range(x, x0: float, x_end: float):
@@ -184,22 +175,19 @@ def _check_range(x, x0: float, x_end: float):
 
 
 @dataclass
-class OdeSolution:
-    """Dense-output solution of the pair on [x0, x_end] for one tau0 label.
+class _Solved:
+    """Dense output of one solve on [x0, x_end] (``StackedDense``), with its
+    work counts: n_rhs right-hand-side evaluations and n_rejected rejected
+    step attempts."""
 
-    n_rhs and n_rejected count the solve's right-hand-side evaluations and
-    rejected step attempts; metadata() leaves them out.
-    """
-
-    tau0: float
     x0: float
-    tol: float
-    grid: np.ndarray
-    psi: np.ndarray
-    tau: np.ndarray
-    _dense: object
-    n_rhs: int = 0
-    n_rejected: int = 0
+    _dense: StackedDense
+    n_rhs: int
+    n_rejected: int
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self._dense.ts
 
     @property
     def n_steps(self) -> int:
@@ -209,23 +197,26 @@ class OdeSolution:
     def x_end(self) -> float:
         return float(self.grid[-1])
 
-    def values(self, x):
-        """(psi, tau) from dense output; scalar or vectorized."""
+    def values(self, x) -> np.ndarray:
+        """The components at abscissae x of any shape, stacked first."""
         return self._dense(_check_range(x, self.x0, self.x_end))
 
-    def point(self, x) -> tuple[float, float]:
-        """(psi, tau) at one abscissa as floats, equal to values(x)."""
+    def point(self, x) -> tuple:
+        """The components at one abscissa as floats, equal to values(x)."""
         return self._dense.point(_check_range(float(x), self.x0, self.x_end))
+
+
+@dataclass
+class OdeSolution(_Solved):
+    """Dense output of the pair (psi, tau) for one tau0 label; metadata()
+    leaves the work counts out."""
+
+    tau0: float
+    tol: float
 
     def bernstein(self) -> np.ndarray:
         """tau's Bernstein coefficients on every step (StackedDense.bernstein)."""
         return self._dense.bernstein(1)
-
-    def psi_at(self, x) -> float:
-        return self.point(x)[0]
-
-    def tau_at(self, x) -> float:
-        return self.point(x)[1]
 
     def residual(self, x: float) -> tuple[float, float]:
         """Relative defect of both equations at x.
@@ -261,21 +252,11 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (dop853.error_estimator_order + 1)
 
 
-@dataclass
-class _Run:
-    """One solve: states y (d, len(dense.ts)), interpolants and work counts."""
-
-    y: np.ndarray
-    dense: StackedDense
-    n_rhs: int
-    n_rejected: int
-
-
 def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float,
-           stop=None) -> _Run:
+           stop=None) -> tuple[StackedDense, int, int]:
     """DOP853 (rtol = atol = tol) with dense output on [x0, 1], or on [x0,
     x_end] with x_end the first accepted node where stop(x_end, state)
-    holds.
+    holds: (dense output, n_rhs, n_rejected).
 
     scipy's solve_ivp(method="DOP853", dense_output=True,
     first_step=first_step) in plain IEEE arithmetic: the same step control,
@@ -329,10 +310,9 @@ def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float,
         ys.append(y)
         if stop is not None and stop(t, y):
             break
-    ys = np.array(ys)
     dense = StackedDense(ts, ys[:-1], np.array(F).reshape(len(ts) - 1, 7, len(y)))
     _check_psi_band(dense)
-    return _Run(y=ys.T, dense=dense, n_rhs=n_rhs, n_rejected=n_rejected)
+    return dense, n_rhs, n_rejected
 
 
 def _band_exit(b: np.ndarray, s0: float, s1: float, splits: int):
@@ -387,20 +367,9 @@ def integrate(tau0: float, x0: float = X0_REF, tol: float = ODE_TOL, *,
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
-    init = SeriesInit.for_label(tau0, x0)
-    run = _solve(rhs, x0, (init.psi0, init.tau_start), tol, first_step=x0, stop=stop)
-    psi, tau = run.y
-    return OdeSolution(
-        tau0=tau0,
-        x0=x0,
-        tol=tol,
-        grid=run.dense.ts,
-        psi=psi,
-        tau=tau,
-        _dense=run.dense,
-        n_rhs=run.n_rhs,
-        n_rejected=run.n_rejected,
-    )
+    psi0, tau_start, _ = series_start(tau0, x0)
+    run = _solve(rhs, x0, (psi0, tau_start), tol, first_step=x0, stop=stop)
+    return OdeSolution(x0, *run, tau0=tau0, tol=tol)
 
 
 #: Right-hand side of the pencil field (psi, Tbar, B, I_Tbar, I_B).
@@ -414,38 +383,16 @@ _rhs_pencil = dop853.Field(("psi", "t", "b", "i_t", "i_b"), """
 
 
 @dataclass
-class Pencil:
-    """Dense output of every labeled trajectory at once, on [x0, x_end].
+class Pencil(_Solved):
+    """Dense output of every labeled trajectory at once.
 
-    Columns (psi, Tbar, B, I_Tbar, I_B): the trajectory labeled tau0 has
+    Components (psi, Tbar, B, I_Tbar, I_B): the trajectory labeled tau0 has
     tau = Tbar + (tau0 - tau_bar) * B and inspection integral
     I = I_Tbar + (tau0 - tau_bar) * I_B, where
     I(x) = int_x0^x 2*pi*s*tau(s)/sin(psi(s)) ds; psi is shared by all labels.
-    n_rhs and n_rejected are the solve's work counts, as on OdeSolution.
     """
 
     tau_bar: float
-    x0: float
-    grid: np.ndarray
-    _dense: object
-    n_rhs: int = 0
-    n_rejected: int = 0
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.grid) - 1
-
-    @property
-    def x_end(self) -> float:
-        return float(self.grid[-1])
-
-    def columns(self, x) -> np.ndarray:
-        """(psi, Tbar, B, I_Tbar, I_B) at abscissae x of any shape, stacked first."""
-        return self._dense(_check_range(x, self.x0, self.x_end))
-
-    def point(self, x) -> tuple:
-        """(psi, Tbar, B, I_Tbar, I_B) at one abscissa as floats, equal to columns(x)."""
-        return self._dense.point(_check_range(float(x), self.x0, self.x_end))
 
     def state(self, x, tau0):
         """(psi, tau, I) at abscissae x for labels tau0.
@@ -454,7 +401,7 @@ class Pencil:
         give every label on a shared grid, equal shapes one abscissa per
         label.  psi keeps the shape of x.
         """
-        psi, t, b, it, ib = self.columns(x)
+        psi, t, b, it, ib = self.values(x)
         d = np.asarray(tau0, dtype=float) - self.tau_bar
         return psi, t + d * b, it + d * ib
 
@@ -488,17 +435,9 @@ def integrate_pencil(tau_bar: float, x0: float = X0_REF, tol: float = ODE_TOL, *
     """
     if tau_bar <= 0.0:
         raise ValueError("tau0 must be positive")
-    init = SeriesInit.for_label(tau_bar, x0)
-    y0 = (init.psi0, init.tau_start, init.tau_slope, 0.0, 0.0)
-    run = _solve(_rhs_pencil, x0, y0, tol, first_step=x0, stop=stop)
-    return Pencil(
-        tau_bar=tau_bar,
-        x0=x0,
-        grid=run.dense.ts,
-        _dense=run.dense,
-        n_rhs=run.n_rhs,
-        n_rejected=run.n_rejected,
-    )
+    run = _solve(_rhs_pencil, x0, (*series_start(tau_bar, x0), 0.0, 0.0), tol,
+                 first_step=x0, stop=stop)
+    return Pencil(x0, *run, tau_bar=tau_bar)
 
 
 def curve_points(sol: OdeSolution, xs) -> np.ndarray:

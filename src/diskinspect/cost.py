@@ -48,12 +48,7 @@ class CostBreakdown:
     theta: float
 
 
-def inspection_integral(
-    sol: OdeSolution,
-    xi: float,
-    rtol: float = QUAD_RTOL,
-    atol: float = QUAD_ATOL,
-) -> float:
+def inspection_integral(sol: OdeSolution, xi: float) -> float:
     """Quadrature of 2*pi*x*tau(x)/sin(psi(x)) over [0, xi].
 
     The integrand extends continuously by 0 at x=0; on [0, x0] it is below
@@ -64,7 +59,7 @@ def inspection_integral(
     interpolant is one polynomial per step, so the integrand is smooth on
     each.  The value is the finer rule's; the sum over the segments of the
     two rules' differences is its error estimate.  While that exceeds
-    max(atol, rtol * |value|), every segment is halved, at most
+    max(QUAD_ATOL, QUAD_RTOL * |value|), every segment is halved, at most
     QUAD_HALVINGS times (only the long steps of a coarse solve need it);
     then QuadratureNoConverge is raised.  The contract is the tolerance
     pair, not the rule.
@@ -82,12 +77,12 @@ def inspection_integral(
         fine = half * (f[:, GAUSS_NODES:] @ _WEIGHTS_2N)
         value = float(fine.sum())
         error = float(np.abs(fine - coarse).sum())
-        if error <= max(atol, rtol * abs(value)):
+        if error <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
             return value
         edges = np.append(np.stack([edges[:-1], mid], axis=1).ravel(), edges[-1])
     raise QuadratureNoConverge(
         f"integral error estimate {error:.3e} over {len(half)} segments exceeds "
-        f"max(atol={atol:.3g}, rtol={rtol:.3g} * |{value:.6g}|)"
+        f"max(atol={QUAD_ATOL:.3g}, rtol={QUAD_RTOL:.3g} * |{value:.6g}|)"
     )
 
 

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 
 class DiskInspectError(Exception):
-    """Base class for all pipeline failures."""
+    """Base class for all pipeline failures; kind is the class name."""
 
     kind = "DiskInspectError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__
 
     def payload(self) -> dict:
         return {"kind": self.kind, "message": str(self)}
@@ -22,8 +26,6 @@ class TriangleDegenerate(DiskInspectError):
     Carries the first offending step index rather than clamping, so
     convergence studies see the violation instead of corrupted data.
     """
-
-    kind = "TriangleDegenerate"
 
     def __init__(self, index: int, value: float, bound: float):
         super().__init__(
@@ -38,8 +40,6 @@ class TriangleDegenerate(DiskInspectError):
 class AngleDomain(DiskInspectError):
     """Chain step produced a non-positive incidence angle x_i."""
 
-    kind = "AngleDomain"
-
     def __init__(self, index: int, value: float):
         super().__init__(
             f"incidence angle x[{index}]={value:.6g} is not positive; "
@@ -52,25 +52,17 @@ class AngleDomain(DiskInspectError):
 class StepFailure(DiskInspectError):
     """Adaptive integrator could not proceed under its error control."""
 
-    kind = "StepFailure"
-
 
 class OutOfRange(DiskInspectError):
     """Evaluation abscissa outside the stored solution range."""
-
-    kind = "OutOfRange"
 
 
 class NoCrossing(DiskInspectError):
     """Curve never returns to the vertical line x=1: infeasible start value."""
 
-    kind = "NoCrossing"
-
 
 class XiOutOfRange(DiskInspectError):
     """Deployment parameter outside (1/2, 1]: the three-term cost is undefined."""
-
-    kind = "XiOutOfRange"
 
 
 class CostDiverges(DiskInspectError):
@@ -78,25 +70,17 @@ class CostDiverges(DiskInspectError):
     rounds to 0, for a deployment angle theta within about 1.5e-8 of pi/2
     (xi as close to 1/2)."""
 
-    kind = "CostDiverges"
-
 
 class QuadratureNoConverge(DiskInspectError):
     """Quadrature error estimate exceeds the requested tolerance."""
-
-    kind = "QuadratureNoConverge"
 
 
 class NotUnimodal(DiskInspectError):
     """Sweep data shows multiple local minima inside the refinement bracket."""
 
-    kind = "NotUnimodal"
-
 
 class EmptySweep(DiskInspectError):
     """Every row of a sweep is an error row: there is no value to report."""
-
-    kind = "EmptySweep"
 
 
 class WindowViolated(DiskInspectError):
@@ -110,15 +94,10 @@ class WindowViolated(DiskInspectError):
     a proven minimum.
     """
 
-    kind = "WindowViolated"
-
 
 class MaxIterations(DiskInspectError):
-    """Solver hit its iteration cap; best iterate and residual are attached."""
+    """Solver hit its iteration cap; the best iterate is attached."""
 
-    kind = "MaxIterations"
-
-    def __init__(self, message: str, iterate=None, residual: float | None = None):
+    def __init__(self, message: str, iterate=None):
         super().__init__(message)
         self.iterate = iterate
-        self.residual = residual

@@ -44,8 +44,9 @@ are the lines Tbar_c + (tau0 - tau_bar) B_c, bounded for all labels and
 steps at once (``_Lines``, one solve is the pencil B = 0) and shared by
 the crossing and the clearance.  The bisections and Newton steps read
 every label at once, each on the one to three steps that hold its
-bracket, gathered once (``Pencil.reader``).  The scalar functions stay
-the reference the sweeps are tested against.
+bracket, gathered once (``Pencil.reader``); the scalar functions read
+their one solve in plain floats (``OdeSolution.point``) and stay the
+reference the sweeps are tested against.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def deployment_parameter(sol: OdeSolution, lines: _Lines | None = None) -> tuple
         )
     a, b = float(a), float(b)
     xi = root = _bisect_root(
-        lambda x: _g(sol.tau_at(x), math.sin(math.pi * x), math.cos(math.pi * x)), a, b)
+        lambda x: _g(sol.point(x)[1], math.sin(math.pi * x), math.cos(math.pi * x)), a, b)
     gvals = []
     for _ in range(3):
         _check_polish_bracket(sol, xi, a, b)
@@ -310,10 +311,10 @@ def clearance_certificate(sol: OdeSolution, xi: float,
     clearance_from_tau.  lines as for deployment_parameter."""
     lines = _Lines.of_solution(sol) if lines is None else lines
     xis = np.array([xi])
-    (lo,), (hi,) = _clearance_brackets(lines, sol.tau_at(xi), xis)
+    (lo,), (hi,) = _clearance_brackets(lines, sol.point(xi)[1], xis)
     lo, hi = float(lo), float(hi)
     x = _bisect_root(lambda x: _tau_slope(sol, x), lo, hi)
-    return (min(sol.tau_at(x), sol.tau_at(lo), sol.tau_at(hi)),
+    return (min(sol.point(x)[1], sol.point(lo)[1], sol.point(hi)[1]),
             float(_tau_lower(lines, xis)[0]))
 
 

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from diskinspect import cost as cost_mod
 from diskinspect.bounds import (
     analytic_lower_bound,
     analytic_lower_bound_derivative,
@@ -276,7 +277,7 @@ class TestCriterion7Identities:
         worst = 0.0
         for x in rng.uniform(1e-6, 1.0, 100):
             pt = curve_points(sol_star, [x])[0]
-            tau = sol_star.tau_at(float(x))
+            tau = sol_star.point(float(x))[1]
             worst = max(worst, abs(pt @ pt - (1.0 + tau * tau)))
         report("criterion-7 |T|^2 = 1 + tau^2 within 1e-10", worst <= 1e-10,
                f"worst={worst:.2e}")
@@ -340,10 +341,12 @@ class TestCriterion9Robustness:
         report("criterion-9 two-start initialization gap <= 1e-9", worst <= 1e-9,
                f"worst={worst:.2e}")
 
-    def test_quadrature_halving(self, sol_star):
+    def test_quadrature_halving(self, sol_star, monkeypatch):
         xi, _ = deployment_parameter(sol_star)
         a = inspection_integral(sol_star, xi)
-        b = inspection_integral(sol_star, xi, rtol=5e-13, atol=5e-15)
+        monkeypatch.setattr(cost_mod, "QUAD_RTOL", 5e-13)
+        monkeypatch.setattr(cost_mod, "QUAD_ATOL", 5e-15)
+        b = inspection_integral(sol_star, xi)
         report("criterion-9 quadrature tolerance-halving drift <= 1e-10",
                abs(a - b) <= 1e-10, f"drift={abs(a - b):.2e}")
 

@@ -54,16 +54,8 @@ def row_solution(pencil, tau0):
         psi, tau, _ = pencil.state(x, tau0)
         return np.stack([psi, tau])
 
-    psi, tau = dense(pencil.grid)
-    return OdeSolution(
-        tau0=tau0,
-        x0=pencil.x0,
-        tol=continuum.ODE_TOL,
-        grid=pencil.grid,
-        psi=psi,
-        tau=tau,
-        _dense=dense,
-    )
+    dense.ts = pencil.grid
+    return OdeSolution(pencil.x0, dense, 0, 0, tau0=tau0, tol=continuum.ODE_TOL)
 
 
 def assert_reports_match(reports, lo, hi, grid, **kwargs):
@@ -275,7 +267,7 @@ class TestGuard:
         assert pencil.x_end == 1.0
         t = np.linspace(0.0, 1.0, 21)
         xs = (pencil.grid[:-1, None] + t * np.diff(pencil.grid)[:, None]).ravel()
-        psi = pencil.columns(xs)[0]
+        psi = pencil.values(xs)[0]
         assert np.all(psi > continuum.PSI_GUARD)
         assert np.all(psi < math.pi - continuum.PSI_GUARD)
 

@@ -265,6 +265,10 @@ class TestConverge:
         assert 1.6 <= data["ratio_psi"] <= 2.4
         assert 1.6 <= data["ratio_tau"] <= 2.4
 
+    def test_smallest_grid_runs(self, tmp_path):
+        # 16 is the smallest base grid whose chain's angle pass completes
+        assert main(["--out", str(tmp_path), "converge", "--grid", "16"]) == 0
+
     def test_stopped_solve_gives_the_full_table(self, tmp_path):
         # the solve stops at its first node past x = 0.8; the table, read on
         # [0.1, 0.8], is the one a solve to x = 1 gives
@@ -338,11 +342,13 @@ class TestUsage:
         ["verify", "--samples", "200", "--segments", "1"],
         ["converge", "--tau0", "-1"],
         ["converge", "--grid", "4"],
+        ["converge", "--grid", "15"],
         ["--seed", "-1", "verify"],
     ], ids=["sweep-cost", "optimize", "sweep-feasibility", "tau0-lo", "trace",
             "verify", "x0-above", "x0-zero", "x0-subnormal", "tol-ode",
             "tol-ode-below-floor", "trace-tau0", "trace-tau0-inf", "verify-tau0",
-            "verify-segments", "converge-tau0", "converge-grid", "seed"])
+            "verify-segments", "converge-tau0", "converge-grid", "converge-grid-15",
+            "seed"])
     def test_bad_numeric_flag_exits_1(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(["--out", str(tmp_path), *argv])
@@ -456,6 +462,28 @@ class TestExitCodeContract:
                 *command[1:]]
         assert exit_code(argv) in {0, 1, 2, 3}
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["optimize", "sweep-feasibility", "sweep-cost"]),
+        st.floats(-1.0, 4.0) | st.floats(1.64, 1.66),
+        st.floats(-1.0, 4.0) | st.floats(1.64, 1.66),
+        st.integers(1, 6),
+    )
+    @example("optimize", 0.05, 4.0, 3)
+    @example("sweep-feasibility", 1.6469, 1.64697, 4)
+    @example("sweep-cost", 1e-12, 1e-3, 4)
+    def test_window_commands_exit_codes_in_contract(self, command, lo, hi, grid):
+        argv = [command, "--tau0-lo", repr(lo), "--tau0-hi", repr(hi), "--grid", str(grid)]
+        assert exit_code(argv) in {0, 1, 2, 3}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-0.1, 1.6), st.integers(4, 300), st.integers(0, 6))
+    @example(0.6, 6, 3)
+    @example(1.5707963267948, 100, 2)
+    def test_lower_bound_sweep_exit_codes_in_contract(self, theta, k, grid):
+        argv = ["lower-bound", "--theta", repr(theta), "--k", str(k), "--grid", str(grid)]
+        assert exit_code(argv) in {0, 1, 2, 3}
+
     @pytest.mark.parametrize("tau0, code", [
         ("1.6469", 2), ("1.64697", 0), ("1.6480006647500065", 0),
     ])
@@ -473,14 +501,17 @@ def failure_kind(argv, tmp_path, capsys):
     return rc, json.loads(captured.out)["error"]["kind"], captured.err
 
 
-#: Commands that must run with every ``import scipy`` failing.
-NO_SCIPY_COMMANDS = [
-    ["trace", "--tau0", "1.6475"],
-    ["optimize", "--grid", "50"],
-    ["verify", "--samples", "20000", "--segments", "2000"],
-    ["angle-bounds"],
-    ["lower-bound", "--k", "200"],
-]
+#: Commands that must run with every ``import scipy`` failing, by test id.
+NO_SCIPY_COMMANDS = {
+    "trace": ["trace", "--tau0", "1.6475"],
+    "optimize": ["optimize", "--grid", "50"],
+    "verify": ["verify", "--samples", "20000", "--segments", "2000"],
+    "angle-bounds": ["angle-bounds"],
+    "lower-bound": ["lower-bound", "--k", "200"],
+    "sweep-feasibility": ["sweep-feasibility", "--grid", "50"],
+    "sweep-cost": ["sweep-cost", "--grid", "50"],
+    "lower-bound-sweep": ["lower-bound", "--k", "200", "--grid", "5"],
+}
 #: Commands that must run with every ``import numpy.random`` failing.
 NO_NUMPY_RANDOM_COMMANDS = [
     ["verify", "--samples", "2000", "--segments", "500"],
@@ -504,7 +535,7 @@ class TestNoScipy:
     """scipy is a test dependency only: the commands run in an interpreter
     where importing it fails."""
 
-    @pytest.mark.parametrize("argv", NO_SCIPY_COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("argv", NO_SCIPY_COMMANDS.values(), ids=NO_SCIPY_COMMANDS)
     def test_command_runs_without_scipy(self, argv, tmp_path):
         run_without("scipy", argv, tmp_path)
 

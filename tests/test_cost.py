@@ -32,8 +32,12 @@ def adaptive_quadrature(sol, xi, **kwargs):
     """scipy's adaptive Gauss-Kronrod quadrature of the inspection integrand,
     an oracle independent of the library's rule."""
     quad = pytest.importorskip("scipy.integrate").quad
-    return quad(lambda x: 2.0 * PI * x * sol.tau_at(x) / math.sin(sol.psi_at(x)),
-                sol.x0, xi, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, **kwargs)[0]
+
+    def integrand(x):
+        psi, tau = sol.point(x)
+        return 2.0 * PI * x * tau / math.sin(psi)
+
+    return quad(integrand, sol.x0, xi, epsabs=QUAD_ATOL, epsrel=QUAD_RTOL, **kwargs)[0]
 
 
 class TestInspectionIntegral:
@@ -53,10 +57,12 @@ class TestInspectionIntegral:
         exact = 2.0 * PI * xi * tau / math.sin(psi)
         assert abs(fd - exact) / abs(exact) <= 1e-6
 
-    def test_tolerance_halving_drift(self, sol_star):
+    def test_tolerance_halving_drift(self, sol_star, monkeypatch):
         xi, _ = deployment_parameter(sol_star)
         a = inspection_integral(sol_star, xi)
-        b = inspection_integral(sol_star, xi, rtol=5e-13, atol=5e-15)
+        monkeypatch.setattr(cost_mod, "QUAD_RTOL", 5e-13)
+        monkeypatch.setattr(cost_mod, "QUAD_ATOL", 5e-15)
+        b = inspection_integral(sol_star, xi)
         assert abs(a - b) <= 1e-10
 
     def test_increasing_in_xi(self, sol_star):
@@ -86,11 +92,13 @@ class TestInspectionIntegral:
         with pytest.raises(QuadratureNoConverge):
             inspection_integral(sol, xi)
 
-    def test_unmeetable_tolerance_raises(self, sol_star):
+    def test_unmeetable_tolerance_raises(self, sol_star, monkeypatch):
         # rounding alone puts the error estimate far above 1e-20 relative
         xi, _ = deployment_parameter(sol_star)
+        monkeypatch.setattr(cost_mod, "QUAD_RTOL", 1e-20)
+        monkeypatch.setattr(cost_mod, "QUAD_ATOL", 0.0)
         with pytest.raises(QuadratureNoConverge, match="error estimate"):
-            inspection_integral(sol_star, xi, rtol=1e-20, atol=0.0)
+            inspection_integral(sol_star, xi)
 
 
 class TestTotalCost:

@@ -67,22 +67,34 @@ class TestDeploymentParameter:
 
 
 class _DriftingPolish:
-    """sol, except that each point() read after the first reads tau 1e-7
-    higher: the Newton polish's residual grows while it stays inside the
-    scan bracket.  The scan and the bisections are untouched."""
+    """sol, except that once armed each point() read after the first reads
+    tau 1e-7 higher: the Newton polish's residual grows while it stays
+    inside the crossing bracket.  It is armed once the crossing bisection
+    returns (``arm_after``), so the brackets and the bisection read sol."""
 
     def __init__(self, sol):
         self.sol = sol
-        self.calls = 0
+        self.calls = None
 
     def __getattr__(self, name):
         return getattr(self.sol, name)
 
     def point(self, x):
         psi, tau = self.sol.point(x)
-        tau += 1e-7 * self.calls
-        self.calls += 1
+        if self.calls is not None:
+            tau += 1e-7 * self.calls
+            self.calls += 1
         return psi, tau
+
+    def arm_after(self, bisect):
+        """bisect, which arms the drift as it returns."""
+
+        def armed(f, a, b):
+            root = bisect(f, a, b)
+            self.calls = 0
+            return root
+
+        return armed
 
 
 class TestNewtonPolishGuard:
@@ -98,9 +110,12 @@ class TestNewtonPolishGuard:
         with pytest.raises(OutOfRange, match="left the crossing bracket"):
             deployment_parameter(sol_star)
 
-    def test_growing_residual_raises(self, sol_star):
+    def test_growing_residual_raises(self, sol_star, monkeypatch):
+        drifting = _DriftingPolish(sol_star)
+        monkeypatch.setattr(feasibility, "_bisect_root",
+                            drifting.arm_after(feasibility._bisect_root))
         with pytest.raises(OutOfRange, match="raised"):
-            deployment_parameter(_DriftingPolish(sol_star))
+            deployment_parameter(drifting)
 
     def test_trace_exits_2(self, tmp_path, monkeypatch, capsys):
         self.astray(monkeypatch)
@@ -249,7 +264,7 @@ class TestStepEnclosure:
         # tau(1) < 0: g(1) = T1(1) - 1 is exactly 0 but reads -|tau| 2.4e-16,
         # so the last step's end is no bracket, and no earlier step rises
         sol = integrate(tau0)
-        assert sol.tau_at(1.0) < 0.0
+        assert sol.point(1.0)[1] < 0.0
         with pytest.raises(NoCrossing):
             deployment_parameter(sol)
         assert feasibility_sweep(tau0, tau0 + 1e-3, 2)[0].error == "NoCrossing"
@@ -295,7 +310,7 @@ class TestClearance:
         sol = integrate(tau0)
         xi, _ = deployment_parameter(sol)
         tau_min, _ = clearance_certificate(sol, xi)
-        assert tau_min == sol.tau_at(xi)
+        assert tau_min == sol.point(xi)[1]
         assert tau_min <= sol.values(np.linspace(sol.x0, xi, 200_001))[1].min()
 
     @staticmethod
