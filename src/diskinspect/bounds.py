@@ -16,9 +16,9 @@ Two mechanisms, both composed through ``full_cost_from_partial``:
   t_k = tan(theta) fixed, minimize sum_i ((i-1)/k)*|A_i - A_{i-1}|.  The
   objective is a nonnegative combination of norms of affine maps, so any
   feasible point with zero projected gradient is globally optimal.  By
-  Fermat's principle the minimizer is a refraction chain, computed by the
-  backward tangent recursion of `refraction.anchored_chain`; the
-  certificate is the projected-gradient residual at it, not a duality gap.
+  Fermat's principle the minimizer is a refraction chain (the tangents of
+  `refraction.anchored_pass`); the certificate is the projected-gradient
+  residual at it, not a duality gap, read with the objective in one pass.
 
 Exceeding the prior upper bound 3.5509015 on both flanks pins the window.
 """
@@ -32,7 +32,7 @@ import numpy as np
 
 from .cost import full_cost_from_partial
 from .errors import WindowViolated
-from .refraction import anchored_chain
+from .refraction import anchored_pass
 
 #: Best previously reported average-cost upper bound; both window margins
 #: are measured against it.
@@ -46,6 +46,8 @@ THETA_HI = 1.148
 PG_CERTIFICATE_TOL = 1e-8
 #: Smallest chain the convex program accepts.
 MIN_K = 5
+#: Smallest chain of a sweep, whose first angle theta = 0 needs k >= 19.
+SWEEP_MIN_K = 19
 
 
 def analytic_lower_bound(theta: float) -> float:
@@ -80,34 +82,22 @@ class NlpSolution:
     iterations: int = 0
 
 
-def _chain_geometry(theta: float, k: int):
-    idx = np.arange(k + 1)
-    phi = 2.0 * math.pi - (math.pi - theta) * 2.0 * idx / k
-    p = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    u = np.stack([np.sin(phi), -np.cos(phi)], axis=1)
-    w = (np.arange(1, k + 1) - 1.0) / k
-    return p, u, w
+def chain_lengths_and_gradient(theta: float, t: np.ndarray, w: np.ndarray):
+    """Lengths |A_i - A_{i-1}| and the gradient of sum_i w_i*|A_i - A_{i-1}| over t_0..t_k,
+    A_i = (cos phi_i + t_i*sin phi_i, sin phi_i - t_i*cos phi_i), phi_i = 2*pi - 2*(pi - theta)*i/k.
 
-
-def _objective(t, p, u, w) -> float:
-    a = p + t[:, None] * u
-    d = np.linalg.norm(a[1:] - a[:-1], axis=1)
-    return float(np.dot(w, d))
-
-
-def _gradient(t, p, u, w) -> np.ndarray:
-    """Gradient of the objective over the full t vector.
-
-    Consecutive points on the feasible set are distinct (the tangent rays
-    meet only where one parameter is negative), so every norm is smooth.
-    """
-    a = p + t[:, None] * u
-    diff = a[1:] - a[:-1]
-    unit = diff / np.linalg.norm(diff, axis=1)[:, None]
-    grad = np.zeros(len(t))
-    grad[1:] += w * np.einsum("ij,ij->i", unit, u[1:])
-    grad[:-1] -= w * np.einsum("ij,ij->i", unit, u[:-1])
-    return grad
+    Feasible points are distinct (the tangent rays meet only where one
+    parameter is negative), so every length is smooth."""
+    k = len(t) - 1
+    phi = 2.0 * math.pi - (math.pi - theta) * 2.0 * np.arange(k + 1) / k
+    cos, sin = np.cos(phi), np.sin(phi)
+    dx, dy = np.diff(cos + t * sin), np.diff(sin - t * cos)
+    d = np.sqrt(dx * dx + dy * dy)
+    ux, uy = dx / d, dy / d
+    grad = np.zeros(k + 1)
+    grad[1:] += w * (ux * sin[1:] - uy * cos[1:])
+    grad[:-1] -= w * (ux * sin[:-1] - uy * cos[:-1])
+    return d, grad
 
 
 def nlp_lower_bound(theta: float, k: int) -> NlpSolution:
@@ -116,7 +106,7 @@ def nlp_lower_bound(theta: float, k: int) -> NlpSolution:
     Segment i carries weight (i-1)/k, so from A_1 on the weights are a
     refraction chain's speeds shifted by one index, and t_0 (weight zero)
     is free.  The minimizer is therefore the (k-1)-step chain of step
-    2*(pi - theta)/k anchored at tan(theta) (`refraction.anchored_chain`)
+    2*(pi - theta)/k anchored at tan(theta) (`refraction.anchored_pass`)
     on A_1..A_k, with t_0 set to t_1.  The certificate is independent of
     that derivation: t >= 0 and a projected gradient below
     PG_CERTIFICATE_TOL, which by convexity make the objective the global
@@ -128,17 +118,18 @@ def nlp_lower_bound(theta: float, k: int) -> NlpSolution:
         raise ValueError("theta must lie in [0, pi/2)")
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
-    chain = anchored_chain(theta, k, k - 1).t
-    t = np.concatenate([chain[:1], chain])
-    p, u, w = _chain_geometry(theta, k)
-    grad = _gradient(t, p, u, w)[:k]  # t_k is pinned; t_0's entry is 0
+    *_, chain = anchored_pass(theta, k, k - 1)
+    t = np.array(chain[:1] + chain)
+    w = (np.arange(1, k + 1) - 1.0) / k
+    d, grad = chain_lengths_and_gradient(theta, t, w)
+    grad = grad[:k]  # t_k is pinned; t_0's entry is 0
     pg = float(np.max(np.where(t[:k] > 0.0, np.abs(grad), np.maximum(0.0, -grad))))
     if not (pg <= PG_CERTIFICATE_TOL and np.min(t) >= 0.0):
         raise WindowViolated(
             f"chain at theta={theta!r}, k={k} fails its certificate: "
             f"projected gradient {pg:.3e}, min t {np.min(t):.3e}"
         )
-    obj = _objective(t, p, u, w)
+    obj = float(np.dot(w, d))
     return NlpSolution(
         theta=theta,
         k=k,

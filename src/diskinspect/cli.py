@@ -359,6 +359,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "tau0_lo") and not args.tau0_lo < args.tau0_hi:
         parser.error(f"--tau0-lo {args.tau0_lo!r} must be below --tau0-hi {args.tau0_hi!r}")
+    if args.command == "lower-bound" and args.grid is not None and args.k < bounds_mod.SWEEP_MIN_K:
+        parser.error(f"--grid needs --k >= {bounds_mod.SWEEP_MIN_K}: the sweep starts at theta = 0")
     formats = {f.strip() for f in args.format.split(",") if f.strip()}
     if not formats <= {"json", "csv", "svg"}:
         print(f"error: unknown format in {sorted(formats)}", file=sys.stderr)

@@ -136,32 +136,39 @@ def forward_recursion(tau0: float, n: int, m: int | None = None) -> DiscreteTraj
     return DiscreteTrajectory(n=n, alpha=alpha, tau0=tau0, x=xs, y=ys, t=ts, d=ds)
 
 
-def anchored_chain(theta: float, k: int, m: int) -> DiscreteTrajectory:
-    """m-step chain of step alpha = 2*(pi - theta)/k that ends at t_m = tan(theta).
-
-    The angles run forward, then t and d_i = (t_i + c)*sin(alpha)/sin(y_{i-1})
-    backward from t_m, c = tan(alpha/2).  The backward factor
-    sin(x_i)/sin(y_{i-1}) is below 1 since 0 < x_i = y_{i-1} - alpha and
-    y_{i-1} <= pi/2, so rounding errors shrink, t_m is tan(theta) exactly and
-    every t_{i-1} exceeds c: no triangle degenerates.  An angle recursion
-    that does not complete raises AngleDomain.
-    """
+def anchored_pass(theta: float, k: int, m: int):
+    """alpha = 2*(pi - theta)/k and the lists x, y and t_0..t_m of `anchored_chain`."""
     alpha = 2.0 * (math.pi - theta) / k
     xs, ys, bad = _angle_pass(alpha, m)
     if bad is not None:
         raise bad
     c = math.tan(alpha / 2.0)
-    sx, sy = list(map(math.sin, xs)), list(map(math.sin, ys))
-    ts = [0.0] * (m + 1)
-    ts[m] = t = math.tan(theta)
-    for i in range(m, 0, -1):
-        t = ts[i - 1] = (t + c) * sx[i] / sy[i - 1] + c
-    t_arr = np.array(ts)
-    # the loop's d_i = (t_i + c)*sin(alpha)/sin(y_{i-1}), elementwise
-    ds = np.concatenate([[math.nan], (t_arr[1:] + c) * math.sin(alpha) / np.array(sy[:-1])])
+    t = math.tan(theta)
+    ts = [t]
+    # i = m .. 1: sin(x_i) and sin(y_{i-1})
+    for sx, sy in zip(map(math.sin, xs[:0:-1]), map(math.sin, ys[-2::-1])):
+        t = (t + c) * sx / sy + c
+        ts.append(t)
+    ts.reverse()
+    return alpha, xs, ys, ts
+
+
+def anchored_chain(theta: float, k: int, m: int) -> DiscreteTrajectory:
+    """m-step chain of step alpha = 2*(pi - theta)/k that ends at t_m = tan(theta).
+
+    The angles run forward, then t (`anchored_pass`) and d_i =
+    (t_i + c)*sin(alpha)/sin(y_{i-1}) backward from t_m, c = tan(alpha/2).
+    The backward factor sin(x_i)/sin(y_{i-1}) is below 1 since
+    0 < x_i = y_{i-1} - alpha and y_{i-1} <= pi/2, so rounding errors shrink,
+    t_m is tan(theta) exactly and every t_{i-1} exceeds c: no triangle
+    degenerates.  An angle recursion that does not complete raises AngleDomain.
+    """
+    alpha, xs, ys, ts = anchored_pass(theta, k, m)
+    t = np.array(ts)
+    sy = np.array(list(map(math.sin, ys[:-1])))
+    d = np.concatenate([[math.nan], (t[1:] + math.tan(alpha / 2.0)) * math.sin(alpha) / sy])
     return DiscreteTrajectory(
-        n=k, alpha=alpha, tau0=t, x=np.array(xs), y=np.array(ys), t=t_arr, d=ds,
-        theta=theta,
+        n=k, alpha=alpha, tau0=ts[0], x=np.array(xs), y=np.array(ys), t=t, d=d, theta=theta,
     )
 
 

@@ -2,23 +2,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diskinspect import bounds as bounds_mod
 from diskinspect.bounds import (
     REFERENCE_UPPER_BOUND,
     THETA_LO,
-    _chain_geometry,
-    _objective,
     analytic_lower_bound,
     analytic_lower_bound_derivative,
+    chain_lengths_and_gradient,
     nlp_lower_bound,
     nlp_sweep,
     theta_window,
 )
 from diskinspect.cli import main
 from diskinspect.cost import full_cost_from_partial
-from diskinspect.errors import AngleDomain, CostDiverges, WindowViolated
+from diskinspect.errors import AngleDomain, CostDiverges, DiskInspectError, WindowViolated
+from diskinspect.refraction import anchored_chain
+
+from chain_oracle import anchored_chain_reference, chain_geometry, nlp_reference
 
 PI = math.pi
 EPS = float(np.finfo(float).eps)
@@ -45,6 +47,14 @@ class TestAnalyticBound:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             analytic_lower_bound(PI / 2)
+
+
+def _workload_examples(test):
+    """The benchmark's 11-angle sweep at k = 1000 (its last angle is
+    angle-bounds' 0.52), and both sides of the angle pass's edge at theta = 0."""
+    for theta in np.linspace(0.0, THETA_LO, 11):
+        test = example(float(theta), 1000)(test)
+    return example(0.0, 19)(example(0.0, 18)(test))
 
 
 class TestNlpLowerBound:
@@ -79,8 +89,11 @@ class TestNlpLowerBound:
         # smallest chain whose angle recursion completes at theta = 0.6
         theta, k = 0.6, 12
         sol = nlp_lower_bound(theta, k)
-        p, u, w = _chain_geometry(theta, k)
+        p, _, w = chain_geometry(theta, k)
         cos, sin = p[:, 0].tolist(), p[:, 1].tolist()
+
+        def objective(t):
+            return float(np.dot(w, chain_lengths_and_gradient(theta, t, w)[0]))
 
         def near(t, j, v):
             # the weighted lengths of the two segments at point j, the only
@@ -115,12 +128,12 @@ class TestNlpLowerBound:
         best = math.inf
         for _ in range(50):
             t = np.concatenate([rng.uniform(0.0, 3.0, k), [math.tan(theta)]])
-            cur = _objective(t, p, u, w)
+            cur = objective(t)
             for _ in range(600):
                 for j in range(k):
                     tl = t.tolist()
                     t[j] = golden(lambda v: near(tl, j, v), 0.0, 12.0)
-                new = _objective(t, p, u, w)
+                new = objective(t)
                 if cur - new < 1e-15:
                     break
                 cur = new
@@ -128,16 +141,18 @@ class TestNlpLowerBound:
         assert sol.objective == pytest.approx(best, abs=1e-7)
 
     def test_objective_convex_midpoints(self):
-        from diskinspect.bounds import _chain_geometry, _objective
+        w = (np.arange(1, 51) - 1.0) / 50
 
-        p, u, w = _chain_geometry(THETA_LO, 50)
+        def objective(t):
+            return float(np.dot(w, chain_lengths_and_gradient(THETA_LO, t, w)[0]))
+
         tk = math.tan(THETA_LO)
         rng = np.random.default_rng(3)
         for _ in range(100):
             ta = np.concatenate([rng.uniform(0, 3, 50), [tk]])
             tb = np.concatenate([rng.uniform(0, 3, 50), [tk]])
-            mid = _objective(0.5 * (ta + tb), p, u, w)
-            assert mid <= 0.5 * (_objective(ta, p, u, w) + _objective(tb, p, u, w)) + 1e-12
+            mid = objective(0.5 * (ta + tb))
+            assert mid <= 0.5 * (objective(ta) + objective(tb)) + 1e-12
 
     @pytest.mark.slow
     def test_sweep_decreasing_and_above_reference(self, bound_sweep):
@@ -151,14 +166,14 @@ class TestNlpLowerBound:
     def test_perturbed_chain_fails_the_certificate(self, monkeypatch):
         # nudging one t of the minimizing chain by 1e-6 lifts the projected
         # gradient far above PG_CERTIFICATE_TOL
-        anchored = bounds_mod.anchored_chain
+        anchored = bounds_mod.anchored_pass
 
         def perturbed(theta, k, m):
-            chain = anchored(theta, k, m)
-            chain.t[m // 2] += 1e-6
-            return chain
+            alpha, xs, ys, ts = anchored(theta, k, m)
+            ts[m // 2] += 1e-6
+            return alpha, xs, ys, ts
 
-        monkeypatch.setattr(bounds_mod, "anchored_chain", perturbed)
+        monkeypatch.setattr(bounds_mod, "anchored_pass", perturbed)
         with pytest.raises(WindowViolated, match="fails its certificate"):
             nlp_lower_bound(THETA_LO, 1000)
 
@@ -181,16 +196,46 @@ class TestNlpLowerBound:
             sol = nlp_lower_bound(theta, k)
         except AngleDomain:
             return
+        except CostDiverges:
+            # within about 1.5e-8 of pi/2, where 1 - sin(theta) rounds to 0
+            assert math.sin(theta) == 1.0
+            return
         assert sol.t[-1] == math.tan(theta)
         assert np.all(sol.t >= 0.0)
         # the gradient reads unit vectors off differences of points of size
         # about 1, so it cannot resolve below about eps/d for the shortest
         # segment d; that floor passes 1e-12 only near theta = 0 at k in the
         # thousands, where the last segments shrink to about 5e-5
-        p, u, _ = _chain_geometry(theta, k)
-        a = p + sol.t[:, None] * u
-        d_min = float(np.min(np.linalg.norm(np.diff(a, axis=0), axis=1)))
+        w = (np.arange(1, k + 1) - 1.0) / k
+        d_min = float(np.min(chain_lengths_and_gradient(theta, sol.t, w)[0]))
         assert sol.kkt_residual <= max(1e-12, 64.0 * EPS / d_min)
+
+    @given(st.floats(0.0, PI / 2, exclude_max=True), st.integers(5, 3000))
+    @_workload_examples
+    def test_matches_the_stacked_formulation(self, theta, k):
+        # bit for bit against the chain arrays and the (k+1, 2) stacks the
+        # bound was first computed with, so no artifact moves
+        try:
+            t, objective, pg, composed = nlp_reference(theta, k)
+        except (AngleDomain, CostDiverges, WindowViolated) as exc:
+            with pytest.raises(DiskInspectError) as err:
+                nlp_lower_bound(theta, k)
+            assert err.type is type(exc)
+        else:
+            sol = nlp_lower_bound(theta, k)
+            assert np.array_equal(sol.t, t)
+            assert (sol.objective, sol.kkt_residual, sol.composed_bound) == (
+                objective, pg, composed)
+        try:
+            arrays = anchored_chain_reference(theta, k, k)
+        except AngleDomain:
+            with pytest.raises(AngleDomain):
+                anchored_chain(theta, k, k)
+        else:
+            chain = anchored_chain(theta, k, k)
+            for got, want in zip((chain.x, chain.y, chain.t, chain.d), arrays):
+                assert np.array_equal(got, want, equal_nan=True)
+            assert chain.tau0 == arrays[2][0]
 
     def test_csv_format(self, tmp_path):
         rc = main(["--out", str(tmp_path), "--format", "csv",

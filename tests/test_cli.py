@@ -154,6 +154,14 @@ class TestLowerBound:
         assert len(lines) == 7
         assert (out / "lower_bound_sweep.svg").exists()
 
+    def test_coarsest_sweep_exits_0(self, tmp_path):
+        # the sweep starts at theta = 0, where k = 19 is the coarsest chain
+        # whose angle pass completes (k = 18 is a usage error)
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--format", "csv",
+                   "lower-bound", "--k", "19", "--grid", "2"])
+        assert rc == 0
+        assert len(read(out / "lower_bound_sweep.csv").splitlines()) == 3
 
     def test_too_coarse_chain_exits_2(self, tmp_path, capsys):
         # k = 6 at theta = 0.6 cannot complete the angle recursion
@@ -344,11 +352,13 @@ class TestUsage:
         ["converge", "--grid", "4"],
         ["converge", "--grid", "15"],
         ["--seed", "-1", "verify"],
+        ["lower-bound", "--k", "18", "--grid", "3"],
+        ["lower-bound", "--k", "5", "--grid", "1", "--theta", "1.5"],
     ], ids=["sweep-cost", "optimize", "sweep-feasibility", "tau0-lo", "trace",
             "verify", "x0-above", "x0-zero", "x0-subnormal", "tol-ode",
             "tol-ode-below-floor", "trace-tau0", "trace-tau0-inf", "verify-tau0",
             "verify-segments", "converge-tau0", "converge-grid", "converge-grid-15",
-            "seed"])
+            "seed", "lower-bound-sweep-k", "lower-bound-sweep-k-5"])
     def test_bad_numeric_flag_exits_1(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(["--out", str(tmp_path), *argv])

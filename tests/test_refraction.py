@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diskinspect import refraction
-from diskinspect.bounds import _chain_geometry, _gradient
+from diskinspect.bounds import chain_lengths_and_gradient
 from diskinspect.errors import AngleDomain, TriangleDegenerate
 from diskinspect.refraction import (
     DiscreteTrajectory,
@@ -174,8 +174,7 @@ class TestShootTheta:
         # stationary for the upper weights i/(k+1), t_0 included: the
         # rounding floor is eps/d for the shortest segment d, as for the
         # lower-bound program
-        p, u, _ = _chain_geometry(theta, k)
-        grad = _gradient(traj.t, p, u, np.arange(1, k + 1) / (k + 1.0))
+        grad = chain_lengths_and_gradient(theta, traj.t, np.arange(1, k + 1) / (k + 1.0))[1]
         d_min = float(np.min(traj.d[1:]))
         assert np.max(np.abs(grad[:k])) <= max(1e-12, 64.0 * EPS / d_min)
 
