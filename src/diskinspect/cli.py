@@ -293,12 +293,7 @@ def cmd_verify(args, out: Path, formats) -> int:
         theta = rng.uniform(0.45, 1.1)
         k = rng.randrange(60, 400)
         chain = shoot_theta(theta, k)
-        # seam angle 0 == 2*pi excluded: tangent to both endpoint vertices,
-        # its visibility time is rounding-ambiguous; the counting identity
-        # values it at the full chain length
-        phis = 2 * math.pi - (math.pi - theta) * 2 * np.arange(1, k + 1) / k
-        got = oracle_mod.exact_angle_cost(chain.chain_polyline(), phis)
-        mean = (got.mean_cost * k + got.trajectory_length) / (k + 1)
+        mean, _ = oracle_mod.chain_upper_cost(chain)
         worst = max(worst, abs(mean - discrete_cost(chain, "UPPER")))
     checks["exact_angle_vs_formula"] = {"worst_difference": worst, "pass": worst <= 1e-9}
     two_start = self_check_init(args.tau0)

@@ -75,9 +75,10 @@ across the region where psi's Jacobian -1/(x sin^2 psi) is near -1/x0,
 and lose up to 8x in tau at x = 0.8.
 A step that ends with psi outside (PSI_GUARD, pi - PSI_GUARD) raises
 StepFailure, and so does a step whose interpolant of psi may leave that
-band between its nodes (the Bernstein enclosure of ``_check_psi_band``),
-so a solve that returns reaches x = 1, or the node where its stop test
-first holds, with psi inside the band at every x.  Each reader stops
+band between its nodes (the Bernstein enclosure of ``_check_psi_band``,
+halved by ``dop853.first_piece`` where it is loose), so a solve that
+returns reaches x = 1, or the node where its stop test first holds, with
+psi inside the band at every x.  Each reader stops
 where its reads end: the window pencil, the certificate solves of
 ``optimizer`` and ``verify``'s solve at the crossing, ``self_check_init``'s
 two solves and ``converge``'s at their last read, x = 0.8; only ``trace``
@@ -315,35 +316,23 @@ def _solve(field: dop853.Field, x0: float, y0, tol: float, first_step: float,
     return dense, n_rhs, n_rejected
 
 
-def _band_exit(b: np.ndarray, s0: float, s1: float, splits: int):
-    """The first piece [s0, s1] of a step, at most `splits` halvings deep,
-    whose Bernstein coefficients b of psi do not all lie inside the guard
-    band, with b; None when every piece's do."""
-    if np.all((b > PSI_GUARD) & (b < math.pi - PSI_GUARD)):
-        return None
-    if splits == 0:
-        return s0, s1, b
-    mid = (s0 + s1) / 2
-    left, right = dop853.split(b, 0.5)
-    return (_band_exit(left, s0, mid, splits - 1)
-            or _band_exit(right, mid, s1, splits - 1))
-
-
 def _check_psi_band(dense: StackedDense) -> None:
     """StepFailure unless psi's interpolant stays in (PSI_GUARD, pi - PSI_GUARD)
     on every step.
 
     psi's Bernstein coefficients (``StackedDense.bernstein``) enclose it on
-    each step.  A step whose enclosure leaves the band is halved by de
-    Casteljau, up to dop853.HALVINGS times, so that an enclosure that is
-    merely loose passes; a piece at that depth that still leaves the band
-    fails the solve.  NaN fails too.
+    each step.  A step whose enclosure leaves the band is walked by
+    ``dop853.first_piece``, so that an enclosure that is merely loose
+    passes; a piece at full depth that still leaves the band fails the
+    solve.  NaN fails too.
     """
     bern = dense.bernstein(0)
     inside = (bern.min(axis=1) > PSI_GUARD) & (bern.max(axis=1) < math.pi - PSI_GUARD)
     for k in np.flatnonzero(~inside).tolist():
         t_old, h = float(dense.t_old[k]), float(dense.h[k])
-        exit_ = _band_exit(bern[k], 0.0, 1.0, dop853.HALVINGS)
+        exit_ = dop853.first_piece(
+            bern[k], 0.0, 1.0, lambda b, *_: np.all((b > PSI_GUARD) & (b < math.pi - PSI_GUARD)),
+            lambda _lo, _hi, depth: depth == 0)
         if exit_ is not None:
             s0, s1, b = exit_
             raise StepFailure(

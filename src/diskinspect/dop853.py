@@ -22,6 +22,9 @@ once (``StepReads``).  Its
 ``bernstein`` turns each step's interpolant into its degree-7 Bernstein
 coefficients (``BERNSTEIN``), whose hull encloses the interpolant on the
 step, and ``split`` cuts an enclosure at any s by de Casteljau.
+``first_piece`` walks the halves of an enclosure, depth first, to the
+first piece that it cannot clear, at most HALVINGS deep: the one
+subdivision policy of the psi band check and the crossing search.
 """
 
 from __future__ import annotations
@@ -282,7 +285,8 @@ BERNSTEIN = _bernstein_matrix()
 
 
 #: de Casteljau halvings of a step before an enclosure that cannot decide
-#: is taken as it stands, by the psi band check and the crossing search.
+#: is taken as it stands, by ``first_piece`` for the psi band check and
+#: the crossing search.
 HALVINGS = 4
 
 
@@ -297,6 +301,23 @@ def split(b, s) -> tuple[np.ndarray, np.ndarray]:
         left.append(b[0])
         right.append(b[-1])
     return np.array(left), np.array(right[::-1])
+
+
+def first_piece(b, lo, hi, clear, take, depth=HALVINGS):
+    """The first piece (lo, hi, b) of [lo, hi], on which b are Bernstein
+    coefficients, where clear(b, lo, hi) is false and take(lo, hi, depth)
+    is true; None where there is none.  A piece that is neither clear nor
+    taken is halved by ``split``, left before right, while depth > 0."""
+    if clear(b, lo, hi):
+        return None
+    if take(lo, hi, depth):
+        return lo, hi, b
+    if depth == 0:
+        return None
+    mid = 0.5 * (lo + hi)
+    left, right = split(b, 0.5)
+    return (first_piece(left, lo, mid, clear, take, depth - 1)
+            or first_piece(right, mid, hi, clear, take, depth - 1))
 
 
 def horner(x, t_old, h, rows):

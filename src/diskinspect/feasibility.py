@@ -16,13 +16,13 @@ The crossing.  The steps are walked in order, and one whose bound of
 g = T1 - 1 (``_g_bound``) is below 0 is skipped.  The bracket is the
 first step, or piece of one, that the bound cannot exclude and whose
 right end reads g >= 0; a piece whose right end reads g < 0 is halved by
-de Casteljau, at most dop853.HALVINGS times, and passed over at that
-depth.  NoCrossing means that there is no bracket.  T1(1) = 1, so the
-last step is never excluded; its end reads the rounding noise of g(1),
-which has the sign of tau(1).  g ~ -2 pi x (tau + pi x) < 0 at the start
-while tau > 0, so the first rise is the first return to x = 1; a small
-tau0, whose tau falls below -pi x just past the start, crosses there and
-is infeasible.  Bisecting the bracket and a Newton polish give xi.
+``dop853.first_piece`` and passed over at its full depth.  NoCrossing
+means that there is no bracket.  T1(1) = 1, so the last step is never
+excluded; its end reads the rounding noise of g(1), which has the sign
+of tau(1).  g ~ -2 pi x (tau + pi x) < 0 at the start while tau > 0, so
+the first rise is the first return to x = 1; a small tau0, whose tau
+falls below -pi x just past the start, crosses there and is infeasible.
+Bisecting the bracket and a Newton polish give xi.
 
 The clearance.  tau_min is the root of tau' = 2 pi (tau cot psi - 1),
 bisected between the neighbours of the smallest tau among the step nodes
@@ -174,22 +174,6 @@ class _Lines:
                       self.hi[which], self.slack[which])
 
 
-def _open_piece(b: np.ndarray, x_lo, x_hi, slack, g_at, depth: int):
-    """The first piece of [x_lo, x_hi], on which tau has the Bernstein
-    coefficients b, that _g_bound cannot exclude and whose right end reads
-    g_at >= 0, halving at most depth times; None where there is none."""
-    if _g_bound(b.min(), b.max(), x_lo, x_hi, slack) < 0.0:
-        return None
-    if g_at(x_hi) >= 0.0:
-        return x_lo, x_hi
-    if depth == 0:
-        return None
-    mid = 0.5 * (x_lo + x_hi)
-    left, right = dop853.split(b, 0.5)
-    return (_open_piece(left, x_lo, mid, slack, g_at, depth - 1)
-            or _open_piece(right, mid, x_hi, slack, g_at, depth - 1))
-
-
 def _brackets(lines: _Lines, tau_at):
     """The crossing bracket of every label of lines: (a, b, found) arrays.
     tau_at(x, i) reads label i's tau at the float x, and tau_at(x,
@@ -209,10 +193,12 @@ def _brackets(lines: _Lines, tau_at):
         def g_at(x):
             return _g(tau_at(x, i), math.sin(math.pi * x), math.cos(math.pi * x))
         for k in np.flatnonzero(open_[i]).tolist():
-            piece = _open_piece(T[k] + d[i] * B[k], float(ts[k]), float(ts[k + 1]),
-                                slack[i, k], g_at, dop853.HALVINGS)
+            piece = dop853.first_piece(
+                T[k] + d[i] * B[k], float(ts[k]), float(ts[k + 1]),
+                lambda c, lo, hi: _g_bound(c.min(), c.max(), lo, hi, slack[i, k]) < 0.0,
+                lambda _lo, hi, _depth: g_at(hi) >= 0.0)
             if piece is not None:
-                (a[i], b[i]), found[i] = piece, True
+                (a[i], b[i], _), found[i] = piece, True
                 break
     return a, b, found
 
@@ -454,9 +440,8 @@ def window_pencil(
     d_lo, d_hi = lo - tau_bar, hi - tau_bar
 
     def both_crossed(x, state):
-        _, t, b, _, _ = state
-        h, k = math.sin(math.pi * x), math.cos(math.pi * x)
-        return _g(t + d_lo * b, h, k) >= 0.0 and _g(t + d_hi * b, h, k) >= 0.0
+        psi, t, b, _, _ = state
+        return crossed(x, (psi, t + d_lo * b)) and crossed(x, (psi, t + d_hi * b))
 
     pencil = integrate_pencil(tau_bar, x0=x0, tol=tol, stop=both_crossed)
     return pencil, np.linspace(lo, hi, grid)

@@ -25,8 +25,7 @@ import numpy as np
 from . import cost as cost_mod
 from .bounds import THETA_HI, THETA_LO
 from .continuum import ODE_TOL, X0_REF, Pencil, integrate
-from .errors import (MaxIterations, NoCrossing, NotUnimodal, OutOfRange,
-                     WindowViolated, XiOutOfRange)
+from .errors import MaxIterations, NotUnimodal, OutOfRange, WindowViolated, XiOutOfRange
 from .feasibility import (
     FeasibilityReport,
     assess,

@@ -17,6 +17,7 @@ import numpy as np
 from .continuum import OdeSolution, curve_points
 from .feasibility import deployment_angle
 from .geometry import Polyline, first_inspection_arclengths
+from .refraction import DiscreteTrajectory
 
 #: Worst-case inspection optimum (tangent + arc + final leg construction);
 #: any inspective path must cost at least this much at its worst angle.
@@ -87,6 +88,27 @@ def exact_angle_cost(traj: Polyline, phis: np.ndarray) -> OracleResult:
     rounding.
     """
     return _collect(traj, np.asarray(phis, dtype=float) % math.tau)
+
+
+def chain_upper_cost(chain: DiscreteTrajectory) -> tuple[float, OracleResult]:
+    """The UPPER weighted length of a theta-anchored k-step chain
+    (``refraction.discrete_cost``), rebuilt from first-visibility times at
+    its k + 1 tangency angles 2*pi - (pi - theta)*2*i/k, i = 0..k, and the
+    OracleResult of the k seam-free angles i >= 1.
+
+    The target at the seam angle 2*pi == 0 is tangent to BOTH endpoint
+    vertices of the chain (dot = 1 exactly on the line x = 1), so its
+    first-visibility time flips between 0 and the full length with the
+    sign of the anchoring rounding error.  The counting identity charges
+    it the full chain length; the other k targets are measured
+    geometrically and combined exactly:
+
+        mean = (sum of k seam-free times + chain length) / (k + 1)
+    """
+    k = chain.m
+    phis = 2 * math.pi - (math.pi - chain.theta) * 2 * np.arange(1, k + 1) / k
+    res = exact_angle_cost(chain.chain_polyline(), phis)
+    return (res.mean_cost * k + res.trajectory_length) / (k + 1), res
 
 
 def is_inspective(traj: Polyline, resolution: int) -> bool:

@@ -119,16 +119,14 @@ def _run_chain(tau0: float, alpha: float, m: int) -> tuple[np.ndarray, ...]:
     return np.array(xs), np.array(ys), np.array(ts), np.array(ds)
 
 
-def forward_recursion(tau0: float, n: int, m: int | None = None) -> DiscreteTrajectory:
-    """Run the chain from t_0 = tau0 with full-circle step alpha = 2*pi/n.
+def forward_recursion(tau0: float, n: int, m: int) -> DiscreteTrajectory:
+    """Run the chain from t_0 = tau0 for m <= n steps of alpha = 2*pi/n.
 
-    ``m`` caps the number of steps (default n).  Requires
-    tau0 > tan(alpha/2); domain violations raise with the offending index.
+    Requires tau0 > tan(alpha/2); domain violations raise with the
+    offending index.
     """
     if n < 5:
         raise ValueError("perimeter resolution n must be at least 5")
-    if m is None:
-        m = n
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     alpha = math.tau / n

@@ -28,7 +28,7 @@ from diskinspect.bounds import (
 from diskinspect.continuum import curve_points, integrate, self_check_init
 from diskinspect.cost import full_cost_from_partial, inspection_integral, total_cost
 from diskinspect.feasibility import deployment_parameter
-from diskinspect.oracle import assemble_trajectory, average_cost_full, exact_angle_cost
+from diskinspect.oracle import assemble_trajectory, average_cost_full, chain_upper_cost
 from diskinspect.refraction import (
     discrete_cost,
     forward_recursion,
@@ -180,20 +180,15 @@ class TestCriterion4Endpoints:
 
 class TestCriterion5Oracle:
     def test_exact_angle_equivalence(self):
-        # the target at the seam angle 0 == 2*pi is tangent to both chain
-        # endpoints (both sit on the line x=1), so its visibility time is
-        # ill-posed at rounding level; the k seam-free targets are measured
-        # geometrically and the seam enters with its counting-identity
-        # value (the full chain length), keeping the comparison exact
+        # the seam target enters with its counting-identity value
+        # (oracle.chain_upper_cost), keeping the comparison exact
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(20):
             theta = float(rng.uniform(0.45, 1.1))
             k = int(rng.integers(60, 400))
             chain = shoot_theta(theta, k)
-            phis = 2.0 * PI - (PI - theta) * 2.0 * np.arange(1, k + 1) / k
-            res = exact_angle_cost(chain.chain_polyline(), phis)
-            mean = (res.mean_cost * k + res.trajectory_length) / (k + 1)
+            mean, _ = chain_upper_cost(chain)
             worst = max(worst, abs(mean - discrete_cost(chain, "UPPER")))
         report("criterion-5a exact-angle oracle = weighted formula within 1e-9",
                worst <= 1e-9, f"worst={worst:.2e}")

@@ -58,6 +58,12 @@ def _workload_examples(test):
 
 
 class TestNlpLowerBound:
+    @pytest.mark.parametrize("theta, k", [(-0.1, 100), (PI / 2, 100),
+                                          (0.5, bounds_mod.MIN_K - 1)])
+    def test_out_of_domain_raises(self, theta, k):
+        with pytest.raises(ValueError):
+            nlp_lower_bound(theta, k)
+
     def test_certificates_at_window_edge(self):
         sol = nlp_lower_bound(THETA_LO, 1000)
         assert sol.kkt_residual <= 1e-12
@@ -257,3 +263,12 @@ class TestThetaWindow:
         assert report["theta_hi"] == 1.148
         assert report["margins"]["at_hi"] == pytest.approx(0.00258, abs=5e-5)
         assert report["margins"]["at_lo"] > 0.0
+
+    @pytest.mark.parametrize("flank", ["at_lo", "at_hi"])
+    def test_zero_margin_raises(self, monkeypatch, flank):
+        # a reference bound equal to one flank's bound leaves that margin 0
+        bound = {"at_lo": nlp_lower_bound(THETA_LO, 1000).composed_bound,
+                 "at_hi": analytic_lower_bound(bounds_mod.THETA_HI)}[flank]
+        monkeypatch.setattr(bounds_mod, "REFERENCE_UPPER_BOUND", bound)
+        with pytest.raises(WindowViolated, match="margins must be positive"):
+            theta_window(k=1000)

@@ -98,11 +98,32 @@ class TestSweeps:
             points = svg.split('<polyline points="')[1].split('"')[0]
             assert len(points.split()) == 4
 
+    def test_single_good_row_charts(self, tmp_path):
+        # at the cliff only the last of 8 rows crosses: each chart has one
+        # point, and its flat x and y ranges are widened to 1
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--format", "svg", "sweep-feasibility",
+                   "--tau0-lo", "1.6469", "--tau0-hi", "1.64697", "--grid", "8"])
+        assert rc == 2
+        svg = read(out / "sweep_xi.svg")
+        assert "nan" not in svg and "inf" not in svg
+        assert len(svg.split('<polyline points="')[1].split('"')[0].split()) == 1
+
     def test_sweep_cost_small(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["--out", str(out), "sweep-cost", "--grid", "4"])
         assert rc == 0
         assert len(read(out / "cost_sweep.csv").splitlines()) == 5
+
+    def test_sweep_cost_chart_reruns_byte_identical(self, tmp_path):
+        charts = []
+        for name in ("a", "b"):
+            rc = main(["--out", str(tmp_path / name), "--format", "svg",
+                       "sweep-cost", "--grid", "4"])
+            assert rc == 0
+            assert not (tmp_path / name / "cost_sweep.csv").exists()
+            charts.append((tmp_path / name / "sweep_cost.svg").read_bytes())
+        assert charts[0].startswith(b"<svg") and charts[0] == charts[1]
 
     def test_jobs_flag_still_parses(self, tmp_path):
         out = tmp_path / "o"
@@ -511,52 +532,38 @@ def failure_kind(argv, tmp_path, capsys):
     return rc, json.loads(captured.out)["error"]["kind"], captured.err
 
 
-#: Commands that must run with every ``import scipy`` failing, by test id.
+#: Commands that must run with every ``import scipy`` and ``import
+#: numpy.random`` failing, by test id.
 NO_SCIPY_COMMANDS = {
     "trace": ["trace", "--tau0", "1.6475"],
     "optimize": ["optimize", "--grid", "50"],
     "verify": ["verify", "--samples", "20000", "--segments", "2000"],
     "angle-bounds": ["angle-bounds"],
     "lower-bound": ["lower-bound", "--k", "200"],
+    "verify-small": ["verify", "--samples", "2000", "--segments", "500"],
+    "converge": ["converge"],
     "sweep-feasibility": ["sweep-feasibility", "--grid", "50"],
     "sweep-cost": ["sweep-cost", "--grid", "50"],
     "lower-bound-sweep": ["lower-bound", "--k", "200", "--grid", "5"],
+    "sweep-feasibility-svg": ["--format", "svg", "sweep-feasibility", "--grid", "50"],
 }
-#: Commands that must run with every ``import numpy.random`` failing.
-NO_NUMPY_RANDOM_COMMANDS = [
-    ["verify", "--samples", "2000", "--segments", "500"],
-    ["converge"],
-]
-
-
-def run_without(module, argv, tmp_path):
-    """Run one command in a fresh interpreter where importing module fails."""
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = (f"import sys; sys.modules[{module!r}] = None; "
-            "from diskinspect.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "--out", str(tmp_path / "o"), *argv],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestNoScipy:
-    """scipy is a test dependency only: the commands run in an interpreter
-    where importing it fails."""
+    """scipy is a test dependency only, and verify draws its chains with
+    the standard library's random: every command runs in a fresh
+    interpreter where importing scipy or numpy.random fails."""
 
     @pytest.mark.parametrize("argv", NO_SCIPY_COMMANDS.values(), ids=NO_SCIPY_COMMANDS)
     def test_command_runs_without_scipy(self, argv, tmp_path):
-        run_without("scipy", argv, tmp_path)
-
-
-class TestNoNumpyRandom:
-    """verify draws its chains with the standard library's random: no
-    command imports numpy.random."""
-
-    @pytest.mark.parametrize("argv", NO_NUMPY_RANDOM_COMMANDS, ids=lambda a: a[0])
-    def test_command_runs_without_numpy_random(self, argv, tmp_path):
-        run_without("numpy.random", argv, tmp_path)
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = ('import sys; sys.modules["scipy"] = sys.modules["numpy.random"] = None; '
+                "from diskinspect.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "--out", str(tmp_path / "o"), *argv],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestStructuredFailures:

@@ -100,12 +100,15 @@ class TestIntegrate:
         assert abs(tau10 - tau12) <= 5e-6
 
     def test_invalid_tau0(self):
-        with pytest.raises(ValueError):
-            integrate(-1.0)
+        for solve, tau0 in ((integrate, -1.0), (integrate_pencil, 0.0), (integrate_pencil, -1.0)):
+            with pytest.raises(ValueError, match="tau0 must be positive"):
+                solve(tau0)
 
     def test_out_of_range(self, sol_star):
         with pytest.raises(OutOfRange):
             sol_star.point(1.5)
+        with pytest.raises(OutOfRange, match="central difference"):
+            sol_star.residual(sol_star.x_end)
         with pytest.raises(OutOfRange):
             sol_star.values(1e-8)
 
@@ -344,6 +347,28 @@ class TestStackedDense:
             halves[1].insert(0, level[-1])
         for ours, ref in zip(dop853.split(b, 0.5), halves):
             assert_same_bits(ours, ref)
+
+    def test_first_piece_walks_left_first(self):
+        def never(*_):
+            return False
+
+        def at_full_depth(_lo, _hi, depth):
+            return depth == 0
+
+        # nothing clears a constant: the first piece at depth 4 is [0, 1/16]
+        lo, hi, b = dop853.first_piece(np.ones(8), 0.0, 1.0, never, at_full_depth)
+        assert (lo, hi) == (0.0, 0.0625) and np.array_equal(b, np.ones(8))
+        # s^7 clears a piece whose largest coefficient, hi^7, is below 1/2;
+        # hi >= 2^(-1/7) = 0.906 first on [0.875, 0.9375]
+        lo, hi, b = dop853.first_piece(np.eye(8)[7], 0.0, 1.0,
+                                       lambda c, *_: c.max() < 0.5, at_full_depth)
+        assert (lo, hi) == (0.875, 0.9375)
+        assert b[0] == pytest.approx(lo**7) and b[-1] == pytest.approx(hi**7)
+        # a piece is taken before it is halved, and at depth 0 as well
+        assert dop853.first_piece(np.ones(8), 0.0, 1.0, never,
+                                  lambda _lo, hi, _depth: hi <= 0.5)[:2] == (0.0, 0.5)
+        assert dop853.first_piece(np.ones(8), 0.0, 1.0, never, never) is None
+        assert dop853.first_piece(np.ones(8), 0.0, 1.0, lambda *_: True, at_full_depth) is None
 
 
 def _log_uniform(lo, hi):

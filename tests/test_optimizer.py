@@ -187,6 +187,27 @@ class TestSlopeRefinement:
         with pytest.raises(OutOfRange, match="root other than the first"):
             refine_minimum(WINDOW_LO, WINDOW_HI, grid=50)
 
+    def test_fallback_out_of_range_raises(self, monkeypatch, tmp_path, capsys):
+        # the bracket's left end has no crossing, so its probe starts at
+        # xi = NaN, outside [x0, x_end], and falls back to
+        # deployment_parameters on that label alone: an OutOfRange there
+        # must surface, not read as the cliff's slope -inf
+        batch = optimizer.deployment_parameters
+
+        def out_of_range_alone(pencil, taus, lines=None):
+            xi, gap, error = batch(pencil, taus, lines)
+            if len(taus) == 1:
+                error[:] = OutOfRange.kind
+            return xi, gap, error
+
+        monkeypatch.setattr(optimizer, "deployment_parameters", out_of_range_alone)
+        with pytest.raises(OutOfRange, match="Newton polish of the label tau0=1.6469366666666667 "):
+            refine_minimum(1.6469, 1.64701, grid=4)
+        rc = main(["--out", str(tmp_path), "optimize", "--tau0-lo", "1.6469",
+                   "--tau0-hi", "1.64701", "--grid", "4"])
+        assert rc == 2
+        assert '"kind": "OutOfRange"' in capsys.readouterr().out
+
     def test_probe_cap_raises(self, monkeypatch):
         monkeypatch.setattr(optimizer, "REFINE_MAX_PROBES", 5)
         with pytest.raises(MaxIterations):

@@ -14,6 +14,7 @@ from diskinspect.oracle import (
     assemble_trajectory,
     average_cost_full,
     average_cost_partial,
+    chain_upper_cost,
     exact_angle_cost,
     is_inspective,
 )
@@ -78,22 +79,10 @@ class TestFullOracle:
 
 
 def upper_cost_via_oracle(chain):
-    """Weighted-formula reconstruction from seam-free first-visibility times.
-
-    The target at the seam angle 2*pi == 0 is tangent to BOTH endpoint
-    vertices of the chain (dot = 1 exactly on the line x = 1), so its
-    first-visibility time flips between 0 and the full length with the
-    sign of the anchoring rounding error.  The counting identity charges
-    it the full chain length; the other k targets are measured
-    geometrically and combined exactly:
-
-        mean = (sum of k seam-free times + chain length) / (k + 1)
-    """
-    k = chain.m
-    phis = 2.0 * PI - (PI - chain.theta) * 2.0 * np.arange(1, k + 1) / k
-    res = exact_angle_cost(chain.chain_polyline(), phis)
+    """chain_upper_cost, with every seam-free target seen."""
+    cost, res = chain_upper_cost(chain)
     assert res.never_count == 0
-    return (res.mean_cost * k + res.trajectory_length) / (k + 1)
+    return cost
 
 
 class TestPartialOracle:
@@ -114,9 +103,7 @@ class TestPartialOracle:
     def test_seam_free_mean_matches_lower_weight_sum(self):
         # without the seam target the mean is exactly the (i-1)-weighted sum
         chain = shoot_theta(0.8, 300)
-        k = chain.m
-        phis = 2.0 * PI - (PI - 0.8) * 2.0 * np.arange(1, k + 1) / k
-        res = exact_angle_cost(chain.chain_polyline(), phis)
+        _, res = chain_upper_cost(chain)
         lower_sum = discrete_cost(chain, "LOWER")
         assert abs(res.mean_cost - lower_sum) <= 1e-9
 

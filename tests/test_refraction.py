@@ -72,7 +72,7 @@ class TestForwardRecursion:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            forward_recursion(1.7, 4)
+            forward_recursion(1.7, 4, m=4)
         with pytest.raises(ValueError):
             forward_recursion(1.7, 100, m=101)
 
@@ -86,6 +86,11 @@ class TestShootTheta:
         traj_big = shoot_theta(0.5909025598581181, 8000)
         gap_ratio = abs(traj.tau0 - PUBLISHED_TAU0) / abs(traj_big.tau0 - PUBLISHED_TAU0)
         assert gap_ratio == pytest.approx(4.0, rel=0.15)
+
+    @pytest.mark.parametrize("theta, k", [(-0.1, 100), (math.pi / 2, 100), (0.5, 4)])
+    def test_out_of_domain_raises(self, theta, k):
+        with pytest.raises(ValueError):
+            shoot_theta(theta, k)
 
     def test_theta_zero_lands_on_zero(self):
         traj = shoot_theta(0.0, 40)
