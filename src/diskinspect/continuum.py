@@ -63,11 +63,10 @@ not depend on the BLAS kernel the CPU selects.  Each accepted step's
 interpolant goes into the arrays of ``StackedDense``, whose reads repeat
 scipy's ``OdeSolution`` arithmetic (an abscissa on a step boundary goes
 to the lower segment).  ``OdeSolution`` and ``Pencil`` hold one each and
-read it alike: vectorized (``values``), in Python floats at a single
-point (``point``), and on a few steps gathered per label (``Pencil.reader``).
-Each is a degree-7 polynomial that its Bernstein coefficients enclose
-(``StackedDense.bernstein``), read by the psi band check below and by
-``feasibility``'s certificates.
+read it alike: vectorized (``values``) and in Python floats at a single
+point (``point``).  Each is a degree-7 polynomial that its Bernstein
+coefficients enclose (``StackedDense.bernstein``), read by the psi band
+check below and by ``feasibility``'s certificates.
 Every solve takes x0 as its first step, not scipy's initial-step
 heuristic: the series start lies on the smooth solution, so the heuristic
 sees almost no curvature and would step from x0 = 1e-6 to about 1e-2,
@@ -393,20 +392,6 @@ class Pencil(_Solved):
         psi, t, b, it, ib = self.values(x)
         d = np.asarray(tau0, dtype=float) - self.tau_bar
         return psi, t + d * b, it + d * ib
-
-    def reader(self, a, b, tau0):
-        """x -> (psi, tau) of the labels tau0, one abscissa x[i] in [a[i],
-        b[i]] each: state(x, tau0) to the last bit, read on each label's own
-        steps there, whose rows are gathered once (``dop853.StepReads``)."""
-        reads = dop853.StepReads(self._dense, _check_range(a, self.x0, self.x_end),
-                                 _check_range(b, self.x0, self.x_end), slice(0, 3))
-        d = np.asarray(tau0, dtype=float) - self.tau_bar
-
-        def read(x):
-            y = reads(x)
-            return y[:, 0], y[:, 1] + d * y[:, 2]
-
-        return read
 
     def bernstein(self) -> tuple[np.ndarray, np.ndarray]:
         """Tbar's and B's Bernstein coefficients on every step

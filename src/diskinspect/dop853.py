@@ -16,13 +16,11 @@ Python function; ``kernels`` turns it and these literals into
 straight-line Python-float code for one step attempt and one step's dense
 output, with the field inlined at every stage, so a step makes no Python
 call.  ``StackedDense`` holds a solve's interpolants and reads them with
-scipy's arithmetic (``horner``): vectorized, at one point in Python
-floats, or on the few steps that hold each label's bracket, gathered
-once (``StepReads``).  Its
-``bernstein`` turns each step's interpolant into its degree-7 Bernstein
-coefficients (``BERNSTEIN``), whose hull encloses the interpolant on the
-step, and ``split`` cuts an enclosure at any s by de Casteljau.
-``first_piece`` walks the halves of an enclosure, depth first, to the
+scipy's arithmetic (``horner``): vectorized, or at one point in Python
+floats.  Its ``bernstein`` turns each step's interpolant into its
+degree-7 Bernstein coefficients (``BERNSTEIN``), whose hull encloses the
+interpolant on the step, and ``split`` cuts an enclosure at any s by de
+Casteljau.  ``first_piece`` walks the halves of an enclosure, depth first, to the
 first piece that it cannot clear, at most HALVINGS deep: the one
 subdivision policy of the psi band check and the crossing search.
 """
@@ -322,8 +320,8 @@ def first_piece(b, lo, hi, clear, take, depth=HALVINGS):
 
 def horner(x, t_old, h, rows):
     """The dense output at abscissae x of the steps with left ends t_old,
-    lengths h and interpolant rows (F rows 0..6, then y_old, as
-    ``StackedDense.rows`` gathers them): x.shape + (components,), in
+    lengths h and interpolant rows (F rows 0..6, then y_old, gathered per
+    abscissa by ``StackedDense``): x.shape + (components,), in
     scipy's Dop853DenseOutput arithmetic.  rows is read in order, once, and
     the first row is scaled in place, so it must be the caller's own."""
     s = ((x - t_old) / h)[..., None]
@@ -385,15 +383,6 @@ class StackedDense:
             for c0, c1, c2, c3, c4, c5, c6, y0 in comps
         )
 
-    def rows(self, k, cols=slice(None)) -> tuple:
-        """(t_old, h, rows) of the steps k for ``horner``, at the components
-        cols: rows yields F[k, i] for i < 7, then y_old[k], each gathered as
-        it is read, so that a read holds no more than two at once."""
-        # one gather per row, never F[k] (..., 7, d); take is several times
-        # faster than fancy indexing here
-        terms = (*self.F.transpose(1, 0, 2), self.y_old)
-        return self.t_old[k], self.h[k], (a[:, cols].take(k, axis=0) for a in terms)
-
     def __call__(self, x):
         if isinstance(x, float):
             return np.array(self.point(x))
@@ -402,35 +391,8 @@ class StackedDense:
             return np.array(self.point(x.item())).reshape(self.y_old.shape[1:] + x.shape)
         k = np.searchsorted(self.ts, x, side="left") - 1
         np.clip(k, 0, len(self.h) - 1, out=k)
-        return np.moveaxis(horner(x, *self.rows(k)), -1, 0)
-
-
-class StepReads:
-    """Reads of one abscissa per label, each in the label's own [a, b], on
-    the steps that hold it.
-
-    A label's steps run from the one ``StackedDense`` reads a on (the one
-    to its left where a is a node) to the one it reads b on.  Their rows
-    are gathered once; a read picks each label's step by comparing x with
-    the nodes between them, as the searchsorted of ``StackedDense``
-    would, and evaluates it with the same ``horner``.  So for every x in
-    [a, b] a read is ``StackedDense``'s to the last bit.
-    """
-
-    def __init__(self, dense: StackedDense, a, b, cols=slice(None)):
-        last = len(dense.h) - 1
-        k, k_b = np.clip(np.searchsorted(dense.ts, [a, b], side="left") - 1, 0, last)
-        width = int((k_b - k).max(initial=0)) + 1
-        steps = np.minimum(k[:, None] + np.arange(width), last)
-        # x above the left end of a later step reads that step
-        self._nodes = dense.t_old[steps[:, 1:]]
-        self._first = np.arange(len(k)) * width
-        t_old, h, rows = dense.rows(steps.ravel(), cols)
-        self._t_old_h = np.stack([t_old, h])
-        self._rows = np.stack(list(rows))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The components at x, one abscissa per label: (labels, components)."""
-        j = self._first + (x[:, None] > self._nodes).sum(axis=1)
-        t_old, h = self._t_old_h.take(j, axis=1)
-        return horner(x, t_old, h, self._rows.take(j, axis=1))
+        # one gather per row as horner reads it, never F[k] (..., 7, d), so
+        # that a read holds no more than two; take is several times faster
+        # than fancy indexing here
+        rows = (a.take(k, axis=0) for a in (*self.F.transpose(1, 0, 2), self.y_old))
+        return np.moveaxis(horner(x, self.t_old[k], self.h[k], rows), -1, 0)

@@ -22,12 +22,13 @@ excluded; its end reads the rounding noise of g(1), which has the sign
 of tau(1).  g ~ -2 pi x (tau + pi x) < 0 at the start while tau > 0, so
 the first rise is the first return to x = 1; a small tau0, whose tau
 falls below -pi x just past the start, crosses there and is infeasible.
-Bisecting the bracket and a Newton polish give xi.
+An Illinois regula falsi closes the bracket (``_falsi_root``), and a
+Newton polish that ends once its step is below PROBE_XI_STEP gives xi.
 
 The clearance.  tau_min is the root of tau' = 2 pi (tau cot psi - 1),
-bisected between the neighbours of the smallest tau among the step nodes
-up to xi and xi itself; a bracket end with smaller tau is the minimum,
-tau(xi) for a curve that dives to the crossing.  tau_lower, the smallest
+found by the same regula falsi between the neighbours of the smallest tau
+among the step nodes up to xi and xi itself; a bracket end with smaller
+tau is the minimum, tau(xi) for a curve that dives to the crossing.  tau_lower, the smallest
 coefficient of the steps up to xi, the last one cut at xi, rounded down,
 bounds tau on [x0, xi]: feasible means tau_lower > FEASIBLE_TAU_MIN.
 
@@ -42,11 +43,11 @@ solved until both end labels have crossed: g is affine in the label, so
 every label between them has crossed by then.  A label's coefficients
 are the lines Tbar_c + (tau0 - tau_bar) B_c, bounded for all labels and
 steps at once (``_Lines``, one solve is the pencil B = 0) and shared by
-the crossing and the clearance.  The bisections and Newton steps read
-every label at once, each on the one to three steps that hold its
-bracket, gathered once (``Pencil.reader``); the scalar functions read
-their one solve in plain floats (``OdeSolution.point``) and stay the
-reference the sweeps are tested against.
+the crossing and the clearance.  The regula falsi (``_falsi_many``, each
+label deciding as ``_falsi_root`` would) and the Newton steps read every
+label at once through ``Pencil.state``; the scalar functions read their
+one solve in plain floats (``OdeSolution.point``) and stay the reference
+the sweeps are tested against.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ from . import dop853
 from .continuum import ODE_TOL, X0_REF, OdeSolution, Pencil, integrate, integrate_pencil
 from .errors import NoCrossing, OutOfRange
 
-#: Bisection tolerance of the crossing and clearance roots.
-BISECT_TOL = 5e-10
-#: The Newton polish may leave |T1 - 1| above its value at the bisection
+#: Final bracket width of the crossing and clearance roots.
+ROOT_TOL = 5e-10
+#: A Newton step on the crossing at most this long ends the polish: xi is
+#: a root to rounding (shared with ``optimizer``'s probes).
+PROBE_XI_STEP = 1e-14
+#: The Newton polish may leave |T1 - 1| above its value at the crossing
 #: root by at most a few ulps of the O(1) terms that make it up.
 NEWTON_G_SLACK = 8 * np.finfo(float).eps
 #: A start value counts as feasible when tau_lower exceeds this; the
@@ -226,35 +230,54 @@ def _tau_lower(lines: _Lines, xi):
     return np.minimum(whole, cut.min(axis=0) - slack[np.arange(len(k)), k])
 
 
-def _bisect_root(f, a: float, b: float) -> float:
-    """Bisect [a, b] to BISECT_TOL for a sign change of f (f < 0 against
-    f >= 0); without one, the bracket closes in on b."""
-    fa = f(a)
-    while b - a > BISECT_TOL:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
+def _falsi_root(f, a: float, b: float) -> float:
+    """A sign change of f (f < 0 against f >= 0) in [a, b], by the Illinois
+    regula falsi (Dowell & Jarratt, BIT 11, 1971) to a bracket at most
+    ROOT_TOL wide: the end of that bracket with the smaller |f|.  Without a
+    sign change at a and b, b.
+
+    A secant point that is NaN or not inside (a, b) is the midpoint, and
+    one within ROOT_TOL/4 of an end moves ROOT_TOL/4 inward, so that a
+    converged end does not hold the other one still.  The end kept twice in
+    a row has its secant weight halved (Illinois), and where three steps
+    together, enough for that weight to act on a one-sided approach, do not
+    halve the bracket, the next one bisects: at most
+    4 ceil(log2((b - a) / ROOT_TOL)) + 2 evaluations.
+    """
+    fa, fb = f(a), f(b)
+    if (fa < 0.0) == (fb < 0.0):
+        return b
+    wa, wb, side, widths = fa, fb, 0, (math.inf,) * 3
+    while (width := b - a) > ROOT_TOL:
+        x = b - wb * width / (wb - wa) if wb != wa else math.nan
+        x = x if a < x < b and width <= 0.5 * widths[0] else 0.5 * (a + b)
+        x = min(max(x, a + ROOT_TOL / 4), b - ROOT_TOL / 4)
+        fx = f(x)
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, wa, wb, side = x, fx, fx, wb * (0.5 if side < 0 else 1.0), -1
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            b, fb, wb, wa, side = x, fx, fx, wa * (0.5 if side > 0 else 1.0), 1
+        widths = (*widths[1:], width)
+    return a if abs(fa) < abs(fb) else b
 
 
 def deployment_parameter(sol: OdeSolution, lines: _Lines | None = None) -> tuple[float, float]:
     """Smallest root xi > x0 of T1(x) = 1, plus the self-check gap.
 
-    Bisect the crossing bracket (see the module docstring) to BISECT_TOL;
-    finish with three Newton steps on single-point reads of the dense
-    output in plain floats (``OdeSolution.point``) so the returned root is
-    smooth in tau0 (the optimizer differentiates through it; a bisection
-    staircase of height 5e-10 would contaminate the minimum through
-    dT1/dxi ~ O(1)).  The gap is |xi - bisection root|, the two root
-    finders checked against each other: at most about BISECT_TOL/2 when
-    both found the same root.
+    Close the crossing bracket (see the module docstring) to ROOT_TOL by
+    ``_falsi_root``; then polish by up to three Newton steps on
+    single-point reads of the dense output in plain floats
+    (``OdeSolution.point``), ending after the first one no longer than
+    PROBE_XI_STEP, so that the returned root is smooth in tau0 (the
+    optimizer differentiates through it; a root that moves by ROOT_TOL
+    with the bracket would contaminate the minimum through
+    dT1/dxi ~ O(1)).  The gap is |xi - bracket root|, the two root finders
+    checked against each other: at most about ROOT_TOL when both found
+    the same root.
 
     The polish is guarded: OutOfRange when an iterate leaves the crossing
     bracket, or when |g| at the last iterate it evaluates exceeds |g| at
-    the bisection root by more than NEWTON_G_SLACK.  lines, when given, are
+    the bracket root by more than NEWTON_G_SLACK.  lines, when given, are
     the solve's (``_Lines.of_solution``).
     """
     lines = _Lines.of_solution(sol) if lines is None else lines
@@ -264,7 +287,7 @@ def deployment_parameter(sol: OdeSolution, lines: _Lines | None = None) -> tuple
             f"curve with tau0={sol.tau0!r} never returns to the line x=1"
         )
     a, b = float(a), float(b)
-    xi = root = _bisect_root(
+    xi = root = _falsi_root(
         lambda x: _g(sol.point(x)[1], math.sin(math.pi * x), math.cos(math.pi * x)), a, b)
     gvals = []
     for _ in range(3):
@@ -273,12 +296,15 @@ def deployment_parameter(sol: OdeSolution, lines: _Lines | None = None) -> tuple
         gval, gprime = g_and_slope(tau, math.cos(psi) / math.sin(psi),
                                    math.sin(math.pi * xi), math.cos(math.pi * xi))
         gvals.append(abs(gval))
-        xi -= gval / gprime
+        step = gval / gprime
+        xi -= step
+        if abs(step) <= PROBE_XI_STEP:
+            break
     _check_polish_bracket(sol, xi, a, b)
     if gvals[-1] > gvals[0] + NEWTON_G_SLACK:
         raise OutOfRange(
             f"Newton polish for tau0={sol.tau0!r} raised |T1 - 1| from "
-            f"{gvals[0]!r} at the bisection root to {gvals[-1]!r}"
+            f"{gvals[0]!r} at the bracket root to {gvals[-1]!r}"
         )
     return float(xi), float(abs(xi - root))
 
@@ -299,7 +325,7 @@ def clearance_certificate(sol: OdeSolution, xi: float,
     xis = np.array([xi])
     (lo,), (hi,) = _clearance_brackets(lines, sol.point(xi)[1], xis)
     lo, hi = float(lo), float(hi)
-    x = _bisect_root(lambda x: _tau_slope(sol, x), lo, hi)
+    x = _falsi_root(lambda x: _tau_slope(sol, x), lo, hi)
     return (min(sol.point(x)[1], sol.point(lo)[1], sol.point(hi)[1]),
             float(_tau_lower(lines, xis)[0]))
 
@@ -313,54 +339,66 @@ def clearance_from_tau(tau_min: float) -> float:
     return math.sqrt(1.0 + tau_min * tau_min) - 1.0
 
 
-def _bisect_many(f, a, b) -> np.ndarray:
-    """_bisect_root for every label: f maps the abscissae of all labels to
-    their values, and each bracket has its own stopping test."""
-    fa = f(a)
-    while True:
-        active = b - a > BISECT_TOL
-        if not np.any(active):
-            return 0.5 * (a + b)
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        flip = (fa < 0.0) != (fm < 0.0)
-        b = np.where(active & flip, mid, b)
-        move = active & ~flip
-        a = np.where(move, mid, a)
-        fa = np.where(move, fm, fa)
+def _falsi_many(f, a, b) -> np.ndarray:
+    """_falsi_root for every label, each deciding as it would from the same
+    values: f maps one abscissa per label to their values.  A label whose
+    bracket is closed reads its end b until every bracket is."""
+    fa, fb = f(a), f(b)
+    live = change = (fa < 0.0) != (fb < 0.0)
+    wa, wb, side, widths = fa, fb, np.zeros(len(a)), np.full((3, len(a)), math.inf)
+    while np.any(live := live & (b - a > ROOT_TOL)):
+        width = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - wb * width / (wb - wa)
+        x = np.where((a < x) & (x < b) & (width <= 0.5 * widths[0]), x, 0.5 * (a + b))
+        x = np.where(live, np.minimum(np.maximum(x, a + ROOT_TOL / 4), b - ROOT_TOL / 4), b)
+        fx = f(x)
+        left = live & ((fx < 0.0) == (fa < 0.0))
+        right = live & ~left
+        wa = np.where(left, fx, np.where(right & (side > 0), 0.5 * wa, wa))
+        wb = np.where(right, fx, np.where(left & (side < 0), 0.5 * wb, wb))
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(right, x, b), np.where(right, fx, fb)
+        side = np.where(left, -1, np.where(right, 1, side))
+        widths = np.where(live, [widths[1], widths[2], width], widths)
+    return np.where(change & (np.abs(fa) < np.abs(fb)), a, b)
 
 
 def deployment_parameters(pencil: Pencil, tau0s, lines: _Lines | None = None):
     """deployment_parameter for every label: (xi, self-check gap, error) arrays.
 
-    The same bracket, bisection and three guarded Newton steps, vectorized
-    across labels; the bisection and the Newton steps read each label on
-    the steps that hold its bracket (``Pencil.reader``).  lines, when given,
+    The same bracket, root finder (``_falsi_many``) and guarded Newton
+    steps, vectorized across labels and read through ``Pencil.state``; a
+    label's polish reads it only while its iterate is inside its bracket
+    and its last step was longer than PROBE_XI_STEP.  lines, when given,
     are those of the pencil and tau0s (``_Lines.of_pencil``).  Where the
-    scalar version raises, xi and gap are NaN and
-    the error entry holds the kind: NoCrossing where there is no crossing
-    bracket, OutOfRange where a Newton iterate leaves the label's bracket
-    (which lies inside the solved range) or where |g| at the last Newton
-    evaluation exceeds |g| at the bisection root by more than
-    NEWTON_G_SLACK.  The other entries of error are None.
+    scalar version raises, xi and gap are NaN and the error entry holds the
+    kind: NoCrossing where there is no crossing bracket, OutOfRange where a
+    Newton iterate leaves the label's bracket (which lies inside the solved
+    range) or where |g| at the label's last Newton evaluation exceeds |g|
+    at the bracket root by more than NEWTON_G_SLACK.  The other entries of
+    error are None.
     """
     tau0s = np.asarray(tau0s, dtype=float)
     lines = _Lines.of_pencil(pencil, tau0s) if lines is None else lines
     a, b, found = _brackets(lines, lambda x, i: pencil.state(x, tau0s[i])[1])
     taus, a, b = tau0s[found], a[found], b[found]
-    read = pencil.reader(a, b, taus)
-    xi = root = _bisect_many(lambda x: _g(
-        read(x)[1], np.sin(math.pi * x), np.cos(math.pi * x)), a, b)
-    abs_g = np.empty((3, len(taus)))
+    root = _falsi_many(lambda x: _g(
+        pencil.state(x, taus)[1], np.sin(math.pi * x), np.cos(math.pi * x)), a, b)
+    xi, abs_g, live = root.copy(), np.full((2, len(taus)), math.nan), np.ones(len(taus), bool)
     for step in range(3):
-        # NaN outside the bracket, and a copy: root stays as it is
-        xi = np.where((xi >= a) & (xi <= b), xi, math.nan)
-        psi, tau = read(xi)
-        x = math.pi * xi
+        live &= (xi >= a) & (xi <= b)
+        if not live.any():
+            break
+        psi, tau, _ = pencil.state(xi[live], taus[live])
+        x = math.pi * xi[live]
         g, g_x = g_and_slope(tau, np.cos(psi) / np.sin(psi), np.sin(x), np.cos(x))
-        abs_g[step] = np.abs(g)
-        xi = xi - g / g_x
-    ok = (xi >= a) & (xi <= b) & ~(abs_g[-1] > abs_g[0] + NEWTON_G_SLACK)
+        abs_g[1, live] = np.abs(g)
+        if step == 0:
+            abs_g[0] = abs_g[1]
+        xi[live] -= (delta := g / g_x)
+        live[live] = np.abs(delta) > PROBE_XI_STEP
+    ok = (xi >= a) & (xi <= b) & ~(abs_g[1] > abs_g[0] + NEWTON_G_SLACK)
     out = np.full((2, len(tau0s)), math.nan)
     out[:, found] = np.where(ok, [xi, np.abs(xi - root)], math.nan)
     error = np.full(tau0s.shape, NoCrossing.kind, dtype=object)
@@ -371,19 +409,18 @@ def deployment_parameters(pencil: Pencil, tau0s, lines: _Lines | None = None):
 def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray,
                      lines: _Lines | None = None):
     """clearance_certificate's (tau_min, tau_lower) for each label tau0s[k]
-    on [x0, xi[k]], as two arrays: the same brackets, the same bisection of
-    tau cot psi - 1 for all labels at once, each on the steps that hold its
-    bracket (``Pencil.reader``), the same bracket-end values and the same
-    enclosure.  lines as for deployment_parameters."""
+    on [x0, xi[k]], as two arrays: the same brackets, the same root of
+    tau cot psi - 1 (``_falsi_many``) for all labels at once, read through
+    ``Pencil.state``, the same bracket-end values and the same enclosure.
+    lines as for deployment_parameters."""
     lines = _Lines.of_pencil(pencil, tau0s) if lines is None else lines
     lo, hi = _clearance_brackets(lines, pencil.state(xi, tau0s)[1], xi)
-    read = pencil.reader(lo, hi, tau0s)
 
     def slope(x):
-        psi, tau = read(x)
+        psi, tau, _ = pencil.state(x, tau0s)
         return tau * np.cos(psi) / np.sin(psi) - 1.0
 
-    x = _bisect_many(slope, lo, hi)
+    x = _falsi_many(slope, lo, hi)
     tau_min = pencil.state(np.stack([x, lo, hi]), tau0s)[1].min(axis=0)
     return tau_min, _tau_lower(lines, xi)
 

@@ -27,6 +27,7 @@ from .bounds import THETA_HI, THETA_LO
 from .continuum import ODE_TOL, X0_REF, Pencil, integrate
 from .errors import MaxIterations, NotUnimodal, OutOfRange, WindowViolated, XiOutOfRange
 from .feasibility import (
+    PROBE_XI_STEP,
     FeasibilityReport,
     assess,
     crossed,
@@ -43,10 +44,10 @@ REFINE_XATOL = 2e-11
 #: Cost differences below this are treated as noise by the unimodality scan.
 SWEEP_NOISE_TOL = 1e-8
 #: Regula falsi probe cap (window refinements make 9-18), Newton steps per probe,
-#: the step below which xi is a root, the largest probe-to-certificate xi gap.
+#: the largest probe-to-certificate xi gap.  A probe's xi is a root once its
+#: Newton step is at most feasibility.PROBE_XI_STEP.
 REFINE_MAX_PROBES = 40
 PROBE_NEWTON_STEPS = 12
-PROBE_XI_STEP = 1e-14
 PROBE_XI_TOL = 1e-8
 
 
@@ -176,9 +177,11 @@ def refine_minimum(
     regula falsi shrinks the bracket below REFINE_XATOL, or raises
     MaxIterations.  tau0* is its last probe, certified on the scalar path
     (integrate -> assess -> total_cost): OutOfRange when the certificate's xi
-    is not the probe's (a probe followed a non-first root), WindowViolated
-    when theta* leaves [THETA_LO, THETA_HI] or the clearance certificate
-    fails.
+    differs from the last probe's by more than PROBE_XI_TOL (a probe followed
+    a root other than the first, or, at a coarse tol, the certificate solve
+    and the pencil step differently: by 2.5e-8 in xi at tol 1e-10),
+    WindowViolated when theta* leaves [THETA_LO, THETA_HI] or the clearance
+    certificate fails.
     """
     pencil, taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
     rows, xis = _cost_rows(pencil, taus)
@@ -203,9 +206,12 @@ def refine_minimum(
             b, fb, xb, fa, side = m, fm, xm, fa * (0.5 if side > 0 else 1.0), 1
     sol = integrate(m, x0=x0, tol=tol, stop=crossed)
     certificate = assess(sol)
-    if abs(certificate.xi - xm) > PROBE_XI_TOL:
-        raise OutOfRange(f"xi={certificate.xi!r} at tau0*={m!r} is not the last probe's "
-                         f"{xm!r}: a probe followed a root other than the first")
+    if (gap := abs(certificate.xi - xm)) > PROBE_XI_TOL:
+        raise OutOfRange(
+            f"xi={certificate.xi!r} at tau0*={m!r} differs from the last probe's {xm!r} by "
+            f"{gap:.3g}, more than PROBE_XI_TOL={PROBE_XI_TOL:g}: either a probe followed a "
+            f"root other than the first, or at tol={tol:g} the certificate solve and the "
+            f"pencil take steps different enough to move xi")
     breakdown = cost_mod.total_cost(sol, certificate.xi)
     if not THETA_LO <= certificate.theta <= THETA_HI:
         raise WindowViolated(

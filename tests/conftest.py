@@ -28,15 +28,15 @@ CONVERGED_THETA_AT_PUBLISHED_TAU0 = 0.5909036898497157
 
 
 def crossing_only(real, stand_in):
-    """A bisection that is stand_in where deployment_parameter or
+    """A root finder that is stand_in where deployment_parameter or
     deployment_parameters calls it, for the crossing root, and real
-    elsewhere: the clearance bisection that follows keeps its own root."""
+    elsewhere: the clearance root that follows keeps its own."""
 
-    def bisect(f, a, b):
+    def falsi(f, a, b):
         caller = sys._getframe(1).f_code.co_name
         return (stand_in if caller.startswith("deployment_parameter") else real)(f, a, b)
 
-    return bisect
+    return falsi
 
 
 @pytest.fixture(scope="session")

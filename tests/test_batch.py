@@ -125,19 +125,19 @@ class TestRowsMatchScalar:
 
 class TestNewtonLeavesRange:
     def test_only_that_row_is_an_error_row(self, monkeypatch):
-        # throw one label's bisection root past the solved range, as a
+        # throw one label's crossing root past the solved range, as a
         # Newton iterate leaving it would be; the other rows are untouched
         lo, hi, grid = WINDOW_LO, WINDOW_HI, 4
         reports = feasibility_sweep(lo, hi, grid)
         rows = sweep_cost(lo, hi, grid)
-        bisect = feasibility._bisect_many
+        falsi = feasibility._falsi_many
 
         def astray(f, a, b):
-            xi = bisect(f, a, b)
+            xi = falsi(f, a, b)
             xi[1] = 1.5  # past the solved range [x0, x_end], x_end <= 1
             return xi
 
-        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, astray))
+        monkeypatch.setattr(feasibility, "_falsi_many", crossing_only(falsi, astray))
         bad_reports = feasibility_sweep(lo, hi, grid)
         bad_rows = sweep_cost(lo, hi, grid)
         assert [r.error for r in bad_reports] == [None, "OutOfRange", None, None]
@@ -149,20 +149,20 @@ class TestNewtonLeavesRange:
             assert bad_rows[k] == rows[k]
 
     def test_leaving_the_bracket_inside_the_range(self, monkeypatch):
-        # one label's bisection root past its scan bracket but inside the
+        # one label's crossing root past its scan bracket but inside the
         # solved range: the Newton iterate is out of its bracket
         lo, hi, grid = WINDOW_LO, WINDOW_HI, 4
         reports = feasibility_sweep(lo, hi, grid)
         x_end = feasibility.window_pencil(lo, hi, grid)[0].x_end
-        bisect = feasibility._bisect_many
+        falsi = feasibility._falsi_many
 
         def astray(f, a, b):
-            xi = bisect(f, a, b)
+            xi = falsi(f, a, b)
             xi[2] = b[2] + 1e-3
             assert xi[2] < x_end  # inside the solved range [x0, x_end]
             return xi
 
-        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, astray))
+        monkeypatch.setattr(feasibility, "_falsi_many", crossing_only(falsi, astray))
         bad_reports = feasibility_sweep(lo, hi, grid)
         assert [r.error for r in bad_reports] == [None, None, "OutOfRange", None]
         for k in (0, 1, 3):
@@ -170,10 +170,9 @@ class TestNewtonLeavesRange:
 
 
 class _DriftingPencil:
-    """pencil, except that once armed each read, through state() or through
-    a reader(), reads the label tau0's tau 1e-7 higher than the read before:
-    that row's Newton residual grows while its iterates stay inside the
-    scan bracket."""
+    """pencil, except that once armed each state() read reads the label
+    tau0's tau 1e-7 higher than the read before: that row's Newton residual
+    grows while its iterates stay inside the scan bracket."""
 
     def __init__(self, pencil, tau0):
         self.pencil = pencil
@@ -184,24 +183,12 @@ class _DriftingPencil:
     def __getattr__(self, name):
         return getattr(self.pencil, name)
 
-    def _drift(self, tau, tau0):
+    def state(self, x, tau0):
+        psi, tau, integral = self.pencil.state(x, tau0)
         if self.armed:
             tau = tau + np.where(np.asarray(tau0) == self.tau0, 1e-7 * self.calls, 0.0)
             self.calls += 1
-        return tau
-
-    def state(self, x, tau0):
-        psi, tau, integral = self.pencil.state(x, tau0)
-        return psi, self._drift(tau, tau0), integral
-
-    def reader(self, a, b, tau0):
-        read = self.pencil.reader(a, b, tau0)
-
-        def drifting(x):
-            psi, tau = read(x)
-            return psi, self._drift(tau, tau0)
-
-        return drifting
+        return psi, tau, integral
 
 
 class TestNewtonResidualGuard:
@@ -212,17 +199,17 @@ class TestNewtonResidualGuard:
         rows = sweep_cost(lo, hi, grid)
         pencil, taus = feasibility.window_pencil(lo, hi, grid)
         drifting = _DriftingPencil(pencil, taus[1])
-        bisect = feasibility._bisect_many
+        falsi = feasibility._falsi_many
 
         def arming(f, a, b):
             # drift only in the Newton polish, which follows the crossing
-            # bisection
+            # root
             drifting.armed = False
-            xi = bisect(f, a, b)
+            xi = falsi(f, a, b)
             drifting.armed, drifting.calls = True, 0
             return xi
 
-        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(bisect, arming))
+        monkeypatch.setattr(feasibility, "_falsi_many", crossing_only(falsi, arming))
         for module in (feasibility, optimizer):
             monkeypatch.setattr(module, "window_pencil", lambda *a, **k: (drifting, taus))
         bad_reports = feasibility_sweep(lo, hi, grid)
@@ -274,23 +261,28 @@ class TestGuard:
 
 def state_rows(pencil, tau0s):
     """(xi, gap, error, tau_min, tau_lower) of the labels tau0s as the sweeps
-    read them before the step reads: every bisection level and Newton step
-    reads through Pencil.state.  The oracle of the step reads."""
+    read them, every regula falsi step and Newton step through Pencil.state:
+    a label's polish ends once its iterate leaves its bracket or its Newton
+    step is at most PROBE_XI_STEP."""
     lines = feasibility._Lines.of_pencil(pencil, tau0s)
     a, b, found = feasibility._brackets(lines, lambda x, i: pencil.state(x, tau0s[i])[1])
     taus, a, b = tau0s[found], a[found], b[found]
-    xi = root = feasibility._bisect_many(lambda x: feasibility._g(
+    root = feasibility._falsi_many(lambda x: feasibility._g(
         pencil.state(x, taus)[1], np.sin(math.pi * x), np.cos(math.pi * x)), a, b)
-    abs_g = np.full((3, len(taus)), math.nan)
-    for step in range(3):
-        inside = (xi >= a) & (xi <= b)
-        xi = np.where(inside, xi, math.nan)
-        psi, tau, _ = pencil.state(xi[inside], taus[inside])
-        x = math.pi * xi[inside]
-        g, g_x = feasibility.g_and_slope(tau, np.cos(psi) / np.sin(psi), np.sin(x), np.cos(x))
-        abs_g[step, inside] = np.abs(g)
-        xi[inside] -= g / g_x
-    ok = (xi >= a) & (xi <= b) & ~(abs_g[-1] > abs_g[0] + feasibility.NEWTON_G_SLACK)
+    xi, g_root, g_last = root.copy(), np.full(len(taus), math.nan), np.full(len(taus), math.nan)
+    for k in range(len(taus)):
+        for step in range(3):
+            if not a[k] <= xi[k] <= b[k]:
+                break
+            psi, tau, _ = pencil.state(xi[k:k + 1], taus[k:k + 1])
+            x = math.pi * xi[k:k + 1]
+            g, g_x = feasibility.g_and_slope(tau, np.cos(psi) / np.sin(psi), np.sin(x), np.cos(x))
+            g_last[k] = abs(g[0])
+            g_root[k] = g_root[k] if step else g_last[k]
+            xi[k] -= g[0] / g_x[0]
+            if abs(g[0] / g_x[0]) <= feasibility.PROBE_XI_STEP:
+                break
+    ok = (xi >= a) & (xi <= b) & ~(g_last > g_root + feasibility.NEWTON_G_SLACK)
     out = np.full((4, len(tau0s)), math.nan)
     out[:2, found] = np.where(ok, [xi, np.abs(xi - root)], math.nan)
     error = np.full(tau0s.shape, "NoCrossing", dtype=object)
@@ -304,7 +296,7 @@ def state_rows(pencil, tau0s):
         psi, tau, _ = pencil.state(x, taus)
         return tau * np.cos(psi) / np.sin(psi) - 1.0
 
-    x = feasibility._bisect_many(slope, lo, hi)
+    x = feasibility._falsi_many(slope, lo, hi)
     out[2:, ~np.isnan(out[0])] = (np.min([pencil.state(e, taus)[1] for e in (x, lo, hi)], axis=0),
                                   feasibility._tau_lower(lines, xi))
     return out[0], out[1], list(error), out[2], out[3]
@@ -317,9 +309,9 @@ def _windows(lo, hi):
 
 
 class TestTruncatedPencil:
-    """The window pencil ends once both end labels have crossed, and the
-    sweeps read each label on its own steps: every row is the one that a
-    pencil solved to x = 1 gives when read through Pencil.state."""
+    """The window pencil ends once both end labels have crossed: every row
+    is the one that a pencil solved to x = 1 gives when each label is
+    polished on its own (``state_rows``)."""
 
     @given(st.one_of(_windows(WINDOW_LO, WINDOW_HI),
                      st.tuples(st.floats(1.6469, 1.64697), st.floats(1.64697, 1.6471)),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -584,6 +585,20 @@ class TestStructuredFailures:
         # the band; this command must not certify a trajectory
         argv = ["--x0", "1e-5", "--tol-ode", "1", "trace", "--tau0", "1.648"]
         assert failure_kind(argv, tmp_path, capsys)[:2] == (2, "StepFailure")
+
+    def test_coarse_tolerance_optimize_exits_2(self, tmp_path, capsys):
+        # at tol 1e-10 the certificate solve and the pencil step differently,
+        # and their xi at tau0* differ by 2.5e-8, more than PROBE_XI_TOL
+        argv = ["--tol-ode", "1e-10", "optimize", "--grid", "50"]
+        rc = main(["--out", str(tmp_path / "o"), *argv])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (2, "")
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "OutOfRange"
+        gap = re.search(r"by (\S+), more than PROBE_XI_TOL=1e-08", error["message"])
+        assert 2e-8 < float(gap[1]) < 3e-8
+        assert "a root other than the first" in error["message"]
+        assert "take steps different enough" in error["message"]
 
     def test_psi_band_between_nodes_exits_2(self, tmp_path, capsys):
         # at tol 0.3 the window pencil's dense psi falls below the band

@@ -252,52 +252,18 @@ class TestStackedDense:
                     assert_same_bits(dense.point(x), ref[:, i])
             assert any(row is None for row in dense._rows)
 
-    def test_step_reads_are_the_vectorized_reads(self):
-        # each label's interval starts on a node, where the read is the step
-        # to its left, or inside a step, and spans up to three steps; the
-        # reads at its ends, at every node inside it and at random points
-        # are StackedDense's to the last bit, on both fields
-        rng = np.random.default_rng(11)
-        for run in (integrate(1.648), integrate_pencil(1.649)):
-            dense, n = run._dense, run.n_steps
-            k = rng.integers(0, n, 400)
-            on_node = rng.random(400) < 0.5
-            a = np.where(on_node, dense.t_old[k], dense.t_old[k] + rng.random(400) * dense.h[k])
-            b = run.grid[np.minimum(k + rng.integers(1, 4, 400), n)]
-            reads = dop853.StepReads(dense, a, b)
-            xs = [a, b, a + rng.random(400) * (b - a)]
-            xs += [np.clip(run.grid[np.minimum(k + j, n)], a, b) for j in range(4)]
-            for x in xs:
-                assert_same_bits(reads(x), dense(x).T)
-            cols = dop853.StepReads(dense, a, b, slice(0, 1))
-            assert_same_bits(cols(xs[2]), dense(xs[2])[:1].T)
-
-    def test_step_reads_go_to_the_lower_segment(self):
+    def test_a_node_reads_its_left_segment(self):
         # real solves agree across step boundaries to the last bit, so these
-        # hand-made segments read s, 5.0 and 7.0: a node reads its left one
+        # hand-made segments read s, 5.0 and 7.0: a node reads its left one,
+        # on the vectorized and the single-point path alike
         F = np.zeros((3, 7, 1))
         F[0, 6] = 1.0
         dense = dop853.StackedDense([0.0, 1.0, 2.0, 3.0], [[0.0], [5.0], [7.0]], F)
-        a = np.array([0.0, 0.0, 1.0, 0.5, 1.0, 2.0])
-        b = np.array([2.0, 3.0, 3.0, 2.0, 2.0, 3.0])
-        reads = dop853.StepReads(dense, a, b)
-        for x in (a, b, np.array([1.0, 2.0, 2.0, 1.0, 1.5, 2.5]), 0.5 * (a + b)):
-            assert_same_bits(reads(x), dense(x).T)
-        assert reads(np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0]))[:, 0].tolist() == [
-            1.0, 5.0, 5.0, 1.0, 1.0, 5.0]
-
-    def test_pencil_reader_is_state(self):
-        pencil = integrate_pencil(1.649)
-        taus = np.linspace(1.64697, 1.6525, 50)
-        rng = np.random.default_rng(12)
-        k = rng.integers(1, pencil.n_steps - 1, 50)
-        a, b = pencil.grid[k], pencil.grid[k + 2]
-        read = pencil.reader(a, b, taus)
-        for x in (a, b, pencil.grid[k + 1], a + rng.random(50) * (b - a)):
-            psi, tau, _ = pencil.state(x, taus)
-            assert_same_bits(read(x), (psi, tau))
-        with pytest.raises(OutOfRange):
-            pencil.reader(a, b + 2.0, taus)
+        x = np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0])
+        assert dense(x)[0].tolist() == [1.0, 5.0, 5.0, 1.0, 1.0, 5.0]
+        assert [dense.point(v)[0] for v in x.tolist()] == [1.0, 5.0, 5.0, 1.0, 1.0, 5.0]
+        assert dense(np.array([0.0, 0.5, 1.5, 2.5, 3.0]))[0].tolist() == [
+            0.0, 0.5, 5.0, 7.0, 7.0]
 
     def test_point_is_values_as_floats(self, solved):
         sol, _ = solved

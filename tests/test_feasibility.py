@@ -3,15 +3,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from diskinspect import feasibility
+from diskinspect import continuum, feasibility
 from diskinspect.cli import main
 from diskinspect.continuum import curve_points, integrate, integrate_pencil
 from diskinspect.cost import total_cost
 from diskinspect.errors import DiskInspectError, NoCrossing, OutOfRange
 from diskinspect.feasibility import (
     ENCLOSURE_SLACK,
+    ROOT_TOL,
     WINDOW_HI,
     WINDOW_LO,
     assess,
@@ -23,7 +24,7 @@ from diskinspect.feasibility import (
 from diskinspect.optimizer import refine_minimum, sweep_cost
 
 from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0, PUBLISHED_TAU0, crossing_only
-from scan_oracle import scan_crossing, scan_tau_min
+from scan_oracle import bisect_root, scan_crossing, scan_tau_min
 
 PI = math.pi
 
@@ -69,8 +70,8 @@ class TestDeploymentParameter:
 class _DriftingPolish:
     """sol, except that once armed each point() read after the first reads
     tau 1e-7 higher: the Newton polish's residual grows while it stays
-    inside the crossing bracket.  It is armed once the crossing bisection
-    returns (``arm_after``), so the brackets and the bisection read sol."""
+    inside the crossing bracket.  It is armed once the crossing root
+    returns (``arm_after``), so the brackets and the regula falsi read sol."""
 
     def __init__(self, sol):
         self.sol = sol
@@ -86,11 +87,11 @@ class _DriftingPolish:
             self.calls += 1
         return psi, tau
 
-    def arm_after(self, bisect):
-        """bisect, which arms the drift as it returns."""
+    def arm_after(self, falsi):
+        """falsi, which arms the drift as it returns."""
 
         def armed(f, a, b):
-            root = bisect(f, a, b)
+            root = falsi(f, a, b)
             self.calls = 0
             return root
 
@@ -102,8 +103,8 @@ class TestNewtonPolishGuard:
     def astray(monkeypatch):
         # a crossing root past its bracket, as a Newton iterate leaving it
         # would be; the point is still inside the solved range
-        monkeypatch.setattr(feasibility, "_bisect_root", crossing_only(
-            feasibility._bisect_root, lambda f, a, b: b + 1e-3))
+        monkeypatch.setattr(feasibility, "_falsi_root", crossing_only(
+            feasibility._falsi_root, lambda f, a, b: b + 1e-3))
 
     def test_iterate_outside_bracket_raises(self, sol_star, monkeypatch):
         self.astray(monkeypatch)
@@ -112,8 +113,8 @@ class TestNewtonPolishGuard:
 
     def test_growing_residual_raises(self, sol_star, monkeypatch):
         drifting = _DriftingPolish(sol_star)
-        monkeypatch.setattr(feasibility, "_bisect_root",
-                            drifting.arm_after(feasibility._bisect_root))
+        monkeypatch.setattr(feasibility, "_falsi_root",
+                            drifting.arm_after(feasibility._falsi_root))
         with pytest.raises(OutOfRange, match="raised"):
             deployment_parameter(drifting)
 
@@ -125,7 +126,7 @@ class TestNewtonPolishGuard:
 
 
 class TestSelfCheckGap:
-    """The gap is |polished xi - bisection root|: a bisection root moved 1e-6
+    """The gap is |polished xi - bracket root|: a bracket root moved 1e-6
     inside its scan bracket leaves xi where it was, and the gap shows it."""
 
     @staticmethod
@@ -134,23 +135,150 @@ class TestSelfCheckGap:
 
     def test_scalar_path(self, sol_star, monkeypatch):
         xi, _ = deployment_parameter(sol_star)
-        bisect = feasibility._bisect_root
-        monkeypatch.setattr(feasibility, "_bisect_root", crossing_only(
-            bisect, lambda f, a, b: float(self.displaced(bisect(f, a, b), a, b))))
+        falsi = feasibility._falsi_root
+        monkeypatch.setattr(feasibility, "_falsi_root", crossing_only(
+            falsi, lambda f, a, b: float(self.displaced(falsi(f, a, b), a, b))))
         moved, gap = deployment_parameter(sol_star)
         assert abs(moved - xi) <= 1e-12
         assert gap > 2e-8
 
     def test_pencil_path(self, monkeypatch):
         reports = feasibility_sweep(WINDOW_LO, WINDOW_HI, 4)
-        bisect = feasibility._bisect_many
-        monkeypatch.setattr(feasibility, "_bisect_many", crossing_only(
-            bisect, lambda f, a, b: self.displaced(bisect(f, a, b), a, b)))
+        falsi = feasibility._falsi_many
+        monkeypatch.setattr(feasibility, "_falsi_many", crossing_only(
+            falsi, lambda f, a, b: self.displaced(falsi(f, a, b), a, b)))
         moved = feasibility_sweep(WINDOW_LO, WINDOW_HI, 4)
         assert all(m.error is None for m in moved)
         for r, m in zip(reports, moved):
             assert abs(m.xi - r.xi) <= 1e-12
             assert m.xi_selfcheck_gap > 2e-8
+
+
+def _cubic(s, r, c):
+    """x -> s (x - r) (1 + c (x - r)^2), for floats or arrays alike: one sign
+    change, at r, and |f| grows with |x - r|."""
+
+    def f(x):
+        d = x - r
+        return s * d * (1.0 + c * d * d)
+
+    return f
+
+
+def _counted(f):
+    """f, and the list of the abscissae it is called at."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted, calls
+
+
+def _cap(a, b):
+    """_falsi_root's evaluation cap on [a, b]."""
+    return 4 * math.ceil(math.log2((b - a) / ROOT_TOL)) + 2
+
+
+class _CountedPoints:
+    """sol, counting its single-point reads."""
+
+    def __init__(self, sol):
+        self.sol = sol
+        self.points = 0
+
+    def __getattr__(self, name):
+        return getattr(self.sol, name)
+
+    def point(self, x):
+        self.points += 1
+        return self.sol.point(x)
+
+
+class TestRegulaFalsi:
+    """The crossing and clearance roots, against the bisection that found
+    them before (``scan_oracle.bisect_root``)."""
+
+    @given(st.sampled_from([1.0, -1.0]), st.floats(0.0, 1.0), st.floats(-9.0, -1.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1e4))
+    @example(1.0, 0.3, -1.0, 1.0, 0.0)  # the root at b, where f = 0 >= 0
+    @example(-1.0, 0.3, -1.0, 0.0, 0.0)  # the root at a, where f = 0 >= 0
+    @example(1.0, 0.3, -1.0, 0.5, 1e4)
+    def test_closes_on_the_bisection_root(self, s, a, log_width, u, c):
+        b = a + 10.0 ** log_width
+        r = a + u * (b - a)
+        assume(a < r or s < 0)  # f >= 0 on all of [a, b]: no sign change
+        f, calls = _counted(_cubic(s, r, c))
+        x = feasibility._falsi_root(f, a, b)
+        assert abs(x - r) <= ROOT_TOL
+        assert abs(x - bisect_root(_cubic(s, r, c), a, b)) <= ROOT_TOL
+        assert len(calls) <= _cap(a, b)
+
+    def test_same_sign_ends_return_b(self):
+        f, calls = _counted(_cubic(1.0, -1.0, 0.0))
+        assert feasibility._falsi_root(f, 0.0, 1.0) == 1.0
+        assert calls == [0.0, 1.0]
+
+    @pytest.mark.parametrize("low, high", [(-1.0, 1.0), (-1.0, 1e12), (-1e-300, 1e300)])
+    def test_jump_stays_within_the_cap(self, low, high):
+        f, calls = _counted(lambda x: low if x < 0.3 else high)
+        assert abs(feasibility._falsi_root(f, 0.0, 1.0) - 0.3) <= ROOT_TOL
+        assert len(calls) <= _cap(0.0, 1.0)
+
+    def test_a_converged_end_does_not_hold_the_other(self):
+        # label 17 of the 50-point window: its secant points fall within
+        # ROOT_TOL/4 of the end that has converged, and moving them inward
+        # closes the bracket in 7 evaluations instead of 18
+        pencil, taus = feasibility.window_pencil(WINDOW_LO, WINDOW_HI, 50)
+        tau0 = float(taus[17])
+        assert tau0 == 1.6488885714285715
+        (a,), (b,), _ = feasibility._brackets(
+            feasibility._Lines.of_pencil(pencil, taus[17:18]),
+            lambda x, i: pencil.state(x, tau0)[1])
+        f, calls = _counted(lambda x: float(feasibility._g(
+            pencil.state(x, tau0)[1], math.sin(math.pi * x), math.cos(math.pi * x))))
+        feasibility._falsi_root(f, float(a), float(b))
+        assert len(calls) <= 9
+
+    def test_many_decides_as_one(self):
+        # 50 independent functions, some without a sign change in [a, b] and
+        # some with their root at an end
+        rng = np.random.default_rng(33)
+        s = rng.choice([-1.0, 1.0], 50)
+        c = np.where(rng.random(50) < 0.3, 0.0, 10.0 ** rng.uniform(-2.0, 4.0, 50))
+        a = rng.uniform(0.0, 1.0, 50)
+        b = a + 10.0 ** rng.uniform(-9.0, -1.0, 50)
+        r = a + rng.uniform(-0.2, 1.2, 50) * (b - a)
+        r[:4] = a[:2].tolist() + b[2:4].tolist()
+        one = [feasibility._falsi_root(_cubic(*args[:3]), *args[3:])
+               for args in zip(s.tolist(), r.tolist(), c.tolist(), a.tolist(), b.tolist())]
+        assert feasibility._falsi_many(_cubic(s, r, c), a, b).tolist() == one
+
+    def test_point_reads_at_published_tau0(self, sol_star):
+        # the bisection made 28 reads for the crossing and 31 for the
+        # clearance; without the Illinois halving the clearance takes 17
+        sol = _CountedPoints(sol_star)
+        xi, _ = deployment_parameter(sol)
+        assert sol.points <= 12
+        sol.points = 0
+        clearance_certificate(sol, xi)
+        assert sol.points <= 16
+
+    def test_vectorized_reads_of_a_window_pass(self, monkeypatch):
+        # sweep-feasibility and optimize at grid 50: the bisection read the
+        # pencil 88 times, 83 of them on its steps gathered per bracket
+        reads = []
+        values = continuum.Pencil.values
+
+        def counted(pencil, x):
+            reads.append(np.ndim(x))
+            return values(pencil, x)
+
+        monkeypatch.setattr(continuum.Pencil, "values", counted)
+        feasibility_sweep(WINDOW_LO, WINDOW_HI, 50)
+        refine_minimum(WINDOW_LO, WINDOW_HI, 50)
+        assert 0 < len(reads) <= 35
 
 
 class TestCrossingNextToScanAbscissa:
@@ -174,9 +302,9 @@ class TestCrossingNextToScanAbscissa:
             assert deployment_parameter(integrate(scalar))[0] == pytest.approx(
                 xi_scalar, abs=1e-15)
             xi, _, error = feasibility.deployment_parameters(pencil, [label])
-            # the pencil's tau cancels to ~250 eps near x = 0.84, and three
-            # Newton steps from 41 starts within 2.5e-10 of that root end in
-            # a band 7e-15 wide; at the other four labels xi moves by <= 1 ulp
+            # the pencil's tau cancels to ~250 eps near x = 0.84, and Newton
+            # steps from 41 starts within 2.5e-10 of that root end in a band
+            # 7e-15 wide; at the other four labels xi moves by <= 1 ulp
             assert error[0] is None
             assert xi[0] == pytest.approx(xi_pencil, abs=5e-15)
 
@@ -256,7 +384,7 @@ class TestStepEnclosure:
             root = scan_crossing(pencil.x0, tau_of)
             assert found == (root is not None), name
             if found:
-                tol = feasibility.BISECT_TOL
+                tol = feasibility.ROOT_TOL
                 assert a - tol <= root <= b + tol, (name, a, root, b)
 
     @pytest.mark.parametrize("tau0", [1.6, 1.64696])
@@ -304,9 +432,8 @@ class TestClearance:
     @pytest.mark.parametrize("tau0", DIVING)
     def test_minimum_at_the_crossing_end(self, tau0):
         # these curves dive into the disk and tau falls all the way to the
-        # crossing: tau' < 0 across the last bracket, so its bisection has no
-        # root to find and closes in on xi, 2.5e-10 short of it; only the
-        # bracket end gives tau(xi) itself
+        # crossing: tau' < 0 across the last bracket, so its regula falsi has no
+        # sign change and returns xi itself, the bracket end
         sol = integrate(tau0)
         xi, _ = deployment_parameter(sol)
         tau_min, _ = clearance_certificate(sol, xi)
