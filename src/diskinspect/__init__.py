@@ -32,7 +32,6 @@ from .errors import (
     CostDiverges,
     DiskInspectError,
     EmptySweep,
-    MaxIterations,
     NoCrossing,
     NotUnimodal,
     OutOfRange,

@@ -1,7 +1,9 @@
 """Structured errors raised by the numerical pipeline.
 
 Every failure mode that a caller can act on gets its own class; generic
-ValueError/RuntimeError are reserved for programming mistakes.
+ValueError/RuntimeError are reserved for programming mistakes.  No root
+finder has an iteration cap to hit: ``feasibility._falsi_root``, the one
+scalar regula falsi, ends within its own bound on evaluations.
 """
 
 from __future__ import annotations
@@ -93,11 +95,3 @@ class WindowViolated(DiskInspectError):
     gradient below ``bounds.PG_CERTIFICATE_TOL``), so its objective is not
     a proven minimum.
     """
-
-
-class MaxIterations(DiskInspectError):
-    """Solver hit its iteration cap; the best iterate is attached."""
-
-    def __init__(self, message: str, iterate=None):
-        super().__init__(message)
-        self.iterate = iterate

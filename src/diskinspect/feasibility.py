@@ -22,15 +22,18 @@ excluded; its end reads the rounding noise of g(1), which has the sign
 of tau(1).  g ~ -2 pi x (tau + pi x) < 0 at the start while tau > 0, so
 the first rise is the first return to x = 1; a small tau0, whose tau
 falls below -pi x just past the start, crosses there and is infeasible.
-An Illinois regula falsi closes the bracket (``_falsi_root``), and a
+An Illinois regula falsi closes the bracket (``_falsi_root``, the one
+scalar rule, also for the clearance and ``optimizer``'s dcost/dtau0), and a
 Newton polish that ends once its step is below PROBE_XI_STEP gives xi.
 
 The clearance.  tau_min is the root of tau' = 2 pi (tau cot psi - 1),
 found by the same regula falsi between the neighbours of the smallest tau
 among the step nodes up to xi and xi itself; a bracket end with smaller
-tau is the minimum, tau(xi) for a curve that dives to the crossing.  tau_lower, the smallest
-coefficient of the steps up to xi, the last one cut at xi, rounded down,
-bounds tau on [x0, xi]: feasible means tau_lower > FEASIBLE_TAU_MIN.
+tau is the minimum, tau(xi) for a curve that dives to the crossing, and
+the ends' tau come from the nodes that chose them.  tau_lower, the
+smallest coefficient of the steps up to xi, the last one cut at xi,
+rounded down, bounds tau on [x0, xi]: feasible means tau_lower >
+FEASIBLE_TAU_MIN.
 
 Nothing here reads past the step that holds xi, so a solve may end at
 its first node with g >= 0 (``crossed``); one that never crosses runs on
@@ -209,16 +212,20 @@ def _brackets(lines: _Lines, tau_at):
 
 def _clearance_brackets(lines: _Lines, tau_xi, xi):
     """Per label of lines, the neighbours (lo, hi) of the smallest tau among
-    the nodes up to xi and xi itself.  A node's tau is the last coefficient
-    of the step it ends (x0's the first of step 0), bit for bit the dense
-    output's read there."""
+    the nodes up to xi and xi itself, and the smaller tau at lo and hi.  A
+    node's tau is the last coefficient of the step it ends (x0's the first
+    of step 0), bit for bit the dense output's read there; hi is xi or a
+    node."""
     ts, T, B, d = lines.ts, lines.T, lines.B, lines.d
     n = np.searchsorted(ts, xi, side="right")
     nodes = np.append(T[:1, 0], T[:, 7])[:, None] + d * np.append(B[:1, 0], B[:, 7])[:, None]
     tau = np.where(np.arange(len(ts))[:, None] < n, nodes, np.inf)
+    labels = np.arange(len(xi))
     j = np.argmin(tau, axis=0)
-    j = np.where(tau_xi < tau[j, np.arange(len(xi))], n, j)
-    return ts[np.maximum(j - 1, 0)], np.where(j + 1 < n, ts[np.minimum(j + 1, len(ts) - 1)], xi)
+    j = np.where(tau_xi < tau[j, labels], n, j)
+    lo, hi, inner = np.maximum(j - 1, 0), np.minimum(j + 1, len(ts) - 1), j + 1 < n
+    return (ts[lo], np.where(inner, ts[hi], xi),
+            np.minimum(tau[lo, labels], np.where(inner, tau[hi, labels], tau_xi)))
 
 
 def _tau_lower(lines: _Lines, xi):
@@ -230,28 +237,29 @@ def _tau_lower(lines: _Lines, xi):
     return np.minimum(whole, cut.min(axis=0) - slack[np.arange(len(k)), k])
 
 
-def _falsi_root(f, a: float, b: float) -> float:
+def _falsi_root(f, a: float, b: float, tol: float = ROOT_TOL) -> float:
     """A sign change of f (f < 0 against f >= 0) in [a, b], by the Illinois
-    regula falsi (Dowell & Jarratt, BIT 11, 1971) to a bracket at most
-    ROOT_TOL wide: the end of that bracket with the smaller |f|.  Without a
-    sign change at a and b, b.
+    regula falsi (Dowell & Jarratt, BIT 11, 1971) to a bracket at most tol
+    wide: the end of that bracket with the smaller |f|.  Without a sign
+    change at a and b, b.  tol is ROOT_TOL in x for the crossing and the
+    clearance, ``optimizer.REFINE_XATOL`` in tau0 for dcost/dtau0.
 
     A secant point that is NaN or not inside (a, b) is the midpoint, and
-    one within ROOT_TOL/4 of an end moves ROOT_TOL/4 inward, so that a
-    converged end does not hold the other one still.  The end kept twice in
-    a row has its secant weight halved (Illinois), and where three steps
-    together, enough for that weight to act on a one-sided approach, do not
-    halve the bracket, the next one bisects: at most
-    4 ceil(log2((b - a) / ROOT_TOL)) + 2 evaluations.
+    one within tol/4 of an end moves tol/4 inward, so that a converged end
+    does not hold the other one still.  The end kept twice in a row has its
+    secant weight halved (Illinois), and where three steps together, enough
+    for that weight to act on a one-sided approach, do not halve the
+    bracket, the next one bisects: at most 4 ceil(log2((b - a) / tol)) + 2
+    evaluations.
     """
     fa, fb = f(a), f(b)
     if (fa < 0.0) == (fb < 0.0):
         return b
     wa, wb, side, widths = fa, fb, 0, (math.inf,) * 3
-    while (width := b - a) > ROOT_TOL:
+    while (width := b - a) > tol:
         x = b - wb * width / (wb - wa) if wb != wa else math.nan
         x = x if a < x < b and width <= 0.5 * widths[0] else 0.5 * (a + b)
-        x = min(max(x, a + ROOT_TOL / 4), b - ROOT_TOL / 4)
+        x = min(max(x, a + tol / 4), b - tol / 4)
         fx = f(x)
         if (fx < 0.0) == (fa < 0.0):
             a, fa, wa, wb, side = x, fx, fx, wb * (0.5 if side < 0 else 1.0), -1
@@ -323,11 +331,9 @@ def clearance_certificate(sol: OdeSolution, xi: float,
     clearance_from_tau.  lines as for deployment_parameter."""
     lines = _Lines.of_solution(sol) if lines is None else lines
     xis = np.array([xi])
-    (lo,), (hi,) = _clearance_brackets(lines, sol.point(xi)[1], xis)
-    lo, hi = float(lo), float(hi)
-    x = _falsi_root(lambda x: _tau_slope(sol, x), lo, hi)
-    return (min(sol.point(x)[1], sol.point(lo)[1], sol.point(hi)[1]),
-            float(_tau_lower(lines, xis)[0]))
+    (lo,), (hi,), (ends,) = _clearance_brackets(lines, sol.point(xi)[1], xis)
+    x = _falsi_root(lambda x: _tau_slope(sol, x), float(lo), float(hi))
+    return min(sol.point(x)[1], float(ends)), float(_tau_lower(lines, xis)[0])
 
 
 def clearance_from_tau(tau_min: float) -> float:
@@ -414,15 +420,14 @@ def clearance_minima(pencil: Pencil, xi: np.ndarray, tau0s: np.ndarray,
     ``Pencil.state``, the same bracket-end values and the same enclosure.
     lines as for deployment_parameters."""
     lines = _Lines.of_pencil(pencil, tau0s) if lines is None else lines
-    lo, hi = _clearance_brackets(lines, pencil.state(xi, tau0s)[1], xi)
+    lo, hi, ends = _clearance_brackets(lines, pencil.state(xi, tau0s)[1], xi)
 
     def slope(x):
         psi, tau, _ = pencil.state(x, tau0s)
         return tau * np.cos(psi) / np.sin(psi) - 1.0
 
     x = _falsi_many(slope, lo, hi)
-    tau_min = pencil.state(np.stack([x, lo, hi]), tau0s)[1].min(axis=0)
-    return tau_min, _tau_lower(lines, xi)
+    return np.minimum(pencil.state(x, tau0s)[1], ends), _tau_lower(lines, xi)
 
 
 @dataclass

@@ -4,8 +4,9 @@ The cost is evaluated per start value through the full pipeline (deployment
 parameter -> three-term cost) and minimized over the certified feasible
 window.  The landscape near the optimum is a steep parabola (curvature ~ 2e8
 in tau0) riding on a feasibility cliff just left of the window, so the grid
-sweep only brackets the minimum; a regula falsi on the analytic dcost/dtau0
-in the bracketing cell does the real work.  Both read their values off one
+sweep only brackets the minimum; the crossing and clearance roots' Illinois
+regula falsi (``feasibility._falsi_root``) on the analytic dcost/dtau0 in
+the bracketing cell does the real work.  Both read their values off one
 tau0 pencil solve per window (``window_pencil``), with the inspection
 integral and its tau0-derivative carried by the ODE, so the choice of tau0*
 makes no further ODE solve or quadrature call.  The optimum itself is
@@ -25,10 +26,11 @@ import numpy as np
 from . import cost as cost_mod
 from .bounds import THETA_HI, THETA_LO
 from .continuum import ODE_TOL, X0_REF, Pencil, integrate
-from .errors import MaxIterations, NotUnimodal, OutOfRange, WindowViolated, XiOutOfRange
+from .errors import NotUnimodal, OutOfRange, WindowViolated, XiOutOfRange
 from .feasibility import (
     PROBE_XI_STEP,
     FeasibilityReport,
+    _falsi_root,
     assess,
     crossed,
     deployment_parameter,
@@ -43,10 +45,9 @@ from .feasibility import (
 REFINE_XATOL = 2e-11
 #: Cost differences below this are treated as noise by the unimodality scan.
 SWEEP_NOISE_TOL = 1e-8
-#: Regula falsi probe cap (window refinements make 9-18), Newton steps per probe,
-#: the largest probe-to-certificate xi gap.  A probe's xi is a root once its
-#: Newton step is at most feasibility.PROBE_XI_STEP.
-REFINE_MAX_PROBES = 40
+#: Newton steps per probe, the largest probe-to-certificate xi gap.  A
+#: probe's xi is a root once its Newton step is at most
+#: feasibility.PROBE_XI_STEP.
 PROBE_NEWTON_STEPS = 12
 PROBE_XI_TOL = 1e-8
 
@@ -169,46 +170,45 @@ def refine_minimum(
 
         dcost/dtau0 = (sec(pi xi) + D'(xi) + 2 pi xi tau / sin psi) dxi/dtau0 + I_B.
 
-    A probe polishes xi by Newton's method from the nearer bracket end's (the
-    ends from the sweep's), else by deployment_parameters on that one label
-    when Newton does not converge or leaves [x0, x_end]; a label past the
-    cliff has slope < 0.  The same sign at both ends puts the minimum on the
-    window's edge or beyond (WindowViolated); else a safeguarded Illinois
-    regula falsi shrinks the bracket below REFINE_XATOL, or raises
-    MaxIterations.  tau0* is its last probe, certified on the scalar path
-    (integrate -> assess -> total_cost): OutOfRange when the certificate's xi
-    differs from the last probe's by more than PROBE_XI_TOL (a probe followed
-    a root other than the first, or, at a coarse tol, the certificate solve
-    and the pencil step differently: by 2.5e-8 in xi at tol 1e-10),
-    WindowViolated when theta* leaves [THETA_LO, THETA_HI] or the clearance
-    certificate fails.
+    A probe polishes xi by Newton's method from the nearest probed label's,
+    an end of the current bracket (ties to the right; the cell ends' from
+    the sweep's), else by deployment_parameters on that one label when
+    Newton does not converge or leaves [x0, x_end]; a label past the cliff
+    has slope -inf.  The same sign at both cell ends puts the minimum on the
+    window's edge or beyond (WindowViolated); else ``_falsi_root`` closes the
+    bracket to REFINE_XATOL, probing each label once.  tau0* is the end of
+    its final bracket with the smaller |dcost/dtau0|, certified on the scalar
+    path (integrate -> assess -> total_cost): OutOfRange when the
+    certificate's xi differs from that probe's by more than PROBE_XI_TOL (a
+    probe followed a root other than the first, or, at a coarse tol, the
+    certificate solve and the pencil step differently: by 2.5e-8 in xi at
+    tol 1e-10), WindowViolated when theta* leaves [THETA_LO, THETA_HI] or
+    the clearance certificate fails.
     """
     pencil, taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
     rows, xis = _cost_rows(pencil, taus)
     j = _check_unimodal(np.array([total for _, total, _ in rows]), SWEEP_NOISE_TOL)
     ia, ib = max(j - 1, 0), min(j + 1, len(taus) - 1)
     a, b = float(taus[ia]), float(taus[ib])
-    (fa, xa), (fb, xb) = _probe(pencil, a, float(xis[ia])), _probe(pencil, b, float(xis[ib]))
+    probes = {a: _probe(pencil, a, float(xis[ia])), b: _probe(pencil, b, float(xis[ib]))}
+    (fa, _), (fb, _) = probes[a], probes[b]
     if not fa < 0.0 < fb:
         raise WindowViolated(f"dcost/dtau0 is {fa!r} at {a!r} and {fb!r} at {b!r}: the "
                              f"minimum lies on the edge of [{lo!r}, {hi!r}] or beyond")
-    m, xm, probes, side = a, xa, 2, 0
-    while b - a > REFINE_XATOL:
-        if probes == REFINE_MAX_PROBES:
-            raise MaxIterations(f"bracket [{a!r}, {b!r}] after {probes} probes", iterate=m)
-        m = b - fb * (b - a) / (fb - fa)  # b when a is past the cliff: bisect
-        m = m if a < m < b else 0.5 * (a + b)
-        fm, xm = _probe(pencil, m, xa if m - a < b - m else xb)
-        probes += 1
-        if fm < 0.0:  # Illinois: halve the end value kept twice in a row
-            a, fa, xa, fb, side = m, fm, xm, fb * (0.5 if side < 0 else 1.0), -1
-        else:
-            b, fb, xb, fa, side = m, fm, xm, fa * (0.5 if side > 0 else 1.0), 1
+
+    def slope(tau0: float) -> float:
+        if tau0 not in probes:
+            near = min(probes, key=lambda t: (abs(t - tau0), -t))
+            probes[tau0] = _probe(pencil, tau0, probes[near][1])
+        return probes[tau0][0]
+
+    m = _falsi_root(slope, a, b, REFINE_XATOL)
+    xm = probes[m][1]
     sol = integrate(m, x0=x0, tol=tol, stop=crossed)
     certificate = assess(sol)
     if (gap := abs(certificate.xi - xm)) > PROBE_XI_TOL:
         raise OutOfRange(
-            f"xi={certificate.xi!r} at tau0*={m!r} differs from the last probe's {xm!r} by "
+            f"xi={certificate.xi!r} at tau0*={m!r} differs from the chosen probe's {xm!r} by "
             f"{gap:.3g}, more than PROBE_XI_TOL={PROBE_XI_TOL:g}: either a probe followed a "
             f"root other than the first, or at tol={tol:g} the certificate solve and the "
             f"pencil take steps different enough to move xi")
@@ -229,7 +229,7 @@ def refine_minimum(
         theta_star=certificate.theta,
         cost_star=breakdown.total,
         clearance_star=certificate.clearance,
-        bracket=(float(taus[ia]), float(taus[ib])),
+        bracket=(a, b),
         grid_resolution=len(taus),
         certificate=certificate,
         breakdown=breakdown,

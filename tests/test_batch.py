@@ -290,7 +290,7 @@ def state_rows(pencil, tau0s):
 
     xi, taus = out[0, ~np.isnan(out[0])], tau0s[~np.isnan(out[0])]
     lines = lines.labels(~np.isnan(out[0]))
-    lo, hi = feasibility._clearance_brackets(lines, pencil.state(xi, taus)[1], xi)
+    lo, hi, _ = feasibility._clearance_brackets(lines, pencil.state(xi, taus)[1], xi)
 
     def slope(x):
         psi, tau, _ = pencil.state(x, taus)

@@ -21,7 +21,7 @@ from diskinspect.feasibility import (
     deployment_parameter,
     feasibility_sweep,
 )
-from diskinspect.optimizer import refine_minimum, sweep_cost
+from diskinspect.optimizer import REFINE_XATOL, refine_minimum, sweep_cost
 
 from conftest import CONVERGED_XI_AT_PUBLISHED_TAU0, PUBLISHED_TAU0, crossing_only
 from scan_oracle import bisect_root, scan_crossing, scan_tau_min
@@ -176,9 +176,9 @@ def _counted(f):
     return counted, calls
 
 
-def _cap(a, b):
-    """_falsi_root's evaluation cap on [a, b]."""
-    return 4 * math.ceil(math.log2((b - a) / ROOT_TOL)) + 2
+def _cap(a, b, tol):
+    """_falsi_root's evaluation cap on [a, b] at tol."""
+    return 4 * math.ceil(math.log2((b - a) / tol)) + 2
 
 
 class _CountedPoints:
@@ -196,24 +196,30 @@ class _CountedPoints:
         return self.sol.point(x)
 
 
+#: The tolerances of _falsi_root's callers: x for the crossing and the
+#: clearance, tau0 for the optimizer's dcost/dtau0.
+TOLS = (ROOT_TOL, REFINE_XATOL)
+
+
 class TestRegulaFalsi:
-    """The crossing and clearance roots, against the bisection that found
-    them before (``scan_oracle.bisect_root``)."""
+    """The crossing, clearance and dcost/dtau0 roots, against the bisection
+    that found the first two before (``scan_oracle.bisect_root``)."""
 
     @given(st.sampled_from([1.0, -1.0]), st.floats(0.0, 1.0), st.floats(-9.0, -1.0),
-           st.floats(0.0, 1.0), st.floats(0.0, 1e4))
-    @example(1.0, 0.3, -1.0, 1.0, 0.0)  # the root at b, where f = 0 >= 0
-    @example(-1.0, 0.3, -1.0, 0.0, 0.0)  # the root at a, where f = 0 >= 0
-    @example(1.0, 0.3, -1.0, 0.5, 1e4)
-    def test_closes_on_the_bisection_root(self, s, a, log_width, u, c):
+           st.floats(0.0, 1.0), st.floats(0.0, 1e4), st.sampled_from(TOLS))
+    @example(1.0, 0.3, -1.0, 1.0, 0.0, ROOT_TOL)  # the root at b, where f = 0 >= 0
+    @example(-1.0, 0.3, -1.0, 0.0, 0.0, ROOT_TOL)  # the root at a, where f = 0 >= 0
+    @example(1.0, 0.3, -1.0, 0.5, 1e4, ROOT_TOL)
+    @example(1.0, 0.3, -1.0, 0.5, 1e4, REFINE_XATOL)
+    def test_closes_on_the_bisection_root(self, s, a, log_width, u, c, tol):
         b = a + 10.0 ** log_width
         r = a + u * (b - a)
         assume(a < r or s < 0)  # f >= 0 on all of [a, b]: no sign change
         f, calls = _counted(_cubic(s, r, c))
-        x = feasibility._falsi_root(f, a, b)
-        assert abs(x - r) <= ROOT_TOL
+        x = feasibility._falsi_root(f, a, b, tol)
+        assert abs(x - r) <= tol
         assert abs(x - bisect_root(_cubic(s, r, c), a, b)) <= ROOT_TOL
-        assert len(calls) <= _cap(a, b)
+        assert len(calls) <= _cap(a, b, tol)
 
     def test_same_sign_ends_return_b(self):
         f, calls = _counted(_cubic(1.0, -1.0, 0.0))
@@ -222,9 +228,10 @@ class TestRegulaFalsi:
 
     @pytest.mark.parametrize("low, high", [(-1.0, 1.0), (-1.0, 1e12), (-1e-300, 1e300)])
     def test_jump_stays_within_the_cap(self, low, high):
-        f, calls = _counted(lambda x: low if x < 0.3 else high)
-        assert abs(feasibility._falsi_root(f, 0.0, 1.0) - 0.3) <= ROOT_TOL
-        assert len(calls) <= _cap(0.0, 1.0)
+        for tol in TOLS:
+            f, calls = _counted(lambda x: low if x < 0.3 else high)
+            assert abs(feasibility._falsi_root(f, 0.0, 1.0, tol) - 0.3) <= tol
+            assert len(calls) <= _cap(0.0, 1.0, tol)
 
     def test_a_converged_end_does_not_hold_the_other(self):
         # label 17 of the 50-point window: its secant points fall within
@@ -257,13 +264,14 @@ class TestRegulaFalsi:
 
     def test_point_reads_at_published_tau0(self, sol_star):
         # the bisection made 28 reads for the crossing and 31 for the
-        # clearance; without the Illinois halving the clearance takes 17
+        # clearance; without the Illinois halving the clearance takes 17, and
+        # reading its bracket ends anew instead of their node values 14
         sol = _CountedPoints(sol_star)
         xi, _ = deployment_parameter(sol)
         assert sol.points <= 12
         sol.points = 0
         clearance_certificate(sol, xi)
-        assert sol.points <= 16
+        assert sol.points <= 12
 
     def test_vectorized_reads_of_a_window_pass(self, monkeypatch):
         # sweep-feasibility and optimize at grid 50: the bisection read the
@@ -458,6 +466,12 @@ class TestClearance:
         xi, _ = deployment_parameter(sol)
         self.check(*clearance_certificate(sol, xi), lambda x: sol.values(x)[1],
                    lambda x: feasibility._tau_slope(sol, x), sol.x0, xi)
+        # the bracket ends' smaller tau, from the step nodes or tau(xi) where
+        # the bracket ends at xi, as a diving curve's does, is the dense read
+        (a,), (b,), (ends,) = feasibility._clearance_brackets(
+            feasibility._Lines.of_solution(sol), sol.point(xi)[1], np.array([xi]))
+        assert ends == min(sol.point(float(a))[1], sol.point(float(b))[1])
+        assert (b == xi) == (tau0 in DIVING)
 
     @pytest.mark.parametrize("lo, hi, grid", [(WINDOW_LO, WINDOW_HI, 5), (*DIVING, 2)],
                              ids=["window", "diving"])
@@ -467,6 +481,10 @@ class TestClearance:
         pencil, tau0s = feasibility.window_pencil(lo, hi, grid)
         full = integrate_pencil(pencil.tau_bar)
         xi, _, _ = feasibility.deployment_parameters(pencil, tau0s)
+        a, b, ends = feasibility._clearance_brackets(
+            feasibility._Lines.of_pencil(pencil, tau0s), pencil.state(xi, tau0s)[1], xi)
+        assert np.array_equal(ends, np.minimum(pencil.state(a, tau0s)[1],
+                                               pencil.state(b, tau0s)[1]))
         for tau0, x, m, lower in zip(tau0s, xi, *feasibility.clearance_minima(pencil, xi, tau0s)):
             def slope_of(y, tau0=tau0):
                 psi, tau, _ = full.state(y, tau0)

@@ -5,7 +5,7 @@ import pytest
 
 from diskinspect import feasibility, optimizer
 from diskinspect.cli import main
-from diskinspect.errors import MaxIterations, NotUnimodal, OutOfRange, WindowViolated
+from diskinspect.errors import NotUnimodal, OutOfRange, WindowViolated
 from diskinspect.feasibility import WINDOW_HI, WINDOW_LO, deployment_parameters, window_pencil
 from diskinspect.optimizer import (
     _check_unimodal,
@@ -67,7 +67,7 @@ class TestUnimodalCheck:
     def test_rejects_double_dip(self):
         costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
         with pytest.raises(NotUnimodal):
-            _check_unimodal(costs, 1e-8)
+            _check_unimodal(costs, optimizer.SWEEP_NOISE_TOL)
 
     def test_rejects_error_row_between_valid_rows(self):
         # the error row hides the ascent 2.0 -> 2.5
@@ -141,11 +141,6 @@ class TestRefine:
         assert opt.tau0_star == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
         assert opt.cost_star == pytest.approx(PUBLISHED_COST, abs=1e-6)
 
-    def test_not_unimodal_raises(self):
-        costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
-        with pytest.raises(NotUnimodal):
-            _check_unimodal(costs, optimizer.SWEEP_NOISE_TOL)
-
 
 def pencil_slope(lo, hi, tau0):
     """dcost/dtau0 of the label tau0 on the window pencil of [lo, hi], from its scanned xi."""
@@ -208,11 +203,6 @@ class TestSlopeRefinement:
         assert rc == 2
         assert '"kind": "OutOfRange"' in capsys.readouterr().out
 
-    def test_probe_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "REFINE_MAX_PROBES", 5)
-        with pytest.raises(MaxIterations):
-            refine_minimum(WINDOW_LO, WINDOW_HI, grid=50)
-
     @pytest.mark.parametrize("grid, most", [(50, 16), (2000, 12)])
     def test_probe_count(self, monkeypatch, grid, most):
         calls = []
@@ -225,5 +215,5 @@ class TestSlopeRefinement:
         monkeypatch.setattr(optimizer, "_probe", counted)
         opt = refine_minimum(WINDOW_LO, WINDOW_HI, grid=grid)
         assert len(calls) <= most
-        assert calls[-1] == opt.tau0_star
+        assert opt.tau0_star in calls
         assert opt.tau0_star == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
