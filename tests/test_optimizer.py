@@ -67,7 +67,7 @@ class TestUnimodalCheck:
     def test_rejects_double_dip(self):
         costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
         with pytest.raises(NotUnimodal):
-            _check_unimodal(costs, optimizer.SWEEP_NOISE_TOL)
+            _check_unimodal(costs, 1e-8)
 
     def test_rejects_error_row_between_valid_rows(self):
         # the error row hides the ascent 2.0 -> 2.5
@@ -140,6 +140,11 @@ class TestRefine:
         assert opt.bracket == (1.6469366666666667, 1.64701)
         assert opt.tau0_star == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
         assert opt.cost_star == pytest.approx(PUBLISHED_COST, abs=1e-6)
+
+    def test_not_unimodal_raises(self):
+        costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
+        with pytest.raises(NotUnimodal):
+            _check_unimodal(costs, optimizer.SWEEP_NOISE_TOL)
 
 
 def pencil_slope(lo, hi, tau0):
