@@ -44,9 +44,13 @@ A + tau0 * B (tau_bar = 0), tau there is the difference of two terms of
 size ~7e4 and loses five digits.  Centred at the window midpoint,
 |tau0 - tau_bar| <= 2.8e-3 on the certified window, both terms stay below
 ~250 and at most two to three digits cancel.  On a wide window a label far
-from the centre has a large (tau0 - tau_bar) * B, but then tau itself is
-of that size and nothing cancels: rows of one pencil over [0.05, 10] agree
-with the scalar path to 3e-13 in xi and 1.3e-10 in cost.
+from the centre has a large (tau0 - tau_bar) * B.  Above the centre tau is
+then of that size too and nothing cancels.  Below it the two terms can
+cancel: centred at 2.75, Tbar = 8.0e4 at x = 0.8255, where the label
+1.64697265625 reads tau = 0.61, so g's noise (~1e-11) keeps its Newton
+polish from converging and the |g| guard fails it (OutOfRange).  Rows of
+one pencil over [0.05, 10] (grid 2000) still agree with the scalar path
+to 6e-13 in xi and 2.1e-10 in cost.
 
 Stepping and dense output.  ``_solve`` is DOP853, the Dormand-Prince
 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), with

@@ -23,8 +23,10 @@ of tau(1).  g ~ -2 pi x (tau + pi x) < 0 at the start while tau > 0, so
 the first rise is the first return to x = 1; a small tau0, whose tau
 falls below -pi x just past the start, crosses there and is infeasible.
 An Illinois regula falsi closes the bracket (``_falsi_root``, the one
-scalar rule, also for the clearance and ``optimizer``'s dcost/dtau0), and a
-Newton polish that ends once its step is below PROBE_XI_STEP gives xi.
+scalar rule, also for the clearance and ``optimizer``'s dcost/dtau0), and
+Newton's method polishes its root into xi (``_newton_xi``, the one scalar
+polish, also for ``optimizer``'s probes): at most NEWTON_STEPS steps,
+ending after the first one no longer than PROBE_XI_STEP.
 
 The clearance.  tau_min is the root of tau' = 2 pi (tau cot psi - 1),
 found by the same regula falsi between the neighbours of the smallest tau
@@ -47,10 +49,11 @@ every label between them has crossed by then.  A label's coefficients
 are the lines Tbar_c + (tau0 - tau_bar) B_c, bounded for all labels and
 steps at once (``_Lines``, one solve is the pencil B = 0) and shared by
 the crossing and the clearance.  The regula falsi (``_falsi_many``, each
-label deciding as ``_falsi_root`` would) and the Newton steps read every
-label at once through ``Pencil.state``; the scalar functions read their
-one solve in plain floats (``OdeSolution.point``) and stay the reference
-the sweeps are tested against.
+label deciding as ``_falsi_root`` would) and the Newton steps (each label
+polished as ``_newton_xi`` would) read every label at once through
+``Pencil.state``; the scalar functions read their one solve in plain
+floats (``OdeSolution.point``) and stay the reference the sweeps are
+tested against.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ ROOT_TOL = 5e-10
 #: A Newton step on the crossing at most this long ends the polish: xi is
 #: a root to rounding (shared with ``optimizer``'s probes).
 PROBE_XI_STEP = 1e-14
+#: Newton steps per polish: enough from a neighbouring label's xi (``optimizer``).
+NEWTON_STEPS = 12
 #: The Newton polish may leave |T1 - 1| above its value at the crossing
 #: root by at most a few ulps of the O(1) terms that make it up.
 NEWTON_G_SLACK = 8 * np.finfo(float).eps
@@ -269,60 +274,51 @@ def _falsi_root(f, a: float, b: float, tol: float = ROOT_TOL) -> float:
     return a if abs(fa) < abs(fb) else b
 
 
+def _newton_xi(read, tau0: float, xi: float, a: float, b: float) -> float:
+    """Newton's method on g = T1 - 1 from xi, reading read(x) -> (psi, tau) in
+    plain floats: the iterate after its first step no longer than
+    PROBE_XI_STEP, or after NEWTON_STEPS steps.  OutOfRange, naming tau0,
+    where an iterate leaves [a, b] (NaN does) or where |g| at its last read
+    exceeds |g| at its first by more than NEWTON_G_SLACK."""
+    gs = []
+    while a <= xi <= b and len(gs) < NEWTON_STEPS:
+        psi, tau = read(xi)
+        g, g_x = g_and_slope(tau, math.cos(psi) / math.sin(psi),
+                             math.sin(math.pi * xi), math.cos(math.pi * xi))
+        gs.append(abs(g))
+        xi -= (step := g / g_x)
+        if abs(step) <= PROBE_XI_STEP:
+            break
+    if not a <= xi <= b:
+        raise OutOfRange(f"Newton polish for tau0={tau0!r} left the crossing bracket "
+                         f"[{a!r}, {b!r}] at xi={xi!r}")
+    if gs[-1] > gs[0] + NEWTON_G_SLACK:
+        raise OutOfRange(f"Newton polish for tau0={tau0!r} raised |T1 - 1| from "
+                         f"{gs[0]!r} at the bracket root to {gs[-1]!r}")
+    return xi
+
+
 def deployment_parameter(sol: OdeSolution, lines: _Lines | None = None) -> tuple[float, float]:
     """Smallest root xi > x0 of T1(x) = 1, plus the self-check gap.
 
     Close the crossing bracket (see the module docstring) to ROOT_TOL by
-    ``_falsi_root``; then polish by up to three Newton steps on
-    single-point reads of the dense output in plain floats
-    (``OdeSolution.point``), ending after the first one no longer than
-    PROBE_XI_STEP, so that the returned root is smooth in tau0 (the
-    optimizer differentiates through it; a root that moves by ROOT_TOL
-    with the bracket would contaminate the minimum through
-    dT1/dxi ~ O(1)).  The gap is |xi - bracket root|, the two root finders
-    checked against each other: at most about ROOT_TOL when both found
-    the same root.
-
-    The polish is guarded: OutOfRange when an iterate leaves the crossing
-    bracket, or when |g| at the last iterate it evaluates exceeds |g| at
-    the bracket root by more than NEWTON_G_SLACK.  lines, when given, are
-    the solve's (``_Lines.of_solution``).
+    ``_falsi_root``, then polish its root inside it by ``_newton_xi``, whose
+    guards raise OutOfRange, on reads in floats (``OdeSolution.point``), so
+    that xi is smooth in tau0 (the optimizer differentiates through it; a
+    root that moves by ROOT_TOL with the bracket would contaminate the
+    minimum through dT1/dxi ~ O(1)).  The gap is |xi - bracket root|, the
+    two root finders checked against each other: at most about ROOT_TOL
+    when both found the same root.  lines, if given: ``_Lines.of_solution(sol)``.
     """
     lines = _Lines.of_solution(sol) if lines is None else lines
     (a,), (b,), (found,) = _brackets(lines, lambda x, i: sol.values(x)[1])
     if not found:
-        raise NoCrossing(
-            f"curve with tau0={sol.tau0!r} never returns to the line x=1"
-        )
+        raise NoCrossing(f"curve with tau0={sol.tau0!r} never returns to the line x=1")
     a, b = float(a), float(b)
-    xi = root = _falsi_root(
+    root = _falsi_root(
         lambda x: _g(sol.point(x)[1], math.sin(math.pi * x), math.cos(math.pi * x)), a, b)
-    gvals = []
-    for _ in range(3):
-        _check_polish_bracket(sol, xi, a, b)
-        psi, tau = sol.point(xi)
-        gval, gprime = g_and_slope(tau, math.cos(psi) / math.sin(psi),
-                                   math.sin(math.pi * xi), math.cos(math.pi * xi))
-        gvals.append(abs(gval))
-        step = gval / gprime
-        xi -= step
-        if abs(step) <= PROBE_XI_STEP:
-            break
-    _check_polish_bracket(sol, xi, a, b)
-    if gvals[-1] > gvals[0] + NEWTON_G_SLACK:
-        raise OutOfRange(
-            f"Newton polish for tau0={sol.tau0!r} raised |T1 - 1| from "
-            f"{gvals[0]!r} at the bracket root to {gvals[-1]!r}"
-        )
+    xi = _newton_xi(sol.point, sol.tau0, root, a, b)
     return float(xi), float(abs(xi - root))
-
-
-def _check_polish_bracket(sol: OdeSolution, xi: float, a: float, b: float) -> None:
-    if not a <= xi <= b:
-        raise OutOfRange(
-            f"Newton polish for tau0={sol.tau0!r} left the crossing bracket "
-            f"[{a!r}, {b!r}] at xi={xi!r}"
-        )
 
 
 def clearance_certificate(sol: OdeSolution, xi: float,
@@ -373,17 +369,17 @@ def _falsi_many(f, a, b) -> np.ndarray:
 def deployment_parameters(pencil: Pencil, tau0s, lines: _Lines | None = None):
     """deployment_parameter for every label: (xi, self-check gap, error) arrays.
 
-    The same bracket, root finder (``_falsi_many``) and guarded Newton
-    steps, vectorized across labels and read through ``Pencil.state``; a
-    label's polish reads it only while its iterate is inside its bracket
-    and its last step was longer than PROBE_XI_STEP.  lines, when given,
-    are those of the pencil and tau0s (``_Lines.of_pencil``).  Where the
-    scalar version raises, xi and gap are NaN and the error entry holds the
-    kind: NoCrossing where there is no crossing bracket, OutOfRange where a
-    Newton iterate leaves the label's bracket (which lies inside the solved
-    range) or where |g| at the label's last Newton evaluation exceeds |g|
-    at the bracket root by more than NEWTON_G_SLACK.  The other entries of
-    error are None.
+    The same bracket, root finder (``_falsi_many``) and polish
+    (``_newton_xi``'s rule), vectorized across labels and read through
+    ``Pencil.state``; a label's polish reads it at most NEWTON_STEPS times,
+    while its iterate is inside its bracket and its last step was longer
+    than PROBE_XI_STEP.  lines, when given, are those of the pencil and
+    tau0s (``_Lines.of_pencil``).  Where the scalar version raises, xi and
+    gap are NaN and the error entry holds the kind: NoCrossing where there
+    is no crossing bracket, OutOfRange where a Newton iterate leaves the
+    label's bracket (which lies inside the solved range) or where |g| at
+    the label's last Newton evaluation exceeds |g| at the bracket root by
+    more than NEWTON_G_SLACK.  The other entries of error are None.
     """
     tau0s = np.asarray(tau0s, dtype=float)
     lines = _Lines.of_pencil(pencil, tau0s) if lines is None else lines
@@ -392,7 +388,7 @@ def deployment_parameters(pencil: Pencil, tau0s, lines: _Lines | None = None):
     root = _falsi_many(lambda x: _g(
         pencil.state(x, taus)[1], np.sin(math.pi * x), np.cos(math.pi * x)), a, b)
     xi, abs_g, live = root.copy(), np.full((2, len(taus)), math.nan), np.ones(len(taus), bool)
-    for step in range(3):
+    for step in range(NEWTON_STEPS):
         live &= (xi >= a) & (xi <= b)
         if not live.any():
             break

@@ -6,14 +6,15 @@ window.  The landscape near the optimum is a steep parabola (curvature ~ 2e8
 in tau0) riding on a feasibility cliff just left of the window, so the grid
 sweep only brackets the minimum; the crossing and clearance roots' Illinois
 regula falsi (``feasibility._falsi_root``) on the analytic dcost/dtau0 in
-the bracketing cell does the real work.  Both read their values off one
-tau0 pencil solve per window (``window_pencil``), with the inspection
-integral and its tau0-derivative carried by the ODE, so the choice of tau0*
-makes no further ODE solve or quadrature call.  The optimum itself is
-certified on the scalar path: integrate, assess and total_cost with adaptive
-quadrature, on a solve that ends at its crossing, past which none of them
-reads.  Every solve, pencil or scalar, takes the same series start x0 and
-ODE tolerance tol.
+the bracketing cell does the real work, each probe's xi polished by the
+deployment parameter's Newton rule (``feasibility._newton_xi``).  Both
+read their values off one tau0 pencil solve per window (``window_pencil``),
+with the inspection integral and its tau0-derivative carried by the ODE, so
+the choice of tau0* makes no further ODE solve or quadrature call.  The
+optimum itself is certified on the scalar path: integrate, assess and
+total_cost with adaptive quadrature, on a solve that ends at its crossing,
+past which none of them reads.  Every solve, pencil or scalar, takes the
+same series start x0 and ODE tolerance tol.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .bounds import THETA_HI, THETA_LO
 from .continuum import ODE_TOL, X0_REF, Pencil, integrate
 from .errors import NotUnimodal, OutOfRange, WindowViolated, XiOutOfRange
 from .feasibility import (
-    PROBE_XI_STEP,
     FeasibilityReport,
     _falsi_root,
+    _newton_xi,
     assess,
     crossed,
     deployment_parameter,
@@ -45,10 +46,7 @@ from .feasibility import (
 REFINE_XATOL = 2e-11
 #: Cost differences below this are treated as noise by the unimodality scan.
 SWEEP_NOISE_TOL = 1e-8
-#: Newton steps per probe, the largest probe-to-certificate xi gap.  A
-#: probe's xi is a root once its Newton step is at most
-#: feasibility.PROBE_XI_STEP.
-PROBE_NEWTON_STEPS = 12
+#: The largest probe-to-certificate xi gap.
 PROBE_XI_TOL = 1e-8
 
 
@@ -107,12 +105,13 @@ def sweep_cost(
     return _cost_rows(pencil, taus)[0]
 
 
-def _check_unimodal(costs: np.ndarray, noise_tol: float) -> int:
+def _check_unimodal(costs: np.ndarray) -> int:
     """Index of the minimum after verifying a single descent/ascent pattern.
 
-    Differences smaller than noise_tol in magnitude are ignored: adjacent
-    grid costs near the flat bottom differ by less than the evaluation
-    noise, and literal sign counting would see spurious minima there.
+    Differences smaller than SWEEP_NOISE_TOL in magnitude are ignored:
+    adjacent grid costs near the flat bottom differ by less than the
+    evaluation noise, and literal sign counting would see spurious minima
+    there.
     Error rows (NaN) may only form runs at either end of the sweep, such as
     the NoCrossing cliff; one between two valid rows could hide an ascent.
     """
@@ -127,33 +126,35 @@ def _check_unimodal(costs: np.ndarray, noise_tol: float) -> int:
         )
     j = int(np.argmin(run))
     diffs = np.diff(run)
-    if np.any(diffs[:j] > noise_tol) or np.any(diffs[j:] < -noise_tol):
-        raise NotUnimodal(
-            "sweep is not unimodal beyond noise level; refusing to refine"
-        )
+    if np.any(diffs[:j] > SWEEP_NOISE_TOL) or np.any(diffs[j:] < -SWEEP_NOISE_TOL):
+        raise NotUnimodal("sweep is not unimodal beyond noise level; refusing to refine")
     return first + j
 
 
-def _probe(pencil: Pencil, tau0: float, xi: float, polished: bool = False):
-    """(dcost/dtau0, xi) of the label tau0: Newton from xi, else the xi of
-    deployment_parameters as is."""
+def _probe(pencil: Pencil, tau0: float, xi: float):
+    """(dcost/dtau0, xi) of the label tau0: ``_newton_xi`` from xi inside
+    [x0, x_end], else the xi of deployment_parameters on that label."""
     d = tau0 - pencil.tau_bar
-    for _ in range(PROBE_NEWTON_STEPS):
-        if not pencil.x0 <= xi <= pencil.x_end:
-            break
-        psi, t, b, _, i_b = pencil.point(xi)
-        tau, s = t + d * b, math.sin(math.tau * xi)
-        g, g_x = g_and_slope(tau, math.cos(psi) / math.sin(psi), math.sin(math.pi * xi),
-                             math.cos(math.pi * xi))
-        step = g / g_x
-        if polished or abs(step) <= PROBE_XI_STEP:
-            dcost_dxi = cost_mod.closed_form_slope(xi) + math.tau * xi * tau / math.sin(psi)
-            return dcost_dxi * b * s / g_x + i_b, xi
-        xi -= step
-    (xi,), _, (kind,) = deployment_parameters(pencil, np.array([tau0]))
-    if kind == OutOfRange.kind:
-        raise OutOfRange(f"the Newton polish of the label tau0={tau0!r} fails")
-    return (-math.inf, math.nan) if kind else _probe(pencil, tau0, float(xi), polished=True)
+
+    def read(x):
+        psi, t, b, _, _ = pencil.point(x)
+        return psi, t + d * b
+
+    try:
+        xi = _newton_xi(read, tau0, xi, pencil.x0, pencil.x_end)
+    except OutOfRange:
+        (xi,), _, (kind,) = deployment_parameters(pencil, np.array([tau0]))
+        if kind == OutOfRange.kind:
+            raise OutOfRange(f"the Newton polish of the label tau0={tau0!r} fails")
+        if kind:
+            return -math.inf, math.nan
+        xi = float(xi)
+    psi, t, b, _, i_b = pencil.point(xi)
+    tau, s = t + d * b, math.sin(math.tau * xi)
+    _, g_x = g_and_slope(tau, math.cos(psi) / math.sin(psi), math.sin(math.pi * xi),
+                         math.cos(math.pi * xi))
+    dcost_dxi = cost_mod.closed_form_slope(xi) + math.tau * xi * tau / math.sin(psi)
+    return dcost_dxi * b * s / g_x + i_b, xi
 
 
 def refine_minimum(
@@ -170,10 +171,10 @@ def refine_minimum(
 
         dcost/dtau0 = (sec(pi xi) + D'(xi) + 2 pi xi tau / sin psi) dxi/dtau0 + I_B.
 
-    A probe polishes xi by Newton's method from the nearest probed label's,
-    an end of the current bracket (ties to the right; the cell ends' from
-    the sweep's), else by deployment_parameters on that one label when
-    Newton does not converge or leaves [x0, x_end]; a label past the cliff
+    A probe polishes xi by ``_newton_xi`` inside [x0, x_end] from the
+    nearest probed label's, an end of the current bracket (ties to the
+    right; the cell ends' from the sweep's), else takes deployment_parameters'
+    on that one label where the polish raises; a label past the cliff
     has slope -inf.  The same sign at both cell ends puts the minimum on the
     window's edge or beyond (WindowViolated); else ``_falsi_root`` closes the
     bracket to REFINE_XATOL, probing each label once.  tau0* is the end of
@@ -187,7 +188,7 @@ def refine_minimum(
     """
     pencil, taus = window_pencil(lo, hi, grid, x0=x0, tol=tol)
     rows, xis = _cost_rows(pencil, taus)
-    j = _check_unimodal(np.array([total for _, total, _ in rows]), SWEEP_NOISE_TOL)
+    j = _check_unimodal(np.array([total for _, total, _ in rows]))
     ia, ib = max(j - 1, 0), min(j + 1, len(taus) - 1)
     a, b = float(taus[ia]), float(taus[ib])
     probes = {a: _probe(pencil, a, float(xis[ia])), b: _probe(pencil, b, float(xis[ib]))}
@@ -214,15 +215,11 @@ def refine_minimum(
             f"pencil take steps different enough to move xi")
     breakdown = cost_mod.total_cost(sol, certificate.xi)
     if not THETA_LO <= certificate.theta <= THETA_HI:
-        raise WindowViolated(
-            f"theta*={certificate.theta!r} lies outside the deployment-angle "
-            f"window [{THETA_LO}, {THETA_HI}]"
-        )
+        raise WindowViolated(f"theta*={certificate.theta!r} lies outside the "
+                             f"deployment-angle window [{THETA_LO}, {THETA_HI}]")
     if not certificate.feasible:
-        raise WindowViolated(
-            f"tau0*={m!r} fails its clearance certificate: "
-            f"tau_min={certificate.tau_min!r}"
-        )
+        raise WindowViolated(f"tau0*={m!r} fails its clearance certificate: "
+                             f"tau_min={certificate.tau_min!r}")
     return OptimalSolution(
         tau0_star=m,
         xi_star=certificate.xi,

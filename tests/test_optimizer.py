@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from diskinspect import feasibility, optimizer
 from diskinspect.cli import main
 from diskinspect.errors import NotUnimodal, OutOfRange, WindowViolated
-from diskinspect.feasibility import WINDOW_HI, WINDOW_LO, deployment_parameters, window_pencil
+from diskinspect.feasibility import (
+    PROBE_XI_STEP,
+    WINDOW_HI,
+    WINDOW_LO,
+    deployment_parameters,
+    window_pencil,
+)
 from diskinspect.optimizer import (
     _check_unimodal,
     cost_at,
@@ -62,26 +69,26 @@ class TestSweep:
 class TestUnimodalCheck:
     def test_accepts_noisy_flat_bottom(self):
         costs = np.array([3.0, 2.0, 1.0 + 1e-12, 1.0, 1.0 + 2e-12, 2.0, 3.0])
-        assert _check_unimodal(costs, 1e-8) == 3
+        assert _check_unimodal(costs) == 3
 
     def test_rejects_double_dip(self):
         costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
         with pytest.raises(NotUnimodal):
-            _check_unimodal(costs, 1e-8)
+            _check_unimodal(costs)
 
     def test_rejects_error_row_between_valid_rows(self):
         # the error row hides the ascent 2.0 -> 2.5
         costs = np.array([3.0, 2.0, math.nan, 2.5, 1.5, 3.0])
         with pytest.raises(NotUnimodal):
-            _check_unimodal(costs, 1e-8)
+            _check_unimodal(costs)
 
     def test_rejects_all_error_rows(self):
         with pytest.raises(NotUnimodal):
-            _check_unimodal(np.full(3, math.nan), 1e-8)
+            _check_unimodal(np.full(3, math.nan))
 
     def test_allows_error_runs_at_both_ends(self):
         costs = np.array([math.nan, math.nan, 3.0, 2.0, 1.0, 2.0, math.nan])
-        assert _check_unimodal(costs, 1e-8) == 4
+        assert _check_unimodal(costs) == 4
 
 
 class TestRefine:
@@ -141,10 +148,53 @@ class TestRefine:
         assert opt.tau0_star == pytest.approx(PUBLISHED_TAU0, abs=1e-6)
         assert opt.cost_star == pytest.approx(PUBLISHED_COST, abs=1e-6)
 
+    def test_fallback_probes_keep_python_floats(self, tmp_path, capsys):
+        # 8 probes on this window fall back to deployment_parameters, whose
+        # xi is an np.float64; the optimum must still be plain floats
+        opt = refine_minimum(1.6, 1.7, grid=20)
+        for value in (opt.tau0_star, opt.xi_star, opt.cost_star):
+            assert type(value) is float
+        rc = main(["--out", str(tmp_path), "optimize", "--tau0-lo", "1.6",
+                   "--tau0-hi", "1.7", "--grid", "20"])
+        assert rc == 0
+        assert "np.float64(" not in capsys.readouterr().out
+
+    def test_wide_window_polish_fails(self, tmp_path, capsys):
+        # the probe of the label 1.64697265625 starts past the cliff and
+        # falls back to deployment_parameters; centred at 2.75, the pencil
+        # reads its tau at x = 0.8255 as Tbar + (tau0 - tau_bar) B, two
+        # terms of 8e4 that cancel to 0.61, and g's noise makes the polish
+        # from its bracket root raise |g|: that row is OutOfRange
+        rc = main(["--out", str(tmp_path), "optimize", "--tau0-lo", "0.5",
+                   "--tau0-hi", "5", "--grid", "40"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and err == ""
+        assert json.loads(out)["error"] == {
+            "kind": "OutOfRange",
+            "message": "the Newton polish of the label tau0=1.64697265625 fails"}
+
     def test_not_unimodal_raises(self):
         costs = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
         with pytest.raises(NotUnimodal):
-            _check_unimodal(costs, optimizer.SWEEP_NOISE_TOL)
+            _check_unimodal(costs)
+
+
+class _DriftingPencil:
+    """pencil, except that each point() read reads Tbar 1e-7 higher than the
+    one before: a probe's Newton residual grows while its iterates stay
+    inside [x0, x_end].  state() reads pencil as it is."""
+
+    def __init__(self, pencil):
+        self.pencil = pencil
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.pencil, name)
+
+    def point(self, x):
+        psi, t, b, i, i_b = self.pencil.point(x)
+        self.calls += 1
+        return psi, t + 1e-7 * (self.calls - 1), b, i, i_b
 
 
 def pencil_slope(lo, hi, tau0):
@@ -152,7 +202,7 @@ def pencil_slope(lo, hi, tau0):
     pencil, _ = window_pencil(lo, hi, 2)
     (xi,), _, _ = deployment_parameters(pencil, np.array([tau0]))
     slope, probe_xi = optimizer._probe(pencil, tau0, float(xi))
-    assert probe_xi == xi
+    assert abs(probe_xi - xi) <= PROBE_XI_STEP
     return pencil, slope
 
 
@@ -207,6 +257,44 @@ class TestSlopeRefinement:
                    "--tau0-hi", "1.64701", "--grid", "4"])
         assert rc == 2
         assert '"kind": "OutOfRange"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid", [50, 2000])
+    def test_warm_start_lands_on_the_sweep_xi(self, grid):
+        # started from either neighbouring label's sweep xi, as the
+        # refinement starts each new probe, the polish ends on the label's own
+        pencil, taus = window_pencil(WINDOW_LO, WINDOW_HI, grid)
+        xi, _, _ = deployment_parameters(pencil, taus)
+        for k in range(grid):
+            for j in (k - 1, k + 1):
+                if 0 <= j < grid:
+                    _, probe_xi = optimizer._probe(pencil, float(taus[k]), float(xi[j]))
+                    assert abs(probe_xi - xi[k]) <= PROBE_XI_STEP
+
+    def test_growing_residual_falls_back(self, monkeypatch):
+        # the polish's |g| guard, not its range guard, sends the probe to
+        # deployment_parameters on its label; an OutOfRange there names it
+        pencil, taus = window_pencil(WINDOW_LO, WINDOW_HI, 50)
+        xi, _, _ = deployment_parameters(pencil, taus)
+        tau0, start = float(taus[20]), float(xi[20]) + 1e-9
+        batch, calls = optimizer.deployment_parameters, []
+
+        def recorded(pencil, taus, lines=None):
+            calls.append(list(taus))
+            return batch(pencil, taus, lines)
+
+        monkeypatch.setattr(optimizer, "deployment_parameters", recorded)
+        _, probe_xi = optimizer._probe(_DriftingPencil(pencil), tau0, start)
+        assert calls == [[tau0]]
+        assert abs(probe_xi - xi[20]) <= PROBE_XI_STEP
+
+        def out_of_range(pencil, taus, lines=None):
+            xis, gap, error = batch(pencil, taus, lines)
+            error[:] = OutOfRange.kind
+            return xis, gap, error
+
+        monkeypatch.setattr(optimizer, "deployment_parameters", out_of_range)
+        with pytest.raises(OutOfRange, match=f"Newton polish of the label tau0={tau0!r} "):
+            optimizer._probe(_DriftingPencil(pencil), tau0, start)
 
     @pytest.mark.parametrize("grid, most", [(50, 16), (2000, 12)])
     def test_probe_count(self, monkeypatch, grid, most):
